@@ -1566,16 +1566,16 @@ let invar_bench () =
 (* slice mode: cone-of-influence slicing gates (BENCH_slice.json)    *)
 (* ---------------------------------------------------------------- *)
 
-(* Gates for the olfu_slice engine:
+(* Gates for the olfu_slice engine, plus the every-flop SEU sweeps:
    (a) per core: the severed (hard/mission) backward slice-size
        distribution must improve on the structural cone (mean no
        larger), plus edge counts and the mission SCC condensation;
    (b) bit-identity on tcore16 — the whole point of the hard-constant
-       discipline: SEU classes, the invariant proved set (with
-       certificates) and sampled BMC oracle verdicts are identical
-       sliced vs unsliced;
-   (c) the sliced engine carries a full --seu-limit 0 sweep of tcore32
-       (every flop, no sampling), timed.
+       discipline: the invariant proved set (with certificates) is
+       identical sliced vs unsliced;
+   (c) every-flop window-3 SEU sweeps of tcore16 and tcore32 (no
+       sampling, no invariants), timed, must reproduce the pinned
+       masked/protected/vulnerable/unknown counts.
    Run with: dune exec bench/main.exe -- slice *)
 let slice_bench () =
   let module Sl = Olfu_slice.Slice in
@@ -1627,26 +1627,7 @@ let slice_bench () =
         dh.Sl.mean <= ds.Sl.mean +. 1e-9 && dm.Sl.mean <= dh.Sl.mean +. 1e-9)
       stats
   in
-  (* (b1) SEU classes, every flop of tcore16, sliced vs unsliced *)
-  let seu_window = 3 in
-  let seu_s, seu_s_t =
-    time (fun () -> Seu.run ~window:seu_window ~jobs:4 ~limit:0 ~sliced:true m16)
-  in
-  let seu_f, seu_f_t =
-    time (fun () ->
-        Seu.run ~window:seu_window ~jobs:4 ~limit:0 ~sliced:false m16)
-  in
-  let verdicts (r : Seu.report) =
-    Array.map
-      (fun (x : Seu.ff_result) -> (x.Seu.ff, x.Seu.cls, x.Seu.structural))
-      r.Seu.results
-  in
-  let seu_identical = verdicts seu_s = verdicts seu_f in
-  Format.printf
-    "  SEU cross-check (t16, %d flops): sliced %.2f s vs full %.2f s, \
-     identical %b@."
-    seu_s.Seu.total_ffs seu_s_t seu_f_t seu_identical;
-  (* (b2) invariant proved set, certificates included *)
+  (* (b) invariant proved set, certificates included *)
   let cands = Inv.mine m16 in
   let inv_s, inv_s_t =
     time (fun () -> Inv.prove ~jobs:4 ~sliced:true m16 cands)
@@ -1659,41 +1640,25 @@ let slice_bench () =
     "  invar cross-check (t16, %d candidates): sliced %.2f s vs full %.2f \
      s, identical %b@."
     (List.length cands) inv_s_t inv_f_t invar_identical;
-  (* (b3) BMC oracle ctor-identity on a fault sample *)
-  let g16 = Sl.get m16 in
-  let u = Fault.universe m16 in
-  let same_ctor a b =
-    match (a, b) with
-    | Bmc.Test _, Bmc.Test _ -> true
-    | Bmc.No_test_within x, Bmc.No_test_within y -> x = y
-    | Bmc.Unknown, Bmc.Unknown -> true
-    | _ -> false
+  (* (c) every-flop SEU sweeps against pinned verdict counts *)
+  let seu_window = 3 in
+  let sweep name m pin =
+    let r, secs =
+      time (fun () -> Seu.run ~window:seu_window ~jobs:4 ~limit:0 m)
+    in
+    let counts =
+      (r.Seu.masked, r.Seu.protected_, r.Seu.vulnerable, r.Seu.unknown)
+    in
+    let mpvu (a, b, c, d) = Printf.sprintf "%d/%d/%d/%d" a b c d in
+    Format.printf
+      "  full sweep (%s, %d flops, window %d): m/p/v/u %s (pinned %s) in \
+       %.2f s@."
+      name r.Seu.total_ffs seu_window (mpvu counts) (mpvu pin) secs;
+    (r.Seu.total_ffs, mpvu counts, secs, counts = pin)
   in
-  let oracle_checked = ref 0 in
-  let oracle_identical = ref true in
-  Array.iteri
-    (fun i f ->
-      if i mod 409 = 0 && f.Fault.site.Fault.pin <> Cell.Pin.Clk then begin
-        incr oracle_checked;
-        let full = Bmc.run ~cycles:4 m16 f in
-        let sliced = Sl.oracle ~cycles:4 g16 f in
-        if not (same_ctor full sliced) then begin
-          Format.printf "  ORACLE MISMATCH: %s@." (Fault.to_string m16 f);
-          oracle_identical := false
-        end
-      end)
-    u;
-  Format.printf "  BMC oracle cross-check (t16): %d faults, identical %b@."
-    !oracle_checked !oracle_identical;
-  (* (c) the flagship run: every tcore32 flop, sliced *)
-  let full32, full32_t =
-    time (fun () -> Seu.run ~window:seu_window ~jobs:4 ~limit:0 m32)
-  in
-  Format.printf
-    "  full sweep (t32, %d flops, window %d): m/p/v/u %d/%d/%d/%d in %.2f \
-     s@."
-    full32.Seu.total_ffs seu_window full32.Seu.masked full32.Seu.protected_
-    full32.Seu.vulnerable full32.Seu.unknown full32_t;
+  let f16, c16, t16s, ok16 = sweep "tcore16" m16 (128, 0, 301, 0) in
+  let f32, c32, t32s, ok32 = sweep "tcore32" m32 (230, 0, 599, 0) in
+  let pins_ok = ok16 && ok32 in
   let oc = open_out "BENCH_slice.json" in
   let dist_fields label (d : Sl.dist) =
     Printf.sprintf
@@ -1721,26 +1686,18 @@ let slice_bench () =
         (if k < List.length stats - 1 then "," else ""))
     stats;
   Printf.fprintf oc
-    "  ],\n  \"severing_ok\": %b,\n  \"seu_identical\": %b,\n\
-    \  \"seu_flops\": %d,\n  \"seu_sliced_seconds\": %.6f,\n\
-    \  \"seu_full_seconds\": %.6f,\n  \"invar_identical\": %b,\n\
-    \  \"invar_candidates\": %d,\n  \"oracle_checked\": %d,\n\
-    \  \"oracle_identical\": %b,\n  \"full32_flops\": %d,\n\
-    \  \"full32_window\": %d,\n  \"full32_seconds\": %.6f,\n\
-    \  \"full32_unknown\": %d,\n  \"peak_heap_bytes\": %d\n}\n"
-    severing_ok seu_identical seu_s.Seu.total_ffs seu_s_t seu_f_t
-    invar_identical (List.length cands) !oracle_checked !oracle_identical
-    full32.Seu.total_ffs seu_window full32_t full32.Seu.unknown
-    (peak_heap_bytes ());
+    "  ],\n  \"severing_ok\": %b,\n  \"invar_identical\": %b,\n\
+    \  \"invar_candidates\": %d,\n  \"sweep_window\": %d,\n\
+    \  \"full16_flops\": %d,\n  \"full16_mpvu\": %S,\n\
+    \  \"full16_seconds\": %.6f,\n  \"full32_flops\": %d,\n\
+    \  \"full32_mpvu\": %S,\n  \"full32_seconds\": %.6f,\n\
+    \  \"pins_ok\": %b,\n  \"peak_heap_bytes\": %d\n}\n"
+    severing_ok invar_identical (List.length cands) seu_window f16 c16 t16s
+    f32 c32 t32s pins_ok (peak_heap_bytes ());
   close_out oc;
   Format.printf "  wrote BENCH_slice.json@.";
-  if
-    not
-      (severing_ok && seu_identical && invar_identical && !oracle_identical
-     && !oracle_checked > 0)
-  then begin
-    prerr_endline
-      "slice: gate violated (severing/seu/invar/oracle identity)";
+  if not (severing_ok && invar_identical && pins_ok) then begin
+    prerr_endline "slice: gate violated (severing/invar identity/SEU pins)";
     exit 1
   end
 

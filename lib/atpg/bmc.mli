@@ -35,8 +35,10 @@ val run :
 val confirm_test :
   ?observable_output:(int -> bool) -> Netlist.t -> Fault.t -> stimulus -> bool
 (** Replay the stimulus on the 4-valued sequential simulator with and
-    without the fault and confirm an observed difference (independent of
-    the SAT encoding). *)
+    without the fault and confirm an observed difference, independently
+    of the SAT encoding.  Only output-pin (stem) faults are replayed: the
+    simulator cannot inject a branch fault, so an input-pin or clock-pin
+    fault returns [true] without any replay. *)
 
 (** {1 Unrolling primitives}
 

@@ -128,7 +128,10 @@ val prove :
     are filtered to the group.  Survivors of other groups constrain
     disjoint, jointly satisfiable variables, so the proved set, its
     certificates and the round count are bit-identical to the unsliced
-    run.  With [k >= 2] the full machine is always used. *)
+    run.  With [k >= 2] the full machine is always used.  Slicing is the
+    default because it pays: at [k = 1] on a 2-vCPU host, sliced proving
+    took 0.03–0.24 s against 1.7–2.3 s on tcore16 and 0.4–1.7 s against
+    4.6–6.4 s on tcore32. *)
 
 val bounded_check :
   ?cycles:int ->

@@ -4,7 +4,6 @@ module CB = Olfu_atpg.Cnf.Builder
 module Bmc = Olfu_atpg.Bmc
 module Pool = Olfu_pool.Pool
 module Trace = Olfu_obs.Trace
-module Slice = Olfu_slice.Slice
 
 type ff_result = { ff : int; cls : Taxonomy.seu_class; structural : bool }
 
@@ -68,12 +67,11 @@ let reaches_observation nl ~window ~func_outs ff =
   done;
   !hit
 
-(* Two-copy bounded encoding on [mnl] — the full machine or a certified
-   backward slice of it.  [inv_lits b init] turns the proved invariants
-   into unit literals over the cycle-0 state (empty when there are
-   none); it receives the machine's own init array so the sliced caller
-   can complete it with the out-of-slice flops. *)
-let encode ~window ~conflict_limit mnl ~ff ~func_outs ~alarm_outs ~inv_lits
+(* Two-copy bounded encoding on the full mission machine.  Encoding
+   each flop's certified backward slice instead gave the same verdicts
+   but ran 1.2-2.1x slower on every core, window and sample size
+   measured (hard slices keep about half the flops). *)
+let encode ~window ~conflict_limit ~invariants nl ~ff ~func_outs ~alarm_outs
     =
   let s = S.create () in
   let b = CB.create s in
@@ -87,11 +85,11 @@ let encode ~window ~conflict_limit mnl ~ff ~func_outs ~alarm_outs ~inv_lits
         Array.iter
           (fun i ->
             let v =
-              if Netlist.has_role mnl i Netlist.Reset then CB.vtrue b
+              if Netlist.has_role nl i Netlist.Reset then CB.vtrue b
               else CB.fresh b
             in
             Hashtbl.replace tbl i v)
-          (Netlist.inputs mnl);
+          (Netlist.inputs nl);
         tbl)
   in
   let tiex_vars =
@@ -101,14 +99,14 @@ let encode ~window ~conflict_limit mnl ~ff ~func_outs ~alarm_outs ~inv_lits
           (fun i nd ->
             if nd.Netlist.kind = Cell.Tiex then
               Hashtbl.replace tbl i (CB.fresh b))
-          mnl;
+          nl;
         tbl)
   in
-  let seqs = Netlist.seq_nodes mnl in
+  let seqs = Netlist.seq_nodes nl in
   let init =
     Array.map
       (fun i ->
-        match Netlist.kind mnl i with
+        match Netlist.kind nl i with
         | Cell.Dffr | Cell.Sdffr -> (i, -CB.vtrue b)
         | _ -> (i, CB.fresh b))
       seqs
@@ -118,7 +116,14 @@ let encode ~window ~conflict_limit mnl ~ff ~func_outs ~alarm_outs ~inv_lits
      over-approximation of the reachable set instead of all 2^n
      states (the flipped copy is that state with one bit inverted —
      deliberately off-manifold) *)
-  List.iter (fun l -> S.add_clause s [ l ]) (inv_lits b init);
+  if invariants <> [] then begin
+    let tbl = Hashtbl.create 97 in
+    Array.iter (fun (i, l) -> Hashtbl.replace tbl i l) init;
+    List.iter
+      (fun l -> S.add_clause s [ l ])
+      (Olfu_invar.Invar.state_literals b ~state_of:(Hashtbl.find tbl)
+         invariants)
+  end;
   (* the upset machine: identical, except the target flop starts
      inverted — a single bit-flip latched just before cycle 0 *)
   let flipped =
@@ -128,7 +133,7 @@ let encode ~window ~conflict_limit mnl ~ff ~func_outs ~alarm_outs ~inv_lits
   let good = ref init and bad = ref flipped in
   for c = 0 to window - 1 do
     let source_of state i =
-      match Netlist.kind mnl i with
+      match Netlist.kind nl i with
       | Cell.Input -> Hashtbl.find input_vars.(c) i
       | Cell.Tiex -> Hashtbl.find tiex_vars.(c) i
       | _ -> (
@@ -137,27 +142,27 @@ let encode ~window ~conflict_limit mnl ~ff ~func_outs ~alarm_outs ~inv_lits
         | None -> assert false)
     in
     let _, glit =
-      Bmc.eval_cycle b mnl
+      Bmc.eval_cycle b nl
         ~source:(source_of !good)
         ~inject_stem:id_stem ~inject_operand:id_op
     in
     let _, flit =
-      Bmc.eval_cycle b mnl
+      Bmc.eval_cycle b nl
         ~source:(source_of !bad)
         ~inject_stem:id_stem ~inject_operand:id_op
     in
     let observe outs sink =
       List.iter
         (fun o ->
-          let d = (Netlist.fanin mnl o).(0) in
+          let d = (Netlist.fanin nl o).(0) in
           let x = CB.mk_xor2 b (glit d) (flit d) in
           if not (CB.is_false b x) then sink := x :: !sink)
         outs
     in
     observe func_outs func_diffs;
     observe alarm_outs alarm_diffs;
-    good := Bmc.next_state b mnl glit ~inject_operand:id_op;
-    bad := Bmc.next_state b mnl flit ~inject_operand:id_op
+    good := Bmc.next_state b nl glit ~inject_operand:id_op;
+    bad := Bmc.next_state b nl flit ~inject_operand:id_op
   done;
   match !func_diffs with
   | [] -> Taxonomy.Seu_masked
@@ -180,8 +185,7 @@ let encode ~window ~conflict_limit mnl ~ff ~func_outs ~alarm_outs ~inv_lits
         | S.Unknown -> Taxonomy.Seu_unknown))
 
 let classify_ff ?(window = 4) ?(conflict_limit = 50_000)
-    ?(observable_output = fun _ -> true) ?alarm ?(invariants = []) ?graph
-    nl ff =
+    ?(observable_output = fun _ -> true) ?alarm ?(invariants = []) nl ff =
   if not (Cell.is_seq (Netlist.kind nl ff)) then
     invalid_arg "Seu.classify_ff: not a sequential node";
   let alarm = match alarm with Some f -> f | None -> default_alarm nl in
@@ -195,72 +199,12 @@ let classify_ff ?(window = 4) ?(conflict_limit = 50_000)
   in
   if not (reaches_observation nl ~window ~func_outs ff) then
     { ff; cls = Taxonomy.Seu_masked; structural = true }
-  else begin
-    (* the invariants reference ORIGINAL flop ids: map kept flops to
-       their machine init literal and complete the table with the
-       out-of-slice ones at exactly the init the full encoding gives
-       them (reset flops false, others free), so the constraint
-       projected on the kept state is identical to the full machine's *)
-    let run_on mnl ~ff ~func_outs ~alarm_outs ~old_of_new =
-      let inv_lits b init =
-        if invariants = [] then []
-        else begin
-          let tbl = Hashtbl.create 97 in
-          Array.iter
-            (fun (m, l) ->
-              let d = old_of_new m in
-              if d >= 0 then Hashtbl.replace tbl d l)
-            init;
-          Array.iter
-            (fun i ->
-              if not (Hashtbl.mem tbl i) then
-                Hashtbl.replace tbl i
-                  (match Netlist.kind nl i with
-                  | Cell.Dffr | Cell.Sdffr -> -CB.vtrue b
-                  | _ -> CB.fresh b))
-            (Netlist.seq_nodes nl);
-          Olfu_invar.Invar.state_literals b
-            ~state_of:(Hashtbl.find tbl) invariants
-        end
-      in
-      encode ~window ~conflict_limit mnl ~ff ~func_outs ~alarm_outs
-        ~inv_lits
+  else
+    let cls =
+      encode ~window ~conflict_limit ~invariants nl ~ff ~func_outs
+        ~alarm_outs
     in
-    match graph with
-    | None ->
-      let cls =
-        run_on nl ~ff ~func_outs ~alarm_outs ~old_of_new:(fun i -> i)
-      in
-      { ff; cls; structural = false }
-    | Some g ->
-      (* restrict to the outputs the flop can still influence across
-         hard-severed edges; the rest compare equal in every model *)
-      let fc =
-        Slice.forward_flops g.Slice.hard_edges [ g.Slice.ford.(ff) ]
-      in
-      let influenced =
-        let tbl = Hashtbl.create 17 in
-        Array.iter
-          (fun (o, sup) ->
-            if Array.exists (fun s -> fc.(s)) sup then
-              Hashtbl.replace tbl o ())
-          g.Slice.hard_edges.Slice.out_deps;
-        fun o -> Hashtbl.mem tbl o
-      in
-      let f_outs = List.filter influenced func_outs in
-      let a_outs = List.filter influenced alarm_outs in
-      if f_outs = [] then { ff; cls = Taxonomy.Seu_masked; structural = false }
-      else begin
-        let r = Slice.backward g ~targets:(ff :: (f_outs @ a_outs)) in
-        let m d = r.Slice.new_of_old.(d) in
-        let cls =
-          run_on r.Slice.rnl ~ff:(m ff) ~func_outs:(List.map m f_outs)
-            ~alarm_outs:(List.map m a_outs)
-            ~old_of_new:(fun i -> r.Slice.old_of_new.(i))
-        in
-        { ff; cls; structural = false }
-      end
-  end
+    { ff; cls; structural = false }
 
 let sample_ffs ~limit seqs =
   let total = Array.length seqs in
@@ -269,11 +213,8 @@ let sample_ffs ~limit seqs =
 
 let run ?(window = 4) ?(conflict_limit = 50_000) ?(limit = 0) ?jobs
     ?(trace = Trace.null) ?(observable_output = fun _ -> true) ?alarm
-    ?(invariants = []) ?(sliced = true) nl =
+    ?(invariants = []) nl =
   let jobs = match jobs with Some j -> j | None -> Pool.default_jobs () in
-  (* the slice graph is shared by every worker: build it before the
-     pool so the memoized entry is published once *)
-  let graph = if sliced then Some (Slice.get nl) else None in
   let seqs = Netlist.seq_nodes nl in
   let sample = sample_ffs ~limit seqs in
   let n = Array.length sample in
@@ -293,7 +234,7 @@ let run ?(window = 4) ?(conflict_limit = 50_000) ?(limit = 0) ?jobs
               for k = lo to hi - 1 do
                 results.(k) <-
                   classify_ff ~window ~conflict_limit ~observable_output
-                    ?alarm ~invariants ?graph nl sample.(k)
+                    ?alarm ~invariants nl sample.(k)
               done)));
   let count c =
     Array.fold_left

@@ -50,7 +50,6 @@ val classify_ff :
   ?observable_output:(int -> bool) ->
   ?alarm:(int -> bool) ->
   ?invariants:Olfu_invar.Invar.invariant list ->
-  ?graph:Olfu_slice.Slice.t ->
   Netlist.t ->
   int ->
   ff_result
@@ -62,16 +61,7 @@ val classify_ff :
     {!Olfu_invar}) constrain the pre-upset cycle-0 state to the proved
     reachable over-approximation: a sound strengthening that prunes
     upset states no mission run can reach and typically speeds the
-    queries up.
-
-    [graph] (the netlist's {!Olfu_slice.Slice} graph) switches the
-    encoding to the flop's certified backward slice: only the outputs
-    the flop can still influence across hard-severed edges are encoded,
-    on the reduced machine that decides them.  Outputs outside that
-    cone compare equal in every model and invariants are completed with
-    the out-of-slice flops at their full-machine init, so the verdict
-    is the one the full encoding returns — just on a far smaller CNF.
-    Raises [Invalid_argument] on a non-sequential node. *)
+    queries up.  Raises [Invalid_argument] on a non-sequential node. *)
 
 val run :
   ?window:int ->
@@ -82,18 +72,12 @@ val run :
   ?observable_output:(int -> bool) ->
   ?alarm:(int -> bool) ->
   ?invariants:Olfu_invar.Invar.invariant list ->
-  ?sliced:bool ->
   Netlist.t ->
   report
 (** Classify a deterministic, evenly strided sample of [limit] flops,
     sharded one flop per chunk over a {!Olfu_pool.Pool} of [jobs]
     workers; each flop's verdict is independent, so the report is
     identical for any [jobs].
-
-    [sliced] (default [true]) classifies each flop on its backward
-    slice (see [graph] above) instead of the full machine — the same
-    verdicts, computed tractably enough to run with [limit <= 0] on a
-    whole core.
 
     Sampling: [limit <= 0] (or [limit >= total]) checks {e every} flop;
     otherwise flop [k] of the sample is sequential node

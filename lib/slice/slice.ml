@@ -1,8 +1,6 @@
 open Olfu_logic
 open Olfu_netlist
 module Ternary = Olfu_atpg.Ternary
-module Bmc = Olfu_atpg.Bmc
-module Fault = Olfu_fault.Fault
 
 type edges = {
   supports : int array array;
@@ -315,15 +313,14 @@ type reduced = {
   old_of_new : int array;
 }
 
-let no_taint _ = false
-
 let cert_fail fmt = Printf.ksprintf failwith ("slice certify: " ^^ fmt)
 
-(* Strict map validation against the builder's inputs.  [cut d] marks
-   old sequential nodes rebuilt as free inputs; [cval] is the severing
-   valuation the machine was built with. *)
-let certify_with g r ~cut ~cval =
+(* Strict map validation against the original netlist: every kept node
+   is re-walked kind-by-kind and pin-by-pin under the hard valuation the
+   machine was built with. *)
+let certify g r =
   let nl = g.nl in
+  let cval d = g.hard.(d) in
   let nn = Netlist.length r.rnl in
   if Array.length r.new_of_old <> Netlist.length nl then
     cert_fail "new_of_old length %d <> netlist length %d"
@@ -340,69 +337,49 @@ let certify_with g r ~cut ~cval =
         if m >= nn || r.old_of_new.(m) <> d then
           cert_fail "new_of_old.(%d) = %d not mapped back" d m;
         let ok = Netlist.kind nl d and nk = Netlist.kind r.rnl m in
-        if cut d then begin
-          if not (Cell.equal_kind nk Cell.Input) then
-            cert_fail "cut node %d rebuilt as %s, not Input" d
-              (Cell.kind_name nk)
-        end
-        else begin
-          if not (Cell.equal_kind ok nk) then
-            cert_fail "node %d kind %s rebuilt as %s" d
-              (Cell.kind_name ok) (Cell.kind_name nk);
-          if
-            (not (Cell.equal_kind ok Cell.Input))
-            && Netlist.name nl d <> Netlist.name r.rnl m
-          then cert_fail "node %d name changed" d;
-          let ofi = Netlist.fanin nl d and nfi = Netlist.fanin r.rnl m in
-          if Array.length ofi <> Array.length nfi then
-            cert_fail "node %d arity %d rebuilt as %d" d
-              (Array.length ofi) (Array.length nfi);
-          let dead = dead_pin cval nl d in
-          Array.iteri
-            (fun p oe ->
-              let ne = nfi.(p) in
-              if p = dead then begin
-                if not (Cell.equal_kind (Netlist.kind r.rnl ne) Cell.Tiex)
-                then
-                  cert_fail "node %d severed pin %d not rebuilt as Tiex" d
-                    p
-              end
-              else if Cell.equal_kind (Netlist.kind nl oe) Cell.Input then begin
+        if not (Cell.equal_kind ok nk) then
+          cert_fail "node %d kind %s rebuilt as %s" d (Cell.kind_name ok)
+            (Cell.kind_name nk);
+        if
+          (not (Cell.equal_kind ok Cell.Input))
+          && Netlist.name nl d <> Netlist.name r.rnl m
+        then cert_fail "node %d name changed" d;
+        let ofi = Netlist.fanin nl d and nfi = Netlist.fanin r.rnl m in
+        if Array.length ofi <> Array.length nfi then
+          cert_fail "node %d arity %d rebuilt as %d" d (Array.length ofi)
+            (Array.length nfi);
+        let dead = dead_pin cval nl d in
+        Array.iteri
+          (fun p oe ->
+            let ne = nfi.(p) in
+            if p = dead then begin
+              if not (Cell.equal_kind (Netlist.kind r.rnl ne) Cell.Tiex) then
+                cert_fail "node %d severed pin %d not rebuilt as Tiex" d p
+            end
+            else if Cell.equal_kind (Netlist.kind nl oe) Cell.Input then begin
+              if r.new_of_old.(oe) <> ne then
+                cert_fail "node %d pin %d: input fanin %d not mapped" d p oe
+            end
+            else
+              match cval oe with
+              | Logic4.L0 ->
+                if not (Cell.equal_kind (Netlist.kind r.rnl ne) Cell.Tie0)
+                then cert_fail "node %d pin %d: const-0 not Tie0" d p
+              | Logic4.L1 ->
+                if not (Cell.equal_kind (Netlist.kind r.rnl ne) Cell.Tie1)
+                then cert_fail "node %d pin %d: const-1 not Tie1" d p
+              | _ ->
                 if r.new_of_old.(oe) <> ne then
-                  cert_fail "node %d pin %d: input fanin %d not mapped" d p
-                    oe
-              end
-              else
-                match cval oe with
-                | Logic4.L0 ->
-                  if
-                    not
-                      (Cell.equal_kind (Netlist.kind r.rnl ne) Cell.Tie0)
-                  then cert_fail "node %d pin %d: const-0 not Tie0" d p
-                | Logic4.L1 ->
-                  if
-                    not
-                      (Cell.equal_kind (Netlist.kind r.rnl ne) Cell.Tie1)
-                  then cert_fail "node %d pin %d: const-1 not Tie1" d p
-                | _ ->
-                  if r.new_of_old.(oe) <> ne then
-                    cert_fail
-                      "node %d pin %d: fanin %d maps to %d, rebuilt %d" d
-                      p oe r.new_of_old.(oe) ne)
-            ofi
-        end
+                  cert_fail "node %d pin %d: fanin %d maps to %d, rebuilt %d"
+                    d p oe r.new_of_old.(oe) ne)
+          ofi
       end)
     r.new_of_old
 
-(* Backward build under the hard-constant valuation, [taint] disabling
-   severing on fault-reachable nets and [cut] abstracting out-of-cone
-   flops as free inputs. *)
-let machine g ?(taint = no_taint) ?(cut = [||]) ~targets () =
+let backward g ~targets =
   let nl = g.nl in
   let n = Netlist.length nl in
-  let is_cut = Array.make n false in
-  Array.iter (fun d -> is_cut.(d) <- true) cut;
-  let cval d = if taint d then Logic4.X else g.hard.(d) in
+  let cval d = g.hard.(d) in
   (* a primary input is never rewired to a tie even when hard-constant
      (only reset-role inputs can be): keeping it preserves the input
      alphabet, so sliced stimuli replay on the full machine *)
@@ -413,10 +390,9 @@ let machine g ?(taint = no_taint) ?(cut = [||]) ~targets () =
   let visit d =
     if not keep.(d) then begin
       keep.(d) <- true;
-      if not is_cut.(d) then
-        match Netlist.kind nl d with
-        | Cell.Input | Cell.Tie0 | Cell.Tie1 | Cell.Tiex -> ()
-        | _ -> stack := d :: !stack
+      match Netlist.kind nl d with
+      | Cell.Input | Cell.Tie0 | Cell.Tie1 | Cell.Tiex -> ()
+      | _ -> stack := d :: !stack
     end
   in
   List.iter visit targets;
@@ -425,8 +401,7 @@ let machine g ?(taint = no_taint) ?(cut = [||]) ~targets () =
     | [] -> ()
     | d :: tl ->
       stack := tl;
-      iter_live_fanins cval nl d (fun _ e ->
-          if not (const_at e) then visit e);
+      iter_live_fanins cval nl d (fun _ e -> if not (const_at e) then visit e);
       drain ()
   in
   drain ();
@@ -444,28 +419,21 @@ let machine g ?(taint = no_taint) ?(cut = [||]) ~targets () =
         | None -> Printf.sprintf "_n%d" d'
       in
       new_of_old.(d) <-
-        (if is_cut.(d) then
-           Netlist.Builder.input b (Printf.sprintf "_cut%d" d)
-         else
-           match Netlist.kind nl d with
-           | Cell.Input -> Netlist.Builder.input ~roles b (name d)
-           | Cell.Output -> Netlist.Builder.output ~roles b (name d) t0
-           | k ->
-             let fanin =
-               Array.to_list (Array.map (fun _ -> t0) (Netlist.fanin nl d))
-             in
-             Netlist.Builder.gate ?name:(Netlist.name nl d) ~roles b k
-               fanin)
+        (match Netlist.kind nl d with
+        | Cell.Input -> Netlist.Builder.input ~roles b (name d)
+        | Cell.Output -> Netlist.Builder.output ~roles b (name d) t0
+        | k ->
+          let fanin =
+            Array.to_list (Array.map (fun _ -> t0) (Netlist.fanin nl d))
+          in
+          Netlist.Builder.gate ?name:(Netlist.name nl d) ~roles b k fanin)
     end
   done;
   (* pass 2: rewire — mapped fanin, constant tie, or a fresh Tiex on the
      pin a decided select makes unreadable (never read by any model, so
      the encoding stays equisatisfiable with the full machine) *)
   for d = 0 to n - 1 do
-    if
-      keep.(d) && (not is_cut.(d))
-      && not (Cell.equal_kind (Netlist.kind nl d) Cell.Input)
-    then begin
+    if keep.(d) && not (is_input d) then begin
       let dead = dead_pin cval nl d in
       let fanin =
         Array.mapi
@@ -486,108 +454,8 @@ let machine g ?(taint = no_taint) ?(cut = [||]) ~targets () =
   let old_of_new = Array.make (Netlist.length rnl) (-1) in
   Array.iteri (fun d m -> if m >= 0 then old_of_new.(m) <- d) new_of_old;
   let r = { rnl; new_of_old; old_of_new } in
-  certify_with g r ~cut:(fun d -> is_cut.(d)) ~cval;
+  certify g r;
   r
-
-let backward ?taint g ~targets = machine g ?taint ~targets ()
-
-let forward g ~sources =
-  let e = g.hard_edges in
-  let seed_ords =
-    List.concat_map
-      (fun d ->
-        if g.ford.(d) >= 0 then [ g.ford.(d) ]
-        else
-          (* an input node: seed every flop that still reads it *)
-          let acc = ref [] in
-          Array.iteri
-            (fun k ins ->
-              if Array.exists (fun i -> i = d) ins then acc := k :: !acc)
-            e.in_deps;
-          !acc)
-      sources
-  in
-  let fc = forward_flops e seed_ords in
-  let targets =
-    let flops =
-      Array.to_list g.flops
-      |> List.filteri (fun k _ -> fc.(k))
-    in
-    let outs =
-      Array.to_list e.out_deps
-      |> List.filter_map (fun (o, sup) ->
-             if Array.exists (fun s -> fc.(s)) sup then Some o else None)
-    in
-    flops @ outs
-  in
-  let cut =
-    Array.to_list g.flops
-    |> List.filteri (fun k _ -> not fc.(k))
-    |> Array.of_list
-  in
-  machine g ~cut ~targets ()
-
-let certify g r = certify_with g r ~cut:(fun _ -> false) ~cval:(fun d -> g.hard.(d))
-
-(* ------------------------------------------------------------------ *)
-(* Sliced BMC oracle                                                   *)
-(* ------------------------------------------------------------------ *)
-
-let forward_taint nl fnode =
-  let n = Netlist.length nl in
-  let taint = Array.make n false in
-  let stack = ref [ fnode ] in
-  taint.(fnode) <- true;
-  let rec drain () =
-    match !stack with
-    | [] -> ()
-    | d :: tl ->
-      stack := tl;
-      Array.iter
-        (fun (sink, _pin) ->
-          if not taint.(sink) then begin
-            taint.(sink) <- true;
-            stack := sink :: !stack
-          end)
-        (Netlist.fanout nl d);
-      drain ()
-  in
-  drain ();
-  taint
-
-let oracle ?(cycles = 8) ?(observable_output = fun _ -> true)
-    ?conflict_limit g fault =
-  let fnode = fault.Fault.site.Fault.node in
-  let taint = forward_taint g.nl fnode in
-  let outs =
-    Array.to_list (Netlist.outputs g.nl)
-    |> List.filter (fun o -> taint.(o) && observable_output o)
-  in
-  if outs = [] then Bmc.No_test_within cycles
-  else begin
-    let r = backward ~taint:(fun d -> taint.(d)) g ~targets:(fnode :: outs) in
-    let fault' =
-      {
-        fault with
-        Fault.site = { fault.Fault.site with Fault.node = r.new_of_old.(fnode) };
-      }
-    in
-    let obs m =
-      let d = r.old_of_new.(m) in
-      d >= 0 && observable_output d
-    in
-    match
-      Bmc.run ~cycles ~observable_output:obs ?conflict_limit r.rnl fault'
-    with
-    | Bmc.Test stim ->
-      Bmc.Test
-        (Array.map
-           (fun asg ->
-             List.map (fun (i, v) -> (r.old_of_new.(i), v)) asg
-             |> List.sort (fun (a, _) (b, _) -> Int.compare a b))
-           stim)
-    | other -> other
-  end
 
 (* ------------------------------------------------------------------ *)
 

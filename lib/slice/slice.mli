@@ -24,7 +24,8 @@ open Olfu_netlist
        {!Olfu_safety}, {!Olfu_invar} all hold reset inactive and leave
        flop initial state free).  Reduced machines are cut on hard
        constants only, which is what makes their verdicts bit-identical
-       to the full machine's;}
+       to the full machine's.  The one consumer of reduced machines is
+       {!Olfu_invar.Invar.prove};}
     {- {b mission} constants: the steady-state fixpoint
        ([Ternary.run ~ff_mode:Steady_state], debug controls assumed at
        0) — the paper's reading.  It additionally claims flops the
@@ -118,43 +119,19 @@ type reduced = {
       (** new id -> old node id, [-1] for synthesized tie cells *)
 }
 
-val backward : ?taint:(int -> bool) -> t -> targets:int list -> reduced
+val backward : t -> targets:int list -> reduced
 (** The sub-machine that decides the targets (node ids: flops, [Output]
     markers, or any net): the backward closure under hard-constant
     severing.  Kept nodes keep their kind, name and roles; a severed or
     constant fanin is rewired to a tie cell of the constant (a fresh
-    [Tiex] for the never-read branch of a decided select).  [taint]
-    disables severing on the given nets — the fault-injection hook of
-    {!oracle}, where a fault upstream of a "constant" net breaks the
-    constant in the faulty copy.  The old↔new index maps are certified
-    (every kept node is re-checked kind-by-kind and pin-by-pin against
-    the original before the machine is returned; a mismatch raises). *)
-
-val forward : t -> sources:int list -> reduced
-(** The sub-machine of everything the sources (flop or input node ids)
-    can still influence: flops outside the severed forward cone are
-    abstracted as free primary inputs, so the result over-approximates
-    the original on the kept flops. *)
+    [Tiex] for the never-read branch of a decided select).  The old↔new
+    index maps are certified (every kept node is re-checked kind-by-kind
+    and pin-by-pin against the original before the machine is returned;
+    a mismatch raises). *)
 
 val certify : t -> reduced -> unit
 (** Re-validates a reduced machine's index maps against the original
     netlist (raises [Failure] with a diagnostic on any mismatch).
-    [backward]/[forward] already call this; exposed for tests. *)
-
-(** {1 Sliced consumers} *)
-
-val oracle :
-  ?cycles:int ->
-  ?observable_output:(int -> bool) ->
-  ?conflict_limit:int ->
-  t ->
-  Olfu_fault.Fault.t ->
-  Olfu_atpg.Bmc.result
-(** {!Olfu_atpg.Bmc.run} on the backward slice of the fault's
-    structurally tainted observation points instead of the whole
-    machine.  Returned stimuli are translated back to original input
-    node ids.  Verdict-equivalent to the full run: severing is disabled
-    on every net the fault effect can structurally reach, and the
-    remaining cut logic is read identically by both copies. *)
+    [backward] already calls this; exposed for tests. *)
 
 val pp_stats : Format.formatter -> t -> unit

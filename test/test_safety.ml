@@ -191,8 +191,10 @@ let test_classify_tcore16 () =
 
 (* --- qcheck: BMC verdicts vs concrete replay --- *)
 
-(* random feed-forward machines: three inputs, four flops fed by random
-   two-input gates, two functional outputs and one "err_flag" alarm *)
+(* random feed-forward machines: three inputs and an active-low reset,
+   four flops fed by random two-input gates (the first two resettable,
+   so the invariant prover has a reset state to prove from), two
+   functional outputs and one "err_flag" alarm *)
 let build_rand seed =
   let st = Random.State.make [| seed |] in
   let b = B.create () in
@@ -210,9 +212,14 @@ let build_rand seed =
     | 3 -> B.nand2 b x y
     | _ -> B.not_ b x
   in
+  let rstn = B.input ~roles:[ Netlist.Reset ] b "rstn" in
   let ffs =
     Array.init 4 (fun k ->
-        let ff = B.dff b ~name:(Printf.sprintf "ff%d" k) ~d:(gate ()) in
+        let name = Printf.sprintf "ff%d" k in
+        let ff =
+          if k < 2 then B.dffr b ~name ~d:(gate ()) ~rstn
+          else B.dff b ~name ~d:(gate ())
+        in
         pool := ff :: !pool;
         ff)
   in
@@ -235,7 +242,10 @@ let prop_seu_sound_vs_replay =
               Seq_fsim.assign =
                 List.map
                   (fun i ->
-                    (i, if Random.State.bool st then Logic4.L1 else Logic4.L0))
+                    (* reset held inactive, as in the SEU encoding *)
+                    if Netlist.has_role nl i Netlist.Reset then (i, Logic4.L1)
+                    else
+                      (i, if Random.State.bool st then Logic4.L1 else Logic4.L0))
                   inputs;
               strobe = true;
             })
@@ -244,18 +254,26 @@ let prop_seu_sound_vs_replay =
         Seq_fsim.run_seu ~init:Logic4.L0 ~alarm:(Seu.default_alarm nl) nl
           ~ffs stim
       in
+      (* the replay starts from all-zero flops: the reset state of the
+         resettable ones and a legal power-up of the plain ones, so every
+         invariant the machine's own prover certifies holds in it *)
+      let proved = (Olfu_invar.Invar.run ~jobs:1 nl).Olfu_invar.Invar.proved in
       (* a replayed divergence is one concrete BMC witness: flops the
          model checker calls masked must not show it, and protected ones
-         only with the alarm raised in the same window *)
-      Array.for_all2
-        (fun ff (o : Seq_fsim.seu_obs) ->
-          let r = Seu.classify_ff ~window nl ff in
-          match r.Seu.cls with
-          | Taxonomy.Seu_masked -> not o.Seq_fsim.seu_diverged
-          | Taxonomy.Seu_protected ->
-            (not o.Seq_fsim.seu_diverged) || o.Seq_fsim.seu_alarmed
-          | Taxonomy.Seu_vulnerable | Taxonomy.Seu_unknown -> true)
-        ffs obs)
+         only with the alarm raised in the same window — with or without
+         the invariants constraining the pre-upset state *)
+      List.for_all
+        (fun invariants ->
+          Array.for_all2
+            (fun ff (o : Seq_fsim.seu_obs) ->
+              let r = Seu.classify_ff ~window ~invariants nl ff in
+              match r.Seu.cls with
+              | Taxonomy.Seu_masked -> not o.Seq_fsim.seu_diverged
+              | Taxonomy.Seu_protected ->
+                (not o.Seq_fsim.seu_diverged) || o.Seq_fsim.seu_alarmed
+              | Taxonomy.Seu_vulnerable | Taxonomy.Seu_unknown -> true)
+            ffs obs)
+        [ []; proved ])
 
 let qt = QCheck_alcotest.to_alcotest
 

@@ -2,8 +2,6 @@ open Olfu_logic
 open Olfu_netlist
 module B = Netlist.Builder
 module Slice = Olfu_slice.Slice
-module Bmc = Olfu_atpg.Bmc
-module Fault = Olfu_fault.Fault
 module Seq_sim = Olfu_sim.Seq_sim
 
 (* --- severing on the paper's mission cells --- *)
@@ -94,107 +92,7 @@ let test_scc_ring () =
   Alcotest.(check bool) "dot mentions the component" true
     (String.length dot > 0)
 
-let test_forward_isolates () =
-  let b = B.create () in
-  let a = B.input b "a" in
-  let bb = B.input b "b" in
-  let ffa = B.dff b ~name:"ffa" ~d:a in
-  let ffb = B.dff b ~name:"ffb" ~d:bb in
-  let _ = B.output b "oA" ffa in
-  let _ = B.output b "oB" ffb in
-  let nl = B.freeze_exn b in
-  let g = Slice.build nl in
-  let r = Slice.forward g ~sources:[ ffa ] in
-  Alcotest.(check bool) "oA kept" true (Netlist.find r.Slice.rnl "oA" <> None);
-  Alcotest.(check bool) "ffb dropped" true
-    (Netlist.find r.Slice.rnl "ffb" = None);
-  Alcotest.(check bool) "oB dropped" true
-    (Netlist.find r.Slice.rnl "oB" = None)
-
-(* --- sliced BMC oracle --- *)
-
-let same_ctor a b =
-  match (a, b) with
-  | Bmc.Test _, Bmc.Test _ -> true
-  | Bmc.No_test_within _, Bmc.No_test_within _ -> true
-  | Bmc.Unknown, Bmc.Unknown -> true
-  | _ -> false
-
-let check_oracle ?(cycles = 4) nl =
-  let g = Slice.build nl in
-  let faults =
-    Array.to_list (Fault.universe nl)
-    |> List.filter (fun f -> f.Fault.site.Fault.pin <> Cell.Pin.Clk)
-  in
-  List.for_all
-    (fun f ->
-      let full = Bmc.run ~cycles nl f in
-      let sliced = Slice.oracle ~cycles g f in
-      let ctor = function
-        | Bmc.Test _ -> "test"
-        | Bmc.No_test_within _ -> "no-test"
-        | Bmc.Unknown -> "unknown"
-      in
-      let ok = same_ctor full sliced in
-      (if ok then
-         (* a sliced stimulus must replay on the FULL machine whenever the
-            full machine's own stimulus does (replay of either can fail
-            legitimately when detection leans on a free power-up state
-            the L0-init simulator cannot reach) *)
-         match (sliced, full) with
-         | Bmc.Test stim, Bmc.Test fstim ->
-           Bmc.confirm_test nl f stim
-           || (not (Bmc.confirm_test nl f fstim))
-           ||
-           (Format.printf "oracle replay failed on %a@." (Fault.pp nl) f;
-            false)
-         | _ -> true
-       else begin
-         Format.printf "oracle mismatch on %a: full %s, sliced %s@."
-           (Fault.pp nl) f (ctor full) (ctor sliced);
-         false
-       end)
-      || false)
-    faults
-
-let test_oracle_redundant () =
-  let nl = Test_support.redundant_circuit () in
-  Alcotest.(check bool) "verdicts match" true (check_oracle nl)
-
-let test_oracle_scan_cell () =
-  let nl, _ = Test_support.scan_cell_mission () in
-  Alcotest.(check bool) "verdicts match" true (check_oracle nl)
-
 (* --- properties on random sequential machines --- *)
-
-(* sliced and full BMC agree fault-by-fault, and sliced witnesses replay *)
-let prop_oracle_equiv =
-  QCheck2.Test.make ~count:8 ~name:"sliced oracle = full BMC"
-    QCheck2.Gen.(int_bound 1_000_000)
-    (fun seed ->
-      let rng = Random.State.make [| seed |] in
-      let nl =
-        Test_support.random_seq_netlist rng ~inputs:3 ~gates:10 ~flops:3
-      in
-      let g = Slice.build nl in
-      let faults =
-        Array.to_list (Fault.universe nl)
-        |> List.filter (fun f -> f.Fault.site.Fault.pin <> Cell.Pin.Clk)
-      in
-      (* cap the per-case fault count to keep the property quick *)
-      let faults = List.filteri (fun i _ -> i mod 7 = 0) faults in
-      List.for_all
-        (fun f ->
-          let full = Bmc.run ~cycles:3 nl f in
-          let sliced = Slice.oracle ~cycles:3 g f in
-          same_ctor full sliced
-          &&
-          match (sliced, full) with
-          | Bmc.Test stim, Bmc.Test fstim ->
-            Bmc.confirm_test nl f stim
-            || not (Bmc.confirm_test nl f fstim)
-          | _ -> true)
-        faults)
 
 (* the reduced machine is a stuttering-free projection: with reset held
    inactive and identical inputs, every kept output matches cycle by
@@ -245,24 +143,6 @@ let prop_backward_sim_equiv =
       done;
       !ok)
 
-(* per-flop SEU verdicts on the slice match the full-machine encoding *)
-let prop_seu_sliced_equiv =
-  QCheck2.Test.make ~count:10 ~name:"sliced SEU = full SEU"
-    QCheck2.Gen.(int_bound 1_000_000)
-    (fun seed ->
-      let rng = Random.State.make [| seed |] in
-      let nl =
-        Test_support.random_seq_netlist rng ~inputs:3 ~gates:12 ~flops:4
-      in
-      let full = Olfu_safety.Seu.run ~window:3 ~jobs:1 ~sliced:false nl in
-      let sliced = Olfu_safety.Seu.run ~window:3 ~jobs:1 ~sliced:true nl in
-      Array.for_all2
-        (fun (a : Olfu_safety.Seu.ff_result) (b : Olfu_safety.Seu.ff_result) ->
-          a.Olfu_safety.Seu.ff = b.Olfu_safety.Seu.ff
-          && a.Olfu_safety.Seu.cls = b.Olfu_safety.Seu.cls
-          && a.Olfu_safety.Seu.structural = b.Olfu_safety.Seu.structural)
-        full.Olfu_safety.Seu.results sliced.Olfu_safety.Seu.results)
-
 let qt = QCheck_alcotest.to_alcotest
 
 let () =
@@ -278,14 +158,6 @@ let () =
           Alcotest.test_case "backward" `Quick test_backward_machine;
           Alcotest.test_case "memoized" `Quick test_get_memoized;
           Alcotest.test_case "scc ring" `Quick test_scc_ring;
-          Alcotest.test_case "forward" `Quick test_forward_isolates;
           qt prop_backward_sim_equiv;
-        ] );
-      ( "oracle",
-        [
-          Alcotest.test_case "redundant comb" `Quick test_oracle_redundant;
-          Alcotest.test_case "scan cell" `Quick test_oracle_scan_cell;
-          qt prop_oracle_equiv;
-          qt prop_seu_sliced_equiv;
         ] );
     ]
