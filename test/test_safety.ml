@@ -161,6 +161,42 @@ let test_software_breakdown () =
         (List.assoc c base) (List.assoc c bd))
     [ Status.Tied; Status.Blocked; Status.Conflict ]
 
+(* --- the on-line BMC machine --- *)
+
+(* every bench oracle and the invariant engine run on bmc_machine: it
+   must equal tying scan_en and scan_in0 to 0, and leave a netlist with
+   neither port unchanged *)
+let test_bmc_machine () =
+  let build ~scan =
+    let b = B.create () in
+    let d = B.input b "d" in
+    let ff =
+      if scan then
+        let se = B.input b "scan_en" in
+        let si = B.input b "scan_in0" in
+        B.sdff b ~name:"ff" ~d ~si ~se
+      else B.dff b ~name:"ff" ~d
+    in
+    let _ = B.output b "q" ff in
+    B.freeze_exn b
+  in
+  let digest = Olfu_netlist.Analysis.digest_of in
+  let nl = build ~scan:true in
+  let tied =
+    Olfu_manip.Script.apply nl
+      [
+        Olfu_manip.Script.Tie_input ("scan_en", Logic4.L0);
+        Olfu_manip.Script.Tie_input ("scan_in0", Logic4.L0);
+      ]
+  in
+  Alcotest.(check bool) "the ties change the digest" true
+    (digest tied <> digest nl);
+  Alcotest.(check string) "scan ports tied to 0" (digest tied)
+    (digest (Classify.bmc_machine nl));
+  let plain = build ~scan:false in
+  Alcotest.(check string) "no scan ports: unchanged" (digest plain)
+    (digest (Classify.bmc_machine plain))
+
 (* --- full classifier on the small core --- *)
 
 let test_classify_tcore16 () =
@@ -306,5 +342,8 @@ let () =
           Alcotest.test_case "breakdown row" `Quick test_software_breakdown;
         ] );
       ( "classify",
-        [ Alcotest.test_case "tcore16" `Slow test_classify_tcore16 ] );
+        [
+          Alcotest.test_case "bmc machine" `Quick test_bmc_machine;
+          Alcotest.test_case "tcore16" `Slow test_classify_tcore16;
+        ] );
     ]

@@ -399,11 +399,7 @@ let test_bmc_never_refutes_flow () =
   (* the full mission environment: the flow's tied netlist plus the scan
      pins held at their functional values (the scan rule's premise) *)
   let mnl =
-    Olfu_manip.Script.apply report.Olfu.Flow.mission_netlist
-      [
-        Olfu_manip.Script.Tie_input ("scan_en", Olfu_logic.Logic4.L0);
-        Olfu_manip.Script.Tie_input ("scan_in0", Olfu_logic.Logic4.L0);
-      ]
+    Olfu_safety.Classify.bmc_machine report.Olfu.Flow.mission_netlist
   in
   let observable = Olfu.Mission.observed_in_field mission mnl in
   let checked = ref 0 in
