@@ -1345,7 +1345,9 @@ let invar_bench () =
 (* Gates for the olfu_slice engine, plus the every-flop SEU sweeps:
    (a) per core: the severed (hard/mission) backward slice-size
        distribution must improve on the structural cone (mean no
-       larger), plus edge counts and the mission SCC condensation;
+       larger), and the graph must match its pins: the s/h/m edge
+       counts, the mission SCC count and the three slice-size
+       distributions, so a lost or extra edge fails the run;
    (b) bit-identity on tcore16 — the whole point of the hard-constant
        discipline: the invariant proved set (with certificates) is
        identical sliced vs unsliced;
@@ -1372,22 +1374,32 @@ let slice_bench () =
         ("p90", J.Int d.Sl.p90);
       ]
   in
-  let core_stats (name, m) =
+  let core_stats (name, m, (pin_edges, pin_sccs, pin_dists)) =
     let g, secs = time (fun () -> Sl.get m) in
-    let d e = Sl.dist_of (Sl.backward_sizes g e) in
+    let d e = Sl.dist_of (Sl.backward_sizes e) in
     let ds = d g.Sl.structural
     and dh = d g.Sl.hard_edges
     and dm = d g.Sl.mission_edges in
     let flops = Array.length g.Sl.flops in
-    let sccs = Array.length (Sl.scc g.Sl.mission_edges flops).Sl.comps in
+    let sccs = Array.length g.Sl.mission_edges.Sl.cond.Sl.comps in
     let es = edge_count g.Sl.structural
     and eh = edge_count g.Sl.hard_edges
     and em = edge_count g.Sl.mission_edges in
+    let pinned =
+      (es, eh, em) = pin_edges
+      && sccs = pin_sccs
+      && List.for_all2
+           (fun (d : Sl.dist) (lo, med, p90, hi, mean) ->
+             (d.Sl.min_, d.Sl.median, d.Sl.p90, d.Sl.max_) = (lo, med, p90, hi)
+             && Float.abs (d.Sl.mean -. mean) < 1e-6)
+           [ ds; dh; dm ] pin_dists
+    in
     Format.printf
       "  %-12s flops %4d  edges s/h/m %d/%d/%d  slice mean s/h/m \
-       %.1f/%.1f/%.1f  sccs %d  %5.2f s@."
-      name flops es eh em ds.Sl.mean dh.Sl.mean dm.Sl.mean sccs secs;
+       %.1f/%.1f/%.1f  sccs %d  pinned %b  %5.2f s@."
+      name flops es eh em ds.Sl.mean dh.Sl.mean dm.Sl.mean sccs pinned secs;
     ( dh.Sl.mean <= ds.Sl.mean +. 1e-9 && dm.Sl.mean <= dh.Sl.mean +. 1e-9,
+      pinned,
       J.Obj
         [
           ("config", J.Str name); ("flops", J.Int flops);
@@ -1397,11 +1409,36 @@ let slice_bench () =
           ("mission_sccs", J.Int sccs); ("seconds", J.Float secs);
         ] )
   in
+  (* pins per core: s/h/m edge counts, mission SCCs, and the s/h/m
+     slice-size distributions as (min, median, p90, max, mean) *)
   let stats =
     List.map core_stats
-      [ ("tcore16", m16); ("tcore32", m32); ("tcore32_dft", mdft) ]
+      [
+        ( "tcore16", m16,
+          ( (93184, 84006, 83988), 109,
+            [
+              (1, 354, 355, 378, 316.254079254);
+              (1, 275, 320, 320, 225.895104895);
+              (1, 275, 320, 320, 225.895104895);
+            ] ) );
+        ( "tcore32", m32,
+          ( (361558, 325506, 325472), 187,
+            [
+              (1, 693, 693, 733, 622.51628468);
+              (1, 531, 626, 626, 455.805790109);
+              (1, 531, 626, 626, 455.805790109);
+            ] ) );
+        ( "tcore32_dft", mdft,
+          ( (362587, 325815, 325472), 294,
+            [
+              (1, 757, 760, 840, 643.912393162);
+              (1, 531, 626, 638, 405.992521368);
+              (1, 531, 626, 626, 403.814102564);
+            ] ) );
+      ]
   in
-  let severing_ok = List.for_all fst stats in
+  let severing_ok = List.for_all (fun (ok, _, _) -> ok) stats in
+  let graph_pins = List.for_all (fun (_, ok, _) -> ok) stats in
   (* (b) invariant proved set, certificates included *)
   let cands = Inv.mine m16 in
   let inv_s, inv_s_t =
@@ -1441,11 +1478,12 @@ let slice_bench () =
   emit "slice"
     ~gates:
       [
-        ("severing_ok", severing_ok); ("invar_identical", invar_identical);
+        ("graph_pins", graph_pins); ("severing_ok", severing_ok);
+        ("invar_identical", invar_identical);
         ("pins_ok", ok16 && ok32);
       ]
     ([
-       ("cores", J.List (List.map snd stats));
+       ("cores", J.List (List.map (fun (_, _, j) -> j) stats));
        ("invar_candidates", J.Int (List.length cands));
        ("sweep_window", J.Int seu_window);
      ]

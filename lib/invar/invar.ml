@@ -590,26 +590,23 @@ let component_machines g ~hold cands =
     let ra = find a and rb = find b in
     if ra <> rb then parent.(ra) <- rb
   in
-  let closures =
+  let seeds =
     Array.map
       (fun c ->
         let ords = List.map (fun f -> g.Slice.ford.(f)) (support c) in
-        let m = Slice.backward_flops g.Slice.hard_edges ords in
-        (List.hd ords, m))
+        let seed = List.hd ords in
+        Array.iteri
+          (fun o inc -> if inc then union seed o)
+          (Slice.backward_flops g.Slice.hard_edges ords);
+        seed)
       cands
   in
-  Array.iter
-    (fun (seed, m) ->
-      Array.iteri (fun o inc -> if inc then union seed o) m)
-    closures;
   let machines = Hashtbl.create 17 in
   let comp_of_cand =
-    Array.mapi
-      (fun i c ->
-        let seed, closure = closures.(i) in
+    Array.map
+      (fun seed ->
         let root = find seed in
         if not (Hashtbl.mem machines root) then begin
-          ignore closure;
           (* the closure of one member need not list every flop of the
              union — collect the whole component *)
           let targets = ref [] in
@@ -627,9 +624,8 @@ let component_machines g ~hold cands =
           in
           Hashtbl.replace machines root { red; comp_hold }
         end;
-        ignore c;
         root)
-      cands
+      seeds
   in
   (comp_of_cand, machines)
 

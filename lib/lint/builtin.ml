@@ -1146,19 +1146,18 @@ let slice_001 =
       let module Sl = Olfu_slice.Slice in
       let g = Ctx.slice ctx in
       let e = g.Sl.mission_edges in
+      (* a flop's backward cone holds a functional input exactly when the
+         flop is forward-reachable from a flop that reads one *)
+      let driven =
+        Sl.forward_flops e
+          (List.filter
+             (fun o -> Array.exists (functional_input nl) e.Sl.in_deps.(o))
+             (List.init (Array.length g.Sl.flops) Fun.id))
+      in
       let unreachable =
         Array.to_list g.Sl.flops
         |> List.filteri (fun o f ->
-               (not (Logic4.is_binary g.Sl.mission.(f)))
-               &&
-               let closure = Sl.backward_flops e [ o ] in
-               let driven = ref false in
-               Array.iteri
-                 (fun o' inc ->
-                   if inc && Array.exists (functional_input nl) e.Sl.in_deps.(o')
-                   then driven := true)
-                 closure;
-               not !driven)
+               (not (Logic4.is_binary g.Sl.mission.(f))) && not driven.(o))
       in
       match unreachable with
       | [] -> []
@@ -1185,18 +1184,18 @@ let slice_002 =
       let module Sl = Olfu_slice.Slice in
       let g = Ctx.slice ctx in
       let e = g.Sl.mission_edges in
+      (* a flop's forward cone meets a functional output's support exactly
+         when the flop is in that support's backward closure *)
+      let observed =
+        Sl.backward_flops e
+          (Array.to_list e.Sl.out_deps
+          |> List.concat_map (fun (m, ffs) ->
+                 if functional_output nl m then Array.to_list ffs else []))
+      in
       let unobserved =
         Array.to_list g.Sl.flops
         |> List.filteri (fun o f ->
-               (not (Logic4.is_binary g.Sl.mission.(f)))
-               &&
-               let fc = Sl.forward_flops e [ o ] in
-               not
-                 (Array.exists
-                    (fun (m, ffs) ->
-                      functional_output nl m
-                      && Array.exists (fun o' -> fc.(o')) ffs)
-                    e.Sl.out_deps))
+               (not (Logic4.is_binary g.Sl.mission.(f))) && not observed.(o))
       in
       match unobserved with
       | [] -> []

@@ -11,21 +11,36 @@ type t =
 (* Printing                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let escape_to buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
+(* The printer appends to [buf] and calls [spill] between pieces, so one
+   emitter builds a string ([to_string]) or streams to a channel in
+   bounded chunks ([to_channel]): a daemon answer can be megabytes. *)
+type out = { buf : Buffer.t; spill : unit -> unit }
+
+(* Runs of characters that need no escape are copied in one piece. *)
+let escape_to o s =
+  let b = o.buf in
+  Buffer.add_char b '"';
+  let n = String.length s in
+  let rec go start i =
+    if i = n then Buffer.add_substring b s start (n - start)
+    else
+      match s.[i] with
+      | ('"' | '\\' | '\000' .. '\031') as c ->
+        Buffer.add_substring b s start (i - start);
+        Buffer.add_string b
+          (match c with
+          | '"' -> "\\\""
+          | '\\' -> "\\\\"
+          | '\n' -> "\\n"
+          | '\r' -> "\\r"
+          | '\t' -> "\\t"
+          | c -> Printf.sprintf "\\u%04x" (Char.code c));
+        o.spill ();
+        go (i + 1) (i + 1)
+      | _ -> go start (i + 1)
+  in
+  go 0 0;
+  Buffer.add_char b '"'
 
 let float_to buf f =
   if Float.is_integer f && Float.abs f < 1e15 then
@@ -34,7 +49,8 @@ let float_to buf f =
     Buffer.add_string buf (Printf.sprintf "%.12g" f)
   else Buffer.add_string buf "null" (* nan/inf have no JSON form *)
 
-let rec emit buf ~indent ~level v =
+let rec emit o ~indent ~level v =
+  let buf = o.buf in
   let pad n = if indent then Buffer.add_string buf (String.make (2 * n) ' ') in
   let sep () = if indent then Buffer.add_char buf '\n' in
   match v with
@@ -42,7 +58,7 @@ let rec emit buf ~indent ~level v =
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
   | Int i -> Buffer.add_string buf (string_of_int i)
   | Float f -> float_to buf f
-  | Str s -> escape_to buf s
+  | Str s -> escape_to o s
   | List [] -> Buffer.add_string buf "[]"
   | List items ->
     Buffer.add_char buf '[';
@@ -54,7 +70,8 @@ let rec emit buf ~indent ~level v =
           sep ()
         end;
         pad (level + 1);
-        emit buf ~indent ~level:(level + 1) item)
+        emit o ~indent ~level:(level + 1) item;
+        o.spill ())
       items;
     sep ();
     pad level;
@@ -70,21 +87,37 @@ let rec emit buf ~indent ~level v =
           sep ()
         end;
         pad (level + 1);
-        escape_to buf key;
+        escape_to o key;
         Buffer.add_string buf (if indent then ": " else ":");
-        emit buf ~indent ~level:(level + 1) item)
+        emit o ~indent ~level:(level + 1) item;
+        o.spill ())
       fields;
     sep ();
     pad level;
     Buffer.add_char buf '}'
 
+let output o ~indent v =
+  emit o ~indent ~level:0 v;
+  if indent then Buffer.add_char o.buf '\n'
+
 let to_string ?(indent = false) v =
   let buf = Buffer.create 1024 in
-  emit buf ~indent ~level:0 v;
-  if indent then Buffer.add_char buf '\n';
+  output { buf; spill = ignore } ~indent v;
   Buffer.contents buf
 
-let to_channel ?indent oc v = output_string oc (to_string ?indent v)
+let chunk = 65536
+
+(* the buffer starts small: most answers are a few hundred bytes *)
+let to_channel ?(indent = false) oc v =
+  let buf = Buffer.create 1024 in
+  let spill () =
+    if Buffer.length buf >= chunk then begin
+      Buffer.output_buffer oc buf;
+      Buffer.clear buf
+    end
+  in
+  output { buf; spill } ~indent v;
+  Buffer.output_buffer oc buf
 
 let to_file ?indent path v =
   let oc = open_out path in

@@ -22,6 +22,10 @@ val to_string : ?indent:bool -> t -> string
     indentation (the form written to [--manifest] files). *)
 
 val to_channel : ?indent:bool -> out_channel -> t -> unit
+(** The bytes of {!to_string}, written to the channel in chunks of
+    about 64 KB as they are produced, so the document is not built in
+    memory first. *)
+
 val to_file : ?indent:bool -> string -> t -> unit
 
 val parse : string -> (t, string) result

@@ -75,3 +75,7 @@ let of_string s =
   | Ok j -> of_json j
 
 let to_line t = J.to_string (to_json t)
+
+let output_line oc t =
+  J.to_channel oc (to_json t);
+  output_char oc '\n'

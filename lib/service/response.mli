@@ -45,3 +45,8 @@ val to_json : t -> Olfu_obs.Json.t
 val of_json : Olfu_obs.Json.t -> (t, string) result
 val of_string : string -> (t, string) result
 val to_line : t -> string
+
+val output_line : out_channel -> t -> unit
+(** [to_line] and a newline, streamed to the channel: the server's
+    answer, which for a large cached rendering is written without first
+    copying it into a line of its own. *)

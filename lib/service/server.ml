@@ -43,8 +43,7 @@ let audit_record st (req : Request.t) (resp : Response.t) (meta : Service.meta)
   | _ -> ()
 
 let send oc resp =
-  output_string oc (Response.to_line resp);
-  output_char oc '\n';
+  Response.output_line oc resp;
   flush oc
 
 (* Serve one line; [false] means stop reading from this connection. *)

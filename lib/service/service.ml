@@ -819,17 +819,8 @@ let exec_slice session sink (r : Req.run) (l : Session.loaded) =
     in
     (ff, inf, fo)
   in
-  let variants =
-    [
-      ("structural", g.Sl.structural);
-      ("hard", g.Sl.hard_edges);
-      ("mission", g.Sl.mission_edges);
-    ]
-  in
-  let dists =
-    List.map (fun (n, e) -> (n, Sl.dist_of (Sl.backward_sizes g e))) variants
-  in
-  let mscc = Sl.scc g.Sl.mission_edges (Array.length g.Sl.flops) in
+  let regimes = Sl.regimes g in
+  let mscc = g.Sl.mission_edges.Sl.cond in
   let largest =
     Array.fold_left (fun a c -> max a (Array.length c)) 0 mscc.Sl.comps
   in
@@ -851,18 +842,21 @@ let exec_slice session sink (r : Req.run) (l : Session.loaded) =
         ( "edges",
           J.Obj
             (List.map
-               (fun (n, e) ->
-                 let ff, inf, fo = edge_count e in
-                 ( n,
+               (fun (r : Sl.regime) ->
+                 let ff, inf, fo = edge_count r.Sl.edges in
+                 ( r.Sl.label,
                    J.Obj
                      [
                        ("flop_flop", J.Int ff);
                        ("input_flop", J.Int inf);
                        ("flop_output", J.Int fo);
                      ] ))
-               variants) );
+               regimes) );
         ( "backward_slice_sizes",
-          J.Obj (List.map (fun (n, d) -> (n, dist_json d)) dists) );
+          J.Obj
+            (List.map
+               (fun (r : Sl.regime) -> (r.Sl.label, dist_json r.Sl.sizes))
+               regimes) );
         ( "mission_scc",
           J.Obj
             [
@@ -874,19 +868,19 @@ let exec_slice session sink (r : Req.run) (l : Session.loaded) =
   let summary =
     table
       ([ ("flops", string_of_int (Array.length g.Sl.flops)) ]
-      @ List.concat_map
-          (fun (n, e) ->
-            let ff, inf, fo = edge_count e in
-            [
-              (n ^ " edges", Printf.sprintf "%d ff / %d in / %d out" ff inf fo);
-            ])
-          variants
       @ List.map
-          (fun (n, d) ->
-            ( n ^ " slice size",
+          (fun (r : Sl.regime) ->
+            let ff, inf, fo = edge_count r.Sl.edges in
+            ( r.Sl.label ^ " edges",
+              Printf.sprintf "%d ff / %d in / %d out" ff inf fo ))
+          regimes
+      @ List.map
+          (fun (r : Sl.regime) ->
+            let d = r.Sl.sizes in
+            ( r.Sl.label ^ " slice size",
               Printf.sprintf "med %d / p90 %d / max %d" d.Sl.median d.Sl.p90
                 d.Sl.max_ ))
-          dists
+          regimes
       @ [
           ("mission sccs", string_of_int (Array.length mscc.Sl.comps));
           ("largest scc", string_of_int largest);
@@ -894,7 +888,7 @@ let exec_slice session sink (r : Req.run) (l : Session.loaded) =
   in
   ( {
       Session.json = json_line payload;
-      text = Format.asprintf "%a@." Sl.pp_stats g;
+      text = Format.asprintf "%t@." (Sl.pp_stats g regimes);
       summary;
       status = Resp.Success;
       (* the DOT condensation is cheap relative to the flow, so it is

@@ -2,11 +2,19 @@ open Olfu_logic
 open Olfu_netlist
 module Ternary = Olfu_atpg.Ternary
 
+type scc = { comp_of : int array; comps : int array array }
+
+(* per condensation component: bitsets over flop ordinals of everything
+   the component reaches backward (over [supports]) and forward *)
+type reach = { back : int array array; fwd : int array array }
+
 type edges = {
   supports : int array array;
   consumers : int array array;
   in_deps : int array array;
   out_deps : (int * int array) array;
+  cond : scc;
+  reach : reach;
 }
 
 type t = {
@@ -44,75 +52,187 @@ let iter_live_fanins cval nl d f =
   Array.iteri (fun p e -> if p <> dead then f p e) (Netlist.fanin nl d)
 
 (* ------------------------------------------------------------------ *)
-(* Flop-level dependency edges under a constant valuation              *)
+(* Bitsets over flop and input ordinals                                *)
 (* ------------------------------------------------------------------ *)
+
+let bits = Sys.int_size
+let words n = (n + bits - 1) / bits
+let set b i = b.(i / bits) <- b.(i / bits) lor (1 lsl (i mod bits))
+let mem b i = b.(i / bits) land (1 lsl (i mod bits)) <> 0
+
+let union_into dst src =
+  for w = 0 to Array.length dst - 1 do
+    dst.(w) <- dst.(w) lor src.(w)
+  done
+
+let rec popcount x = if x = 0 then 0 else 1 + popcount (x land (x - 1))
+
+(* the set bits of [b] in [lo, hi), ascending, each mapped through [f] *)
+let elements b lo hi f =
+  let acc = ref [] in
+  for i = hi - 1 downto lo do
+    if mem b i then acc := f i :: !acc
+  done;
+  Array.of_list !acc
 
 let sorted_uniq l = Array.of_list (List.sort_uniq Int.compare l)
 
+(* ------------------------------------------------------------------ *)
+(* SCC condensation and reach sets                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* Tarjan over the flop support graph; components are emitted callees
+   first, i.e. ids are a reverse-topological numbering of the
+   condensation DAG. *)
+let scc supports =
+  let n = Array.length supports in
+  let index = Array.make n (-1) in
+  let low = Array.make n 0 in
+  let on_stack = Array.make n false in
+  let comp_of = Array.make n (-1) in
+  let stack = ref [] in
+  let next = ref 0 in
+  let comps = ref [] in
+  let ncomp = ref 0 in
+  let rec strong v =
+    index.(v) <- !next;
+    low.(v) <- !next;
+    incr next;
+    stack := v :: !stack;
+    on_stack.(v) <- true;
+    Array.iter
+      (fun w ->
+        if index.(w) < 0 then begin
+          strong w;
+          if low.(w) < low.(v) then low.(v) <- low.(w)
+        end
+        else if on_stack.(w) && index.(w) < low.(v) then
+          low.(v) <- index.(w))
+      supports.(v);
+    if low.(v) = index.(v) then begin
+      let members = ref [] in
+      let stop = ref false in
+      while not !stop do
+        match !stack with
+        | [] -> stop := true
+        | w :: tl ->
+          stack := tl;
+          on_stack.(w) <- false;
+          comp_of.(w) <- !ncomp;
+          members := w :: !members;
+          if w = v then stop := true
+      done;
+      comps := sorted_uniq !members :: !comps;
+      incr ncomp
+    end
+  in
+  for v = 0 to n - 1 do
+    if index.(v) < 0 then strong v
+  done;
+  { comp_of; comps = Array.of_list (List.rev !comps) }
+
+(* Every successor of a component has a smaller id, so one pass in id
+   order completes each backward set from its successors' finished
+   ones, and one pass in reverse order pushes each finished forward set
+   into its successors. *)
+let reach_of cond supports =
+  let nc = Array.length cond.comps in
+  let w = words (Array.length supports) in
+  let own c =
+    let b = Array.make w 0 in
+    Array.iter (set b) cond.comps.(c);
+    b
+  in
+  let back = Array.init nc own and fwd = Array.init nc own in
+  let stamp = Array.make nc (-1) in
+  let succ =
+    Array.init nc (fun c ->
+        let l = ref [] in
+        Array.iter
+          (fun k ->
+            Array.iter
+              (fun s ->
+                let d = cond.comp_of.(s) in
+                if d <> c && stamp.(d) <> c then begin
+                  stamp.(d) <- c;
+                  l := d :: !l
+                end)
+              supports.(k))
+          cond.comps.(c);
+        !l)
+  in
+  for c = 0 to nc - 1 do
+    List.iter (fun d -> union_into back.(c) back.(d)) succ.(c)
+  done;
+  for c = nc - 1 downto 0 do
+    List.iter (fun d -> union_into fwd.(d) fwd.(c)) succ.(c)
+  done;
+  { back; fwd }
+
+(* ------------------------------------------------------------------ *)
+(* Flop-level dependency edges under a constant valuation              *)
+(* ------------------------------------------------------------------ *)
+
+(* One pass over the combinational nodes in topological order gives
+   each non-constant node the bitset of the sources its live cone still
+   reads: flop ordinals first, then primary inputs in id order.  A
+   binary-constant net adds nothing, a sequential cell its ordinal, an
+   input its bit, a tie nothing, and any other node its own row, which
+   is already final because [Netlist.create] rejects combinational
+   loops.  A flop's or output's edges are the union over its live
+   fanins, with no constant check on the seed itself. *)
 let build_edges nl flops ford consts =
   let n = Netlist.length nl in
   let nf = Array.length flops in
+  let ins = Netlist.inputs nl in
+  let iord = Array.make n (-1) in
+  Array.iteri (fun j i -> iord.(i) <- nf + j) ins;
+  let w = words (nf + Array.length ins) in
   let cval d = consts.(d) in
-  let vis = Array.make n 0 in
-  let gen = ref 0 in
-  (* backward combinational cone of the given seed nodes' live fanins:
-     flop ordinals and non-constant primary inputs it still reads *)
-  let cone_deps seeds =
-    incr gen;
-    let g = !gen in
-    let sup = ref [] and ins = ref [] in
-    let stack = ref [] in
-    let visit e =
-      if vis.(e) <> g then begin
-        vis.(e) <- g;
+  let rows = Array.make n [||] in
+  let live d =
+    let acc = Array.make w 0 in
+    iter_live_fanins cval nl d (fun _ e ->
         if not (Logic4.is_binary consts.(e)) then
           let k = Netlist.kind nl e in
-          if Cell.is_seq k then sup := ford.(e) :: !sup
+          if Cell.is_seq k then set acc ford.(e)
           else
             match k with
-            | Cell.Input -> ins := e :: !ins
+            | Cell.Input -> set acc iord.(e)
             | Cell.Tie0 | Cell.Tie1 | Cell.Tiex -> ()
-            | _ -> stack := e :: !stack
-      end
-    in
-    List.iter visit seeds;
-    let rec drain () =
-      match !stack with
-      | [] -> ()
-      | e :: tl ->
-        stack := tl;
-        iter_live_fanins cval nl e (fun _ d -> visit d);
-        drain ()
-    in
-    drain ();
-    (sorted_uniq !sup, sorted_uniq !ins)
+            | _ -> union_into acc rows.(e));
+    acc
   in
-  let live_seeds d =
-    let acc = ref [] in
-    iter_live_fanins cval nl d (fun _ e -> acc := e :: !acc);
-    !acc
-  in
-  let supports = Array.make nf [||] in
-  let in_deps = Array.make nf [||] in
-  Array.iteri
-    (fun k f ->
-      let sup, ins = cone_deps (live_seeds f) in
-      supports.(k) <- sup;
-      in_deps.(k) <- ins)
-    flops;
-  let out_deps =
+  Array.iter
+    (fun d -> if not (Logic4.is_binary consts.(d)) then rows.(d) <- live d)
+    (Netlist.topo nl);
+  let flops_of b = elements b 0 nf Fun.id in
+  let seeds = Array.map live flops in
+  let supports = Array.map flops_of seeds in
+  let in_deps =
     Array.map
-      (fun o ->
-        let sup, _ = cone_deps (live_seeds o) in
-        (o, sup))
-      (Netlist.outputs nl)
+      (fun b -> elements b nf (nf + Array.length ins) (fun j -> ins.(j - nf)))
+      seeds
   in
-  let cons = Array.make nf [] in
+  let out_deps =
+    Array.map (fun o -> (o, flops_of (live o))) (Netlist.outputs nl)
+  in
+  (* transpose by counting; ascending [k] keeps every row sorted *)
+  let fill = Array.make nf 0 in
+  Array.iter (Array.iter (fun s -> fill.(s) <- fill.(s) + 1)) supports;
+  let consumers = Array.map (fun c -> Array.make c 0) fill in
+  Array.fill fill 0 nf 0;
   Array.iteri
-    (fun k sup -> Array.iter (fun s -> cons.(s) <- k :: cons.(s)) sup)
+    (fun k sup ->
+      Array.iter
+        (fun s ->
+          consumers.(s).(fill.(s)) <- k;
+          fill.(s) <- fill.(s) + 1)
+        sup)
     supports;
-  let consumers = Array.map sorted_uniq cons in
-  { supports; consumers; in_deps; out_deps }
+  let cond = scc supports in
+  let reach = reach_of cond supports in
+  { supports; consumers; in_deps; out_deps; cond; reach }
 
 (* ------------------------------------------------------------------ *)
 (* Graph construction                                                  *)
@@ -171,26 +291,20 @@ let get nl =
 (* Flop-level closures and statistics                                  *)
 (* ------------------------------------------------------------------ *)
 
-let closure adj seeds =
-  let mark = Array.make (Array.length adj) false in
-  let rec go k =
-    if not mark.(k) then begin
-      mark.(k) <- true;
-      Array.iter go adj.(k)
-    end
+let union_reach sets e seeds =
+  let nf = Array.length e.supports in
+  let acc = Array.make (words nf) 0 in
+  List.iter (fun k -> union_into acc sets.(e.cond.comp_of.(k))) seeds;
+  Array.init nf (mem acc)
+
+let backward_flops e seeds = union_reach e.reach.back e seeds
+let forward_flops e seeds = union_reach e.reach.fwd e seeds
+
+let backward_sizes e =
+  let size =
+    Array.map (Array.fold_left (fun a x -> a + popcount x) 0) e.reach.back
   in
-  List.iter go seeds;
-  mark
-
-let backward_flops e seeds = closure e.supports seeds
-let forward_flops e seeds = closure e.consumers seeds
-
-let backward_sizes g e =
-  Array.mapi
-    (fun k _ ->
-      let m = backward_flops e [ k ] in
-      Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 m)
-    g.flops
+  Array.map (fun c -> size.(c)) e.cond.comp_of
 
 type dist = {
   count : int;
@@ -220,56 +334,17 @@ let dist_of a =
     }
   end
 
-type scc = { comp_of : int array; comps : int array array }
+type regime = { label : string; edges : edges; sizes : dist }
 
-(* Tarjan over the flop support graph; components are emitted callees
-   first, i.e. ids are a reverse-topological numbering of the
-   condensation DAG. *)
-let scc e n =
-  let index = Array.make n (-1) in
-  let low = Array.make n 0 in
-  let on_stack = Array.make n false in
-  let comp_of = Array.make n (-1) in
-  let stack = ref [] in
-  let next = ref 0 in
-  let comps = ref [] in
-  let ncomp = ref 0 in
-  let rec strong v =
-    index.(v) <- !next;
-    low.(v) <- !next;
-    incr next;
-    stack := v :: !stack;
-    on_stack.(v) <- true;
-    Array.iter
-      (fun w ->
-        if index.(w) < 0 then begin
-          strong w;
-          if low.(w) < low.(v) then low.(v) <- low.(w)
-        end
-        else if on_stack.(w) && index.(w) < low.(v) then
-          low.(v) <- index.(w))
-      e.supports.(v);
-    if low.(v) = index.(v) then begin
-      let members = ref [] in
-      let stop = ref false in
-      while not !stop do
-        match !stack with
-        | [] -> stop := true
-        | w :: tl ->
-          stack := tl;
-          on_stack.(w) <- false;
-          comp_of.(w) <- !ncomp;
-          members := w :: !members;
-          if w = v then stop := true
-      done;
-      comps := sorted_uniq !members :: !comps;
-      incr ncomp
-    end
-  in
-  for v = 0 to n - 1 do
-    if index.(v) < 0 then strong v
-  done;
-  { comp_of; comps = Array.of_list (List.rev !comps) }
+let regimes g =
+  List.map
+    (fun (label, edges) ->
+      { label; edges; sizes = dist_of (backward_sizes edges) })
+    [
+      ("structural", g.structural);
+      ("hard", g.hard_edges);
+      ("mission", g.mission_edges);
+    ]
 
 let flop_name g k =
   match Netlist.name g.nl g.flops.(k) with
@@ -277,8 +352,7 @@ let flop_name g k =
   | None -> Printf.sprintf "ff%d" g.flops.(k)
 
 let condensation_dot g e =
-  let n = Array.length g.flops in
-  let c = scc e n in
+  let c = e.cond in
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "digraph slice {\n  rankdir=LR;\n";
   Array.iteri
@@ -462,18 +536,16 @@ let backward g ~targets =
 let count_edges e =
   Array.fold_left (fun acc a -> acc + Array.length a) 0 e.supports
 
-let pp_stats ppf g =
-  let line label e =
-    let d = dist_of (backward_sizes g e) in
-    Format.fprintf ppf
-      "  %-10s edges %5d  slice size min %d median %d p90 %d max %d mean \
-       %.1f@,"
-      label (count_edges e) d.min_ d.median d.p90 d.max_ d.mean
-  in
+let pp_stats g rs ppf =
   Format.fprintf ppf "@[<v>slice graph: %d flops, %d outputs@,"
     (Array.length g.flops)
     (Array.length (Netlist.outputs g.nl));
-  line "structural" g.structural;
-  line "hard" g.hard_edges;
-  line "mission" g.mission_edges;
+  List.iter
+    (fun r ->
+      let d = r.sizes in
+      Format.fprintf ppf
+        "  %-10s edges %5d  slice size min %d median %d p90 %d max %d mean \
+         %.1f@,"
+        r.label (count_edges r.edges) d.min_ d.median d.p90 d.max_ d.mean)
+    rs;
   Format.fprintf ppf "@]"

@@ -34,8 +34,25 @@ open Olfu_netlist
        machine is reduced with them (a free-init BMC state can sit
        outside the steady fixpoint).}}
 
-    The graph is memoized per netlist through
+    Each edge set costs one pass over the combinational nodes in
+    topological order (a bitset of the live sources per node, dropped
+    after the build) and one Tarjan condensation, kept with the edges:
+    every closure and slice size is then a union or popcount of
+    per-component reach sets.  The graph is memoized per netlist through
     {!Olfu_netlist.Analysis.add_cache}. *)
+
+type scc = {
+  comp_of : int array;  (** flop ordinal -> component id *)
+  comps : int array array;  (** component id -> member flop ordinals *)
+}
+(** Tarjan condensation of a flop graph; component ids are a
+    reverse-topological numbering of the condensation DAG (every
+    dependency of a component has a smaller id). *)
+
+type reach
+(** Per-component backward and forward reach sets, derived from the
+    condensation; read through {!backward_flops}, {!forward_flops} and
+    {!backward_sizes}. *)
 
 type edges = {
   supports : int array array;
@@ -49,6 +66,8 @@ type edges = {
       (** per [Output] marker (in {!Netlist.outputs} order): the marker
           node id and the sorted flop ordinals whose current value can
           still influence it combinationally *)
+  cond : scc;  (** condensation of [supports] *)
+  reach : reach;
 }
 
 type t = {
@@ -75,12 +94,12 @@ val get : Netlist.t -> t
 
 val backward_flops : edges -> int list -> bool array
 (** Transitive closure over [supports] from the given flop ordinals
-    (seeds included). *)
+    (seeds included): the union of the seeds' component reach sets. *)
 
 val forward_flops : edges -> int list -> bool array
 (** Transitive closure over [consumers] (seeds included). *)
 
-val backward_sizes : t -> edges -> int array
+val backward_sizes : edges -> int array
 (** Per flop ordinal: number of flops in its backward closure (itself
     included) — the slice-size distribution of the machine every
     BMC-backed verdict on that flop has to encode. *)
@@ -96,14 +115,11 @@ type dist = {
 
 val dist_of : int array -> dist
 
-type scc = {
-  comp_of : int array;  (** flop ordinal -> component id *)
-  comps : int array array;  (** component id -> member flop ordinals *)
-}
+type regime = { label : string; edges : edges; sizes : dist }
 
-val scc : edges -> int -> scc
-(** Tarjan condensation of the flop graph with [n] flops; component ids
-    are a reverse-topological numbering of the condensation DAG. *)
+val regimes : t -> regime list
+(** The three edge sets in rendering order — structural, hard, mission
+    — each with the distribution of its {!backward_sizes}. *)
 
 val condensation_dot : t -> edges -> string
 (** Graphviz digraph of the SCC condensation: one node per component
@@ -134,4 +150,6 @@ val certify : t -> reduced -> unit
     netlist (raises [Failure] with a diagnostic on any mismatch).
     [backward] already calls this; exposed for tests. *)
 
-val pp_stats : Format.formatter -> t -> unit
+val pp_stats : t -> regime list -> Format.formatter -> unit
+(** Text rendering of edge counts and slice-size distributions, from
+    regimes already computed by {!regimes}. *)

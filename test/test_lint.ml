@@ -506,6 +506,47 @@ let test_slice_002 () =
   let _ = B.output b "o" (B.buf b d) in
   check_silent (B.freeze_exn b) "SLICE-002"
 
+(* Reachability must flow through a cycle: three flops in one feedback
+   loop (one SCC), with a functional input [go] entering st[0] only and a
+   functional output on st[2] only.  Each rule is then silent for every
+   member, and without that input or output it names every member. *)
+let slice_ring ~go ~observe =
+  let b = B.create () in
+  let rstn = B.input ~roles:[ Netlist.Reset ] b "rstn" in
+  let ph = B.tie b Logic4.L0 in
+  let st =
+    Array.init 3 (fun i ->
+        B.dffr b ~name:(Printf.sprintf "st[%d]" i) ~d:ph ~rstn)
+  in
+  let idle = B.nor2 b (B.or2 b st.(0) st.(1)) st.(2) in
+  let d0 = if go then B.and2 b idle (B.input b "go") else idle in
+  B.set_fanin b st.(0) [| d0; rstn |];
+  B.set_fanin b st.(1) [| st.(0); rstn |];
+  B.set_fanin b st.(2) [| st.(1); rstn |];
+  let _ =
+    if observe then B.output b "q" st.(2)
+    else B.output b ~roles:[ Netlist.Scan_out ] "so" st.(2)
+  in
+  (B.freeze_exn b, Array.to_list st)
+
+let test_slice_cycle () =
+  let named code nl =
+    match find_finding nl code with
+    | None -> []
+    | Some f -> List.sort compare f.Rule.path
+  in
+  let nl, _ = slice_ring ~go:true ~observe:true in
+  check_silent nl "SLICE-001";
+  check_silent nl "SLICE-002";
+  let nl, st = slice_ring ~go:false ~observe:true in
+  Alcotest.(check (list int))
+    "SLICE-001 names every member" st (named "SLICE-001" nl);
+  check_silent nl "SLICE-002";
+  let nl, st = slice_ring ~go:true ~observe:false in
+  check_silent nl "SLICE-001";
+  Alcotest.(check (list int))
+    "SLICE-002 names every member" st (named "SLICE-002" nl)
+
 (* ---------------------------------------------------------------- *)
 (* SW rules: software-derived facts                                 *)
 (* ---------------------------------------------------------------- *)
@@ -990,6 +1031,7 @@ let () =
           Alcotest.test_case "SEU-001" `Quick test_seu_001;
           Alcotest.test_case "SLICE-001" `Quick test_slice_001;
           Alcotest.test_case "SLICE-002" `Quick test_slice_002;
+          Alcotest.test_case "SLICE through a cycle" `Quick test_slice_cycle;
           Alcotest.test_case "SW rules" `Quick test_sw_rules;
           Alcotest.test_case "SW assume into CONST-001" `Quick
             test_sw_assume_feeds_const_001;

@@ -39,6 +39,60 @@ let test_json_strict () =
       "nulll"; "01"; "\"\\q\""; "\"unterminated";
     ]
 
+(* The per-character escaper the printer had before it copied runs: the
+   reference for the bytes of a string literal. *)
+let reference_escape s =
+  let buf = Buffer.create 16 in
+  Buffer.add_char buf '"';
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\r' -> Buffer.add_string buf "\\r"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | c when Char.code c < 0x20 ->
+        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.add_char buf '"';
+  Buffer.contents buf
+
+let prop_json_escape =
+  QCheck2.Test.make ~count:500 ~name:"string literal bytes = per-char escape"
+    QCheck2.Gen.(string_size ~gen:char (int_range 0 200))
+    (fun s -> J.to_string (J.Str s) = reference_escape s)
+
+(* [to_channel] spills in chunks: a document several chunks long, with
+   escapes on both sides of every chunk boundary, must come out as the
+   bytes of [to_string]. *)
+let test_json_channel () =
+  let line k = Printf.sprintf "line %d: \"q\"\t\\ \x02\n" k in
+  let big =
+    J.Obj
+      [
+        ("text", J.Str (String.concat "" (List.init 20_000 line)));
+        ( "rows",
+          J.List
+            (List.init 3_000 (fun k ->
+                 J.Obj [ ("k", J.Int k); ("s", J.Str (line k)) ])) );
+        ("sample", sample_json);
+      ]
+  in
+  List.iter
+    (fun (doc, indent) ->
+      let path = Filename.temp_file "olfu_json" ".json" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          Out_channel.with_open_bin path (fun oc -> J.to_channel ~indent oc doc);
+          Alcotest.(check string)
+            "channel bytes = to_string"
+            (J.to_string ~indent doc)
+            (In_channel.with_open_bin path In_channel.input_all)))
+    [ (sample_json, false); (sample_json, true); (big, false); (big, true) ]
+
 (* --- spans: nesting is well-formed, recorded even on exceptions --- *)
 
 exception Probe
@@ -279,6 +333,8 @@ let () =
         [
           Alcotest.test_case "round-trip" `Quick test_json_roundtrip;
           Alcotest.test_case "strictness" `Quick test_json_strict;
+          QCheck_alcotest.to_alcotest prop_json_escape;
+          Alcotest.test_case "channel = string" `Quick test_json_channel;
         ] );
       ( "trace",
         [

@@ -117,6 +117,15 @@ let qcheck_tests =
           match Resp.of_string (Resp.to_line resp) with
           | Error e -> QCheck.Test.fail_reportf "decode failed: %s" e
           | Ok resp' -> resp' = resp);
+      QCheck.Test.make ~count:200 ~name:"streamed response line = to_line"
+        arb_response (fun resp ->
+          let path = Filename.temp_file "olfu_resp" ".line" in
+          Fun.protect
+            ~finally:(fun () -> Sys.remove path)
+            (fun () ->
+              Out_channel.with_open_bin path (fun oc -> Resp.output_line oc resp);
+              In_channel.with_open_bin path In_channel.input_all
+              = Resp.to_line resp ^ "\n"));
       QCheck.Test.make ~count:500 ~name:"fingerprint ignores jobs and fmt"
         arb_request (fun req ->
           match req.Req.body with

@@ -83,14 +83,180 @@ let ring3 () =
 let test_scc_ring () =
   let nl = ring3 () in
   let g = Slice.build nl in
-  let c = Slice.scc g.Slice.hard_edges (Array.length g.Slice.flops) in
+  let c = g.Slice.hard_edges.Slice.cond in
   Alcotest.(check int) "one component" 1 (Array.length c.Slice.comps);
   Alcotest.(check int) "of size 3" 3 (Array.length c.Slice.comps.(0));
-  let sizes = Slice.backward_sizes g g.Slice.hard_edges in
+  let sizes = Slice.backward_sizes g.Slice.hard_edges in
   Array.iter (fun s -> Alcotest.(check int) "slice size 3" 3 s) sizes;
   let dot = Slice.condensation_dot g g.Slice.hard_edges in
   Alcotest.(check bool) "dot mentions the component" true
     (String.length dot > 0)
+
+(* --- reference: one cone walk per flop, one DFS per closure ---
+
+   The quadratic algorithm [Slice.build] replaced, kept as the oracle:
+   each flop's and output's edges come from a backward walk over the
+   live fanins of its own, with a separate copy of the severing rule,
+   and each closure is a fresh depth-first search. *)
+
+let ref_dead_pin consts nl d =
+  let fi = Netlist.fanin nl d in
+  match Netlist.kind nl d with
+  | Cell.Mux2 -> (
+      match consts.(fi.(0)) with Logic4.L0 -> 2 | Logic4.L1 -> 1 | _ -> -1)
+  | Cell.Sdff | Cell.Sdffr -> (
+      match consts.(fi.(2)) with Logic4.L0 -> 1 | Logic4.L1 -> 0 | _ -> -1)
+  | _ -> -1
+
+let ref_iter_live consts nl d f =
+  let dead = ref_dead_pin consts nl d in
+  Array.iteri (fun p e -> if p <> dead then f e) (Netlist.fanin nl d)
+
+let sorted_uniq l = Array.of_list (List.sort_uniq Int.compare l)
+
+let ref_edges nl flops ford consts =
+  let n = Netlist.length nl in
+  let nf = Array.length flops in
+  let vis = Array.make n 0 in
+  let gen = ref 0 in
+  (* flop ordinals and non-constant inputs in the backward combinational
+     cone of the seed node's live fanins *)
+  let cone_deps seed =
+    incr gen;
+    let g = !gen in
+    let sup = ref [] and ins = ref [] in
+    let stack = ref [] in
+    let visit e =
+      if vis.(e) <> g then begin
+        vis.(e) <- g;
+        if not (Logic4.is_binary consts.(e)) then
+          let k = Netlist.kind nl e in
+          if Cell.is_seq k then sup := ford.(e) :: !sup
+          else
+            match k with
+            | Cell.Input -> ins := e :: !ins
+            | Cell.Tie0 | Cell.Tie1 | Cell.Tiex -> ()
+            | _ -> stack := e :: !stack
+      end
+    in
+    ref_iter_live consts nl seed visit;
+    let rec drain () =
+      match !stack with
+      | [] -> ()
+      | e :: tl ->
+        stack := tl;
+        ref_iter_live consts nl e visit;
+        drain ()
+    in
+    drain ();
+    (sorted_uniq !sup, sorted_uniq !ins)
+  in
+  let cones = Array.map cone_deps flops in
+  let supports = Array.map fst cones and in_deps = Array.map snd cones in
+  let out_deps =
+    Array.map (fun o -> (o, fst (cone_deps o))) (Netlist.outputs nl)
+  in
+  let cons = Array.make nf [] in
+  Array.iteri
+    (fun k sup -> Array.iter (fun s -> cons.(s) <- k :: cons.(s)) sup)
+    supports;
+  (supports, Array.map sorted_uniq cons, in_deps, out_deps)
+
+let ref_closure adj seeds =
+  let mark = Array.make (Array.length adj) false in
+  let rec go k =
+    if not mark.(k) then begin
+      mark.(k) <- true;
+      Array.iter go adj.(k)
+    end
+  in
+  List.iter go seeds;
+  mark
+
+let count_true m = Array.fold_left (fun a b -> if b then a + 1 else a) 0 m
+
+(* every way [g] disagrees with the reference, under all three regimes;
+   closures are checked on eight random seed sets per regime *)
+let mismatches rng g =
+  let nl = g.Slice.nl in
+  let nf = Array.length g.Slice.flops in
+  let regime (label, consts, (e : Slice.edges)) =
+    let supports, consumers, in_deps, out_deps =
+      ref_edges nl g.Slice.flops g.Slice.ford consts
+    in
+    let seed_sets =
+      if nf = 0 then []
+      else
+        List.init 8 (fun _ ->
+            List.init (Random.State.int rng 4) (fun _ ->
+                Random.State.int rng nf))
+    in
+    List.filter_map
+      (fun (what, ok) -> if ok then None else Some (label ^ " " ^ what))
+      [
+        ("supports", e.Slice.supports = supports);
+        ("consumers", e.Slice.consumers = consumers);
+        ("in_deps", e.Slice.in_deps = in_deps);
+        ("out_deps", e.Slice.out_deps = out_deps);
+        ( "backward_sizes",
+          Slice.backward_sizes e
+          = Array.init nf (fun k -> count_true (ref_closure supports [ k ])) );
+        ( "backward_flops",
+          List.for_all
+            (fun s -> Slice.backward_flops e s = ref_closure supports s)
+            seed_sets );
+        ( "forward_flops",
+          List.for_all
+            (fun s -> Slice.forward_flops e s = ref_closure consumers s)
+            seed_sets );
+      ]
+  in
+  List.concat_map regime
+    [
+      ( "structural",
+        Array.make (Netlist.length nl) Logic4.X,
+        g.Slice.structural );
+      ("hard", g.Slice.hard, g.Slice.hard_edges);
+      ("mission", g.Slice.mission, g.Slice.mission_edges);
+    ]
+
+(* 70 flops and 11 inputs: source rows and flop reach sets both span two
+   63-bit words; the tie cells decide some mux selects *)
+let random_machine seed =
+  let rng = Random.State.make [| seed |] in
+  ( rng,
+    Test_support.random_seq_netlist ~ties:true rng ~inputs:10 ~gates:160
+      ~flops:70 )
+
+let prop_graph_matches_reference =
+  QCheck2.Test.make ~count:60 ~name:"slice graph = per-flop reference"
+    QCheck2.Gen.(int_bound 1_000_000)
+    (fun seed ->
+      let rng, nl = random_machine seed in
+      match mismatches rng (Slice.build nl) with
+      | [] -> true
+      | m -> QCheck2.Test.fail_reportf "differs: %s" (String.concat ", " m))
+
+(* the property above is only as strong as its netlists: some of them
+   must sever a mux branch on a constant select *)
+let test_generator_severs () =
+  let severs seed =
+    let _, nl = random_machine seed in
+    let g = Slice.build nl in
+    List.exists
+      (fun d -> ref_dead_pin g.Slice.hard nl d >= 0)
+      (List.init (Netlist.length nl) Fun.id)
+  in
+  Alcotest.(check bool) "a decided mux select" true
+    (List.exists severs (List.init 10 Fun.id))
+
+let test_tcore16_matches_reference () =
+  let nl =
+    Olfu_safety.Classify.bmc_machine
+      (Olfu_soc.Soc.generate Olfu_soc.Soc.tcore16)
+  in
+  Alcotest.(check (list string)) "no mismatch" []
+    (mismatches (Random.State.make [| 16 |]) (Slice.build nl))
 
 (* --- properties on random sequential machines --- *)
 
@@ -159,5 +325,11 @@ let () =
           Alcotest.test_case "memoized" `Quick test_get_memoized;
           Alcotest.test_case "scc ring" `Quick test_scc_ring;
           qt prop_backward_sim_equiv;
+        ] );
+      ( "reference",
+        [
+          qt prop_graph_matches_reference;
+          Alcotest.test_case "generator severs" `Quick test_generator_severs;
+          Alcotest.test_case "tcore16" `Quick test_tcore16_matches_reference;
         ] );
     ]

@@ -113,17 +113,25 @@ let random_comb_netlist rng ~inputs ~gates =
   outs 3 !nodes;
   B.freeze_exn b
 
-(* Random sequential netlist: a few flip-flops closing feedback loops. *)
-let random_seq_netlist rng ~inputs ~gates ~flops =
+(* Random sequential netlist: a few flip-flops closing feedback loops.
+   With [ties], one pick in eight is a Tie0 or Tie1 cell, so constant
+   selects, constant flops and severed mux branches occur. *)
+let random_seq_netlist ?(ties = false) rng ~inputs ~gates ~flops =
   let b = B.create () in
   let srcs = ref [] in
   for i = 0 to inputs - 1 do
     srcs := B.input b (Printf.sprintf "i%d" i) :: !srcs
   done;
   let rst = B.input b ~roles:[ Netlist.Reset ] "rstn" in
+  let consts =
+    if ties then [| B.tie b Logic4.L0; B.tie b Logic4.L1 |] else [||]
+  in
   let pick () =
-    let l = !srcs in
-    List.nth l (Random.State.int rng (List.length l))
+    if ties && Random.State.int rng 8 = 0 then
+      consts.(Random.State.int rng 2)
+    else
+      let l = !srcs in
+      List.nth l (Random.State.int rng (List.length l))
   in
   (* forward-declare flops by creating them on a placeholder fanin, then
      rewiring: simpler here to create gates first, flops last, feeding

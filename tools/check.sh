@@ -98,11 +98,13 @@ gate safety dune exec bench/main.exe -- safety
 # BENCH_invar.json.
 gate invar dune exec bench/main.exe -- invar
 
-# Slicing gate: the constant-severed cone-of-influence engine must keep
-# the invariant proved set bit-identical to the full machine on tcore16
-# and shrink the mean slice against the structural cone, and the
-# every-flop window-3 SEU sweeps of tcore16 and tcore32 must reproduce
-# their pinned verdict counts; refreshes BENCH_slice.json.
+# Slicing gate: the constant-severed cone-of-influence engine must
+# reproduce each core's pinned graph (s/h/m edge counts, mission SCC
+# count, the three slice-size distributions), keep the invariant proved
+# set bit-identical to the full machine on tcore16 and shrink the mean
+# slice against the structural cone, and the every-flop window-3 SEU
+# sweeps of tcore16 and tcore32 must reproduce their pinned verdict
+# counts; refreshes BENCH_slice.json.
 gate slice dune exec bench/main.exe -- slice
 
 # Daemon gate, the only one: it drives the real binary.  Start
