@@ -1,7 +1,7 @@
 open Olfu_logic
 open Olfu_netlist
 open Olfu_fault
-module Eval = Olfu_sim.Eval
+module Lanes = Olfu_sim.Lanes
 module Pool = Olfu_pool.Pool
 module Trace = Olfu_obs.Trace
 
@@ -15,228 +15,86 @@ type report = {
   possibly : int;
 }
 
-(* Per-batch injection tables: lanes 1..63 each carry one fault. *)
-(* Per-worker simulation buffers, reused across batches. *)
-type wscratch = {
-  ws_env : Olfu_logic.Dualrail.t array;
-  ws_inputs : Olfu_logic.Dualrail.t array;
-  ws_state : Olfu_logic.Dualrail.t array;
-  ws_det : bool array;
-  ws_pt : bool array;
-  ws_ins_by_arity : Olfu_logic.Dualrail.t array array;
-}
+(* Replay [stimulus] on [st] from its current state: drive each step's
+   inputs, settle, let [strobe] compare, clock. *)
+let replay st stimulus ~strobe =
+  Array.iter
+    (fun step ->
+      List.iter (fun (i, v) -> Lanes.set_input st i v) step.assign;
+      Lanes.settle st;
+      if step.strobe then strobe ();
+      Lanes.clock st)
+    stimulus
 
-type batch = {
-  fault_index : int array;  (* flist index per lane, -1 for unused/good *)
-  stem0 : (int, int64) Hashtbl.t;  (* node -> lanes stuck at 0 *)
-  stem1 : (int, int64) Hashtbl.t;
-  branch0 : (int * int, int64) Hashtbl.t;  (* (node, pin) -> lanes *)
-  branch1 : (int * int, int64) Hashtbl.t;
-  clk : (int, int64) Hashtbl.t;  (* flop node -> frozen lanes *)
-}
-
-let add_mask tbl key lane =
-  let m = Option.value ~default:0L (Hashtbl.find_opt tbl key) in
-  Hashtbl.replace tbl key (Int64.logor m (Int64.shift_left 1L lane))
-
-let make_batch fl lanes =
-  let b =
-    {
-      fault_index = Array.make 64 (-1);
-      stem0 = Hashtbl.create 67;
-      stem1 = Hashtbl.create 67;
-      branch0 = Hashtbl.create 67;
-      branch1 = Hashtbl.create 67;
-      clk = Hashtbl.create 17;
-    }
-  in
-  List.iteri
-    (fun k fi ->
-      let lane = k + 1 in
-      b.fault_index.(lane) <- fi;
-      let f = Flist.fault fl fi in
-      let { Fault.node; pin } = f.Fault.site in
-      match pin with
-      | Cell.Pin.Out ->
-        add_mask (if f.Fault.stuck then b.stem1 else b.stem0) node lane
-      | Cell.Pin.In p ->
-        add_mask (if f.Fault.stuck then b.branch1 else b.branch0) (node, p) lane
-      | Cell.Pin.Clk -> add_mask b.clk node lane)
-    lanes;
-  b
-
-let mask_of tbl key = Option.value ~default:0L (Hashtbl.find_opt tbl key)
-
-let inject_stem b node v =
-  let m0 = mask_of b.stem0 node and m1 = mask_of b.stem1 node in
-  if m0 = 0L && m1 = 0L then v else Dualrail.force_mask v ~m0 ~m1
+let observed nl p =
+  Array.of_list (List.filter p (Array.to_list (Netlist.outputs nl)))
 
 let run ?(init = Logic4.X) ?(observe = fun _ -> true) ?jobs
     ?(trace = Trace.null) nl fl stimulus =
   let jobs = match jobs with Some j -> j | None -> Pool.default_jobs () in
   Trace.span trace ~cat:"engine" "fsim" @@ fun () ->
-  let an = Analysis.get nl in
-  let seqs = Netlist.seq_nodes nl in
-  let outs = Array.to_list (Netlist.outputs nl) |> List.filter observe in
-  let n = Netlist.length nl in
+  let outs = observed nl observe in
   let active =
-    Flist.indices fl ~f:(fun st ->
-        match st with
-        | Status.Not_analyzed | Status.Not_detected | Status.Possibly_detected
-          ->
-          true
-        | _ -> false)
+    Array.of_list
+      (Flist.indices fl ~f:(fun st ->
+           match st with
+           | Status.Not_analyzed | Status.Not_detected
+           | Status.Possibly_detected ->
+             true
+           | _ -> false))
   in
-  let detected = ref 0 and possibly = ref 0 in
-  let rec batches = function
-    | [] -> []
-    | l ->
-      let rec take k acc rest =
-        match rest with
-        | x :: tl when k > 0 -> take (k - 1) (x :: acc) tl
-        | _ -> (List.rev acc, rest)
-      in
-      let batch, rest = take 63 [] l in
-      batch :: batches rest
+  let nactive = Array.length active in
+  (* lanes 1..63 of batch [b] carry faults [63b ..], in [active] order *)
+  let batch_faults =
+    Array.init ((nactive + 62) / 63) (fun b ->
+        Array.sub active (63 * b) (min 63 (nactive - (63 * b))))
   in
-  let batch_faults = Array.of_list (batches active) in
   (* One 63-fault batch per unit of parallel work: a fault index lives in
      exactly one lane of one batch, so concurrent workers write disjoint
-     status slots and the merge is order-independent.  The netlist-sized
-     simulation buffers live in [ws], created once per worker and reused
-     across batches — allocating them per batch multiplied minor-heap
-     churn by the batch count and stalled every domain at each minor
-     collection. *)
-  let run_batch ~ws ~wdet ~wposs lane_faults =
-      let b = make_batch fl lane_faults in
-      let env = ws.ws_env in
-      let state = ws.ws_state in
-      let inputs = ws.ws_inputs in
-      let det = ws.ws_det and pt = ws.ws_pt in
-      let ins_by_arity = ws.ws_ins_by_arity in
-      Array.fill state 0 (Array.length state) (Dualrail.const init);
-      Array.fill inputs 0 n Dualrail.unknown;
-      Array.fill det 0 64 false;
-      Array.fill pt 0 64 false;
-      let operand node p =
-        let v = env.((Netlist.fanin nl node).(p)) in
-        let m0 = mask_of b.branch0 (node, p)
-        and m1 = mask_of b.branch1 (node, p) in
-        if m0 = 0L && m1 = 0L then v else Dualrail.force_mask v ~m0 ~m1
-      in
-      Array.iter
-        (fun step ->
-          List.iter
-            (fun (i, v) -> inputs.(i) <- Dualrail.const v)
-            step.assign;
-          (* settle *)
-          Netlist.iter_nodes
-            (fun i nd ->
-              match nd.Netlist.kind with
-              | Cell.Input -> env.(i) <- inject_stem b i inputs.(i)
-              | Cell.Tie0 -> env.(i) <- inject_stem b i Dualrail.zero
-              | Cell.Tie1 -> env.(i) <- inject_stem b i Dualrail.one
-              | Cell.Tiex -> env.(i) <- inject_stem b i Dualrail.unknown
-              | _ -> ())
-            nl;
-          Array.iteri (fun k s -> env.(s) <- inject_stem b s state.(k)) seqs;
-          Array.iter
-            (fun i ->
-              let nd = Netlist.node nl i in
-              let a = Array.length nd.Netlist.fanin in
-              let ins = ins_by_arity.(a) in
-              for p = 0 to a - 1 do
-                ins.(p) <- operand i p
-              done;
-              env.(i) <- inject_stem b i (Eval.comb_par nd.Netlist.kind ins))
-            (Netlist.topo nl);
-          (* strobe *)
-          if step.strobe then
-            List.iter
-              (fun o ->
-                let fv = operand o 0 in
-                let g = Dualrail.get fv 0 in
-                if Logic4.is_binary g then begin
-                  let gword = Dualrail.const g in
-                  let d = Dualrail.diff_mask gword fv in
-                  let p = Int64.lognot (Dualrail.binary_mask fv) in
-                  for lane = 1 to 63 do
-                    if b.fault_index.(lane) >= 0 then begin
-                      let bit = Int64.shift_left 1L lane in
-                      if Int64.logand d bit <> 0L then det.(lane) <- true
-                      else if Int64.logand p bit <> 0L then pt.(lane) <- true
-                    end
-                  done
-                end)
-              outs;
-          (* clock edge *)
-          Array.iteri
-            (fun k s ->
-              let next =
-                match Netlist.kind nl s with
-                | Cell.Dff -> operand s 0
-                | Cell.Dffr ->
-                  Dualrail.mux ~sel:(operand s 1) ~a:Dualrail.zero
-                    ~b:(operand s 0)
-                | Cell.Sdff ->
-                  Dualrail.mux ~sel:(operand s 2) ~a:(operand s 0)
-                    ~b:(operand s 1)
-                | Cell.Sdffr ->
-                  Dualrail.mux ~sel:(operand s 3) ~a:Dualrail.zero
-                    ~b:
-                      (Dualrail.mux ~sel:(operand s 2) ~a:(operand s 0)
-                         ~b:(operand s 1))
-                | _ -> assert false
-              in
-              let next = inject_stem b s next in
-              let frozen = mask_of b.clk s in
-              let next =
-                if frozen = 0L then next
-                else Dualrail.select_mask next state.(k) frozen
-              in
-              state.(k) <- next)
-            seqs)
-        stimulus;
-      for lane = 1 to 63 do
-        let fi = b.fault_index.(lane) in
-        if fi >= 0 then
-          if det.(lane) then begin
-            Flist.set_status fl fi Status.Detected;
-            incr wdet
-          end
-          else if pt.(lane)
-                  && not
-                       (Status.equal (Flist.status fl fi)
-                          Status.Possibly_detected)
-          then begin
-            Flist.set_status fl fi Status.Possibly_detected;
-            incr wposs
-          end
-      done
+     status slots and the merge is order-independent.  A batch writes its
+     own faults' masks into its worker's core and clears exactly those
+     afterwards. *)
+  let run_batch st ~wdet ~wposs faults =
+    Array.iteri
+      (fun k fi ->
+        let { Fault.site = { node; pin }; stuck } = Flist.fault fl fi in
+        Lanes.inject st ~node pin ~lane:(k + 1) ~stuck)
+      faults;
+    Lanes.reset st ~init;
+    replay st stimulus ~strobe:(fun () -> Lanes.strobe st outs ~into:0);
+    Array.iter
+      (fun fi ->
+        let { Fault.site = { node; pin }; _ } = Flist.fault fl fi in
+        Lanes.clear st ~node pin)
+      faults;
+    Array.iteri
+      (fun k fi ->
+        let lane = k + 1 in
+        if Lanes.differs st ~into:0 lane then begin
+          Flist.set_status fl fi Status.Detected;
+          incr wdet
+        end
+        else if
+          Lanes.unknown st ~into:0 lane
+          && not (Status.equal (Flist.status fl fi) Status.Possibly_detected)
+        then begin
+          Flist.set_status fl fi Status.Possibly_detected;
+          incr wposs
+        end)
+      faults
   in
+  let detected = ref 0 and possibly = ref 0 in
+  let core = Lanes.compile nl in
   Pool.with_pool ~jobs (fun pool ->
       let nw = Pool.jobs pool in
       let wdet = Array.init nw (fun _ -> ref 0) in
       let wposs = Array.init nw (fun _ -> ref 0) in
-      let scratches =
-        Array.init nw (fun _ ->
-            {
-              ws_env = Array.make n Dualrail.unknown;
-              ws_inputs = Array.make n Dualrail.unknown;
-              ws_state = Array.map (fun _ -> Dualrail.const init) seqs;
-              ws_det = Array.make 64 false;
-              ws_pt = Array.make 64 false;
-              ws_ins_by_arity =
-                Array.init
-                  (Analysis.max_arity an + 1)
-                  (fun k -> Array.make k Dualrail.unknown);
-            })
-      in
+      let states = Array.init nw (fun _ -> Lanes.create core) in
       Pool.parallel_chunks pool ~n:(Array.length batch_faults) ~chunk:1
         ~trace ~label:"seq_fsim"
         (fun ~worker ~lo ~hi ->
           for k = lo to hi - 1 do
-            run_batch ~ws:scratches.(worker) ~wdet:wdet.(worker)
+            run_batch states.(worker) ~wdet:wdet.(worker)
               ~wposs:wposs.(worker) batch_faults.(k)
           done);
       Array.iter (fun r -> detected := !detected + !r) wdet;
@@ -244,13 +102,13 @@ let run ?(init = Logic4.X) ?(observe = fun _ -> true) ?jobs
   if Trace.enabled trace then begin
     Trace.add trace "fsim.seq_batches" (Array.length batch_faults);
     Trace.add trace "fsim.cycles" (Array.length stimulus);
-    Trace.add trace "fsim.fault_evals" (List.length active);
+    Trace.add trace "fsim.fault_evals" nactive;
     Trace.add trace "fsim.detected" !detected;
     Trace.add trace "fsim.possibly" !possibly
   end;
   {
     cycles = Array.length stimulus;
-    faults_simulated = List.length active;
+    faults_simulated = nactive;
     detected = !detected;
     possibly = !possibly;
   }
@@ -263,107 +121,37 @@ type seu_obs = { seu_ff : int; seu_diverged : bool; seu_alarmed : bool }
 
 let run_seu ?(init = Logic4.L0) ?(observe = fun _ -> true)
     ?(alarm = fun _ -> false) nl ~ffs stimulus =
-  let seqs = Netlist.seq_nodes nl in
-  let seq_slot = Hashtbl.create 97 in
-  Array.iteri (fun k s -> Hashtbl.replace seq_slot s k) seqs;
-  let func_outs =
-    Array.to_list (Netlist.outputs nl)
-    |> List.filter (fun o -> observe o && not (alarm o))
-  in
-  let alarm_outs =
-    Array.to_list (Netlist.outputs nl)
-    |> List.filter (fun o -> observe o && alarm o)
-  in
-  let n = Netlist.length nl in
+  Array.iter
+    (fun ff ->
+      if not (Cell.is_seq (Netlist.kind nl ff)) then
+        invalid_arg "Seq_fsim.run_seu: not a sequential node")
+    ffs;
+  let func_outs = observed nl (fun o -> observe o && not (alarm o)) in
+  let alarm_outs = observed nl (fun o -> observe o && alarm o) in
+  let st = Lanes.create (Lanes.compile nl) in
   let results =
-    Array.map (fun ff -> { seu_ff = ff; seu_diverged = false;
-                           seu_alarmed = false }) ffs
+    Array.map
+      (fun ff -> { seu_ff = ff; seu_diverged = false; seu_alarmed = false })
+      ffs
   in
-  let rec batches lo =
-    if lo >= Array.length ffs then []
-    else
-      let hi = min (Array.length ffs) (lo + 63) in
-      (lo, hi) :: batches hi
-  in
-  List.iter
-    (fun (lo, hi) ->
-      let env = Array.make n Dualrail.unknown in
-      let inputs = Array.make n Dualrail.unknown in
-      (* lane 0 is the undisturbed machine; lane [1 + k] starts with
-         ffs.(lo + k) flipped and is otherwise identical *)
-      let state = Array.map (fun _ -> Dualrail.const init) seqs in
-      for k = lo to hi - 1 do
-        match Hashtbl.find_opt seq_slot ffs.(k) with
-        | None -> invalid_arg "Seq_fsim.run_seu: not a sequential node"
-        | Some slot ->
-          state.(slot) <-
-            Dualrail.set state.(slot) (1 + k - lo) (Logic4.not_ init)
-      done;
-      let diverged = ref 0L and alarmed = ref 0L in
-      let operand node p = env.((Netlist.fanin nl node).(p)) in
-      Array.iter
-        (fun step ->
-          List.iter
-            (fun (i, v) -> inputs.(i) <- Dualrail.const v)
-            step.assign;
-          Netlist.iter_nodes
-            (fun i nd ->
-              match nd.Netlist.kind with
-              | Cell.Input -> env.(i) <- inputs.(i)
-              | Cell.Tie0 -> env.(i) <- Dualrail.zero
-              | Cell.Tie1 -> env.(i) <- Dualrail.one
-              | Cell.Tiex -> env.(i) <- Dualrail.unknown
-              | _ -> ())
-            nl;
-          Array.iteri (fun k s -> env.(s) <- state.(k)) seqs;
-          Array.iter
-            (fun i ->
-              let nd = Netlist.node nl i in
-              let a = Array.length nd.Netlist.fanin in
-              let ins = Array.init a (fun p -> operand i p) in
-              env.(i) <- Eval.comb_par nd.Netlist.kind ins)
-            (Netlist.topo nl);
-          if step.strobe then begin
-            let strobe_outs acc outs =
-              List.fold_left
-                (fun acc o ->
-                  let fv = operand o 0 in
-                  let g = Dualrail.get fv 0 in
-                  if Logic4.is_binary g then
-                    Int64.logor acc (Dualrail.diff_mask (Dualrail.const g) fv)
-                  else acc)
-                acc outs
-            in
-            diverged := strobe_outs !diverged func_outs;
-            alarmed := strobe_outs !alarmed alarm_outs
-          end;
-          Array.iteri
-            (fun k s ->
-              state.(k) <-
-                (match Netlist.kind nl s with
-                | Cell.Dff -> operand s 0
-                | Cell.Dffr ->
-                  Dualrail.mux ~sel:(operand s 1) ~a:Dualrail.zero
-                    ~b:(operand s 0)
-                | Cell.Sdff ->
-                  Dualrail.mux ~sel:(operand s 2) ~a:(operand s 0)
-                    ~b:(operand s 1)
-                | Cell.Sdffr ->
-                  Dualrail.mux ~sel:(operand s 3) ~a:Dualrail.zero
-                    ~b:
-                      (Dualrail.mux ~sel:(operand s 2) ~a:(operand s 0)
-                         ~b:(operand s 1))
-                | _ -> assert false))
-            seqs)
-        stimulus;
-      for k = lo to hi - 1 do
-        let bit = Int64.shift_left 1L (1 + k - lo) in
-        results.(k) <-
-          {
-            (results.(k)) with
-            seu_diverged = Int64.logand !diverged bit <> 0L;
-            seu_alarmed = Int64.logand !alarmed bit <> 0L;
-          }
-      done)
-    (batches 0);
+  (* batch [b]: lane 0 is the undisturbed machine, lane [1 + k - lo]
+     starts with ffs.(k) flipped and is otherwise identical *)
+  for b = 0 to ((Array.length ffs + 62) / 63) - 1 do
+    let lo = 63 * b and hi = min (Array.length ffs) ((63 * b) + 63) in
+    Lanes.reset st ~init;
+    for k = lo to hi - 1 do
+      Lanes.set_state_lane st ffs.(k) ~lane:(1 + k - lo) (Logic4.not_ init)
+    done;
+    replay st stimulus ~strobe:(fun () ->
+        Lanes.strobe st func_outs ~into:0;
+        Lanes.strobe st alarm_outs ~into:1);
+    for k = lo to hi - 1 do
+      results.(k) <-
+        {
+          (results.(k)) with
+          seu_diverged = Lanes.differs st ~into:0 (1 + k - lo);
+          seu_alarmed = Lanes.differs st ~into:1 (1 + k - lo);
+        }
+    done
+  done;
   results

@@ -10,13 +10,18 @@ open Olfu_fault
     grade SBST programs: detection is strobed on selected outputs (in the
     paper, only the system-bus values written to memory are observed).
 
+    Both entry points run on the word-level core {!Olfu_sim.Lanes}: a
+    batch writes its faults' masks into the core, replays the stimulus
+    and clears exactly those masks, so nothing is allocated per gate or
+    per cycle.
+
     Fault semantics: stem and branch stuck-ats are forced every cycle;
     clock-pin faults freeze the flip-flop at its pre-fault (initial)
     value. *)
 
 type step = {
   assign : (int * Logic4.t) list;
-      (** input-node assignments applied from this cycle on *)
+      (** input-node (or [Tiex]) assignments applied from this cycle on *)
   strobe : bool;  (** compare observed outputs at the end of this cycle *)
 }
 
@@ -42,8 +47,9 @@ val run :
     updates the fault list in place.  [observe] selects strobed [Output]
     markers (default: all).  [init] is the power-up flip-flop value
     (default X).  [jobs] (default {!Olfu_pool.Pool.default_jobs}) shards
-    the 63-fault batches across a domain pool; batches own disjoint fault
-    indices, so results are identical for any [jobs].
+    the 63-fault batches across a domain pool, one simulation core per
+    worker; batches own disjoint fault indices, so results are identical
+    for any [jobs].
 
     A recording [trace] gets one ["engine"]-category ["fsim"] span and
     the jobs-invariant counters ["fsim.seq_batches"], ["fsim.cycles"],

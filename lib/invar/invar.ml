@@ -4,7 +4,8 @@ module S = Olfu_sat.Solver
 module CB = Olfu_atpg.Cnf.Builder
 module Bmc = Olfu_atpg.Bmc
 module Implic = Olfu_atpg.Implic
-module Eval = Olfu_sim.Eval
+module Lanes = Olfu_sim.Lanes
+module A1 = Bigarray.Array1
 module Pool = Olfu_pool.Pool
 module Trace = Olfu_obs.Trace
 module Slice = Olfu_slice.Slice
@@ -93,105 +94,71 @@ let seed_state seed =
   let s = Int64.logxor (Int64.of_int seed) 0x9E3779B97F4A7C15L in
   ref (if s = 0L then 88172645463325252L else s)
 
-let ones (v : Dualrail.t) = Int64.logand v.Dualrail.hi (Int64.lognot v.Dualrail.lo)
-let zeros (v : Dualrail.t) = Int64.logand v.Dualrail.lo (Int64.lognot v.Dualrail.hi)
-
 (* One random mission run: resettable flops start at 0, plain flops at a
    random binary value per lane, reset inputs held inactive (1), [hold]
    inputs constant, every other input (and every Tiex) a fresh random
-   binary value per lane per cycle.  [observe env] sees each cycle's
-   settled values — flop slots hold the current state. *)
+   binary value per lane per cycle, drawn in node-id order.
+   [observe st] sees each cycle's settled values — flop nodes hold the
+   current state. *)
 let simulate ~seed ~cycles ~hold nl ~observe =
-  let n = Netlist.length nl in
   let rng = seed_state seed in
-  let rand_dr () =
-    let w = rand_word rng in
-    Dualrail.make ~hi:w ~lo:(Int64.lognot w)
-  in
+  let st = Lanes.create (Lanes.compile nl) in
+  Lanes.reset st ~init:Logic4.L0;
+  Array.iter
+    (fun s ->
+      match Netlist.kind nl s with
+      | Cell.Dffr | Cell.Sdffr -> ()
+      | _ -> Lanes.set_state_word st s (rand_word rng))
+    (Netlist.seq_nodes nl);
   let hold_tbl = Hashtbl.create 17 in
-  List.iter
-    (fun (i, v) ->
-      Hashtbl.replace hold_tbl i (if v then Dualrail.one else Dualrail.zero))
-    hold;
-  let seqs = Netlist.seq_nodes nl in
-  let state =
-    Array.map
-      (fun s ->
-        match Netlist.kind nl s with
-        | Cell.Dffr | Cell.Sdffr -> Dualrail.zero
-        | _ -> rand_dr ())
-      seqs
-  in
-  let env = Array.make n Dualrail.unknown in
-  let max_arity = ref 0 in
+  List.iter (fun (i, v) -> Hashtbl.replace hold_tbl i v) hold;
+  let drawn = ref [] in
   Netlist.iter_nodes
-    (fun _ nd -> max_arity := max !max_arity (Array.length nd.Netlist.fanin))
+    (fun i nd ->
+      match nd.Netlist.kind with
+      | Cell.Input -> (
+        match Hashtbl.find_opt hold_tbl i with
+        | Some v -> Lanes.set_input st i (Logic4.of_bool v)
+        | None ->
+          if Netlist.has_role nl i Netlist.Reset then
+            Lanes.set_input st i Logic4.L1
+          else drawn := i :: !drawn)
+      | Cell.Tiex -> drawn := i :: !drawn
+      | _ -> ())
     nl;
-  let ins_by_arity =
-    Array.init (!max_arity + 1) (fun a -> Array.make a Dualrail.unknown)
-  in
-  let operand i p = env.((Netlist.fanin nl i).(p)) in
-  let topo = Netlist.topo nl in
+  let drawn = Array.of_list (List.rev !drawn) in
   for _c = 0 to cycles - 1 do
-    Netlist.iter_nodes
-      (fun i nd ->
-        match nd.Netlist.kind with
-        | Cell.Input ->
-          env.(i) <-
-            (match Hashtbl.find_opt hold_tbl i with
-            | Some v -> v
-            | None ->
-              if Netlist.has_role nl i Netlist.Reset then Dualrail.one
-              else rand_dr ())
-        | Cell.Tie0 -> env.(i) <- Dualrail.zero
-        | Cell.Tie1 -> env.(i) <- Dualrail.one
-        | Cell.Tiex -> env.(i) <- rand_dr ()
-        | _ -> ())
-      nl;
-    Array.iteri (fun k s -> env.(s) <- state.(k)) seqs;
-    Array.iter
-      (fun i ->
-        let nd = Netlist.node nl i in
-        let a = Array.length nd.Netlist.fanin in
-        let ins = ins_by_arity.(a) in
-        for p = 0 to a - 1 do
-          ins.(p) <- operand i p
-        done;
-        env.(i) <- Eval.comb_par nd.Netlist.kind ins)
-      topo;
-    observe env;
-    Array.iteri
-      (fun k s ->
-        state.(k) <-
-          (match Netlist.kind nl s with
-          | Cell.Dff -> operand s 0
-          | Cell.Dffr ->
-            Dualrail.mux ~sel:(operand s 1) ~a:Dualrail.zero ~b:(operand s 0)
-          | Cell.Sdff ->
-            Dualrail.mux ~sel:(operand s 2) ~a:(operand s 0) ~b:(operand s 1)
-          | Cell.Sdffr ->
-            Dualrail.mux ~sel:(operand s 3) ~a:Dualrail.zero
-              ~b:(Dualrail.mux ~sel:(operand s 2) ~a:(operand s 0)
-                    ~b:(operand s 1))
-          | _ -> assert false))
-      seqs
+    Array.iter (fun i -> Lanes.set_input_word st i (rand_word rng)) drawn;
+    Lanes.settle st;
+    observe st;
+    Lanes.clock st
   done
+
+(* Lanes of node [i] holding 1 / 0 / a binary value. *)
+let[@inline] ones st i =
+  Int64.logand (A1.get (Lanes.hi st) i) (Int64.lognot (A1.get (Lanes.lo st) i))
+
+let[@inline] zeros st i =
+  Int64.logand (A1.get (Lanes.lo st) i) (Int64.lognot (A1.get (Lanes.hi st) i))
+
+let[@inline] binary st i =
+  Int64.lognot (Int64.logand (A1.get (Lanes.hi st) i) (A1.get (Lanes.lo st) i))
 
 (* Lanes (as a mask) where the candidate is violated in this cycle.  X
    lanes never violate: a candidate is only refuted by a binary
    counterexample, exactly like {!Dualrail.diff_mask}. *)
-let violation env = function
-  | Const { ff; value } -> if value then zeros env.(ff) else ones env.(ff)
+let violation st = function
+  | Const { ff; value } -> if value then zeros st ff else ones st ff
   | Implies { a; av; b; bv } ->
-    let la = if av then ones env.(a) else zeros env.(a) in
-    let nb = if bv then zeros env.(b) else ones env.(b) in
+    let la = if av then ones st a else zeros st a in
+    let nb = if bv then zeros st b else ones st b in
     Int64.logand la nb
-  | Mutex (a, b) -> Int64.logand (ones env.(a)) (ones env.(b))
+  | Mutex (a, b) -> Int64.logand (ones st a) (ones st b)
   | At_most_one g ->
     let one = ref 0L and two = ref 0L in
     Array.iter
       (fun f ->
-        let o = ones env.(f) in
+        let o = ones st f in
         two := Int64.logor !two (Int64.logand !one o);
         one := Int64.logor !one o)
       g;
@@ -199,7 +166,7 @@ let violation env = function
   | Range { group; reach } ->
     let allbin =
       Array.fold_left
-        (fun m f -> Int64.logand m (Dualrail.binary_mask env.(f)))
+        (fun m f -> Int64.logand m (binary st f))
         Int64.minus_one group
     in
     let ok =
@@ -210,7 +177,7 @@ let violation env = function
             (fun k f ->
               m :=
                 Int64.logand !m
-                  (if (v lsr k) land 1 = 1 then ones env.(f) else zeros env.(f)))
+                  (if (v lsr k) land 1 = 1 then ones st f else zeros st f))
             group;
           Int64.logor acc !m)
         0L reach
@@ -301,11 +268,11 @@ let mine ?(seed = 0x11A8) ?(cycles = 96) ?(hold = []) ?(max_candidates = 512)
   (* combo coverage per unordered pair: bit0 = 00 seen, 1 = 01, 2 = 10, 3 = 11
      (a-value is the high bit; pairs indexed i*np+j for i<j) *)
   let combos = Array.make (np * np) 0 in
-  let observe env =
+  let observe st =
     Array.iteri
       (fun k s ->
-        if ones env.(s) <> 0L then seen1.(k) <- true;
-        if zeros env.(s) <> 0L then seen0.(k) <- true)
+        if ones st s <> 0L then seen1.(k) <- true;
+        if zeros st s <> 0L then seen0.(k) <- true)
       seqs;
     List.iter
       (fun (g, set, saturated) ->
@@ -313,7 +280,7 @@ let mine ?(seed = 0x11A8) ?(cycles = 96) ?(hold = []) ?(max_candidates = 512)
           let w = Array.length g in
           let allbin =
             Array.fold_left
-              (fun m f -> Int64.logand m (Dualrail.binary_mask env.(f)))
+              (fun m f -> Int64.logand m (binary st f))
               Int64.minus_one g
           in
           for lane = 0 to 63 do
@@ -321,7 +288,7 @@ let mine ?(seed = 0x11A8) ?(cycles = 96) ?(hold = []) ?(max_candidates = 512)
               let v = ref 0 in
               for k = 0 to w - 1 do
                 if
-                  Int64.logand (ones env.(g.(k))) (Int64.shift_left 1L lane)
+                  Int64.logand (ones st g.(k)) (Int64.shift_left 1L lane)
                   <> 0L
                 then v := !v lor (1 lsl k)
               done;
@@ -333,9 +300,9 @@ let mine ?(seed = 0x11A8) ?(cycles = 96) ?(hold = []) ?(max_candidates = 512)
         end)
       gsets;
     for i = 0 to np - 1 do
-      let oi = ones env.(pairset.(i)) and zi = zeros env.(pairset.(i)) in
+      let oi = ones st pairset.(i) and zi = zeros st pairset.(i) in
       for j = i + 1 to np - 1 do
-        let oj = ones env.(pairset.(j)) and zj = zeros env.(pairset.(j)) in
+        let oj = ones st pairset.(j) and zj = zeros st pairset.(j) in
         let c = ref combos.(i * np + j) in
         if Int64.logand zi zj <> 0L then c := !c lor 1;
         if Int64.logand zi oj <> 0L then c := !c lor 2;
@@ -421,9 +388,9 @@ let mine ?(seed = 0x11A8) ?(cycles = 96) ?(hold = []) ?(max_candidates = 512)
 let filter ?(seed = 0xF117) ?(cycles = 256) ?(hold = []) nl cands =
   let arr = Array.of_list cands in
   let alive = Array.make (Array.length arr) true in
-  let observe env =
+  let observe st =
     Array.iteri
-      (fun i c -> if alive.(i) && violation env c <> 0L then alive.(i) <- false)
+      (fun i c -> if alive.(i) && violation st c <> 0L then alive.(i) <- false)
       arr
   in
   simulate ~seed ~cycles ~hold nl ~observe;

@@ -79,7 +79,9 @@ val mine :
   Netlist.t ->
   candidate list
 (** Propose candidates from a [cycles]-cycle (default 96) random
-    64-lane simulation: per-flop constants, per-register value sets and
+    64-lane simulation on the word-level core {!Olfu_sim.Lanes} (every
+    input and [Tiex] gets a fresh random word per cycle, drawn in node-id
+    order): per-flop constants, per-register value sets and
     at-most-one groups (registers are discovered by clustering flop
     names of the form [base[i]]), and mutex / implication literals over
     a bounded pairing set of one-bit and narrow-register flops.  Every

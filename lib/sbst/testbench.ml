@@ -27,12 +27,12 @@ let observed_outputs nl o =
     || prefixed "bus_wdata[" s
     || prefixed "misr_out[" s
 
-let read_bus sim nets =
+let read_bus value nets =
   let acc = ref 0 in
   let ok = ref true in
   Array.iteri
     (fun i n ->
-      match Logic4.to_bool (Seq_sim.value sim n) with
+      match Logic4.to_bool (value n) with
       | Some true -> acc := !acc lor (1 lsl i)
       | Some false -> ()
       | None -> ok := false)
@@ -61,7 +61,10 @@ let record ?(max_cycles = 20_000) ?(data = []) cfg nl ~program =
     (fun i w -> Hashtbl.replace memory (cfg.Soc.rom.Olfu_manip.Memmap.lo + i) w)
     program;
   List.iter (fun (a, v) -> Hashtbl.replace memory a v) data;
-  let sim = Seq_sim.create ~init:Logic4.X nl in
+  (* every lane carries the good machine; lane 0 is read *)
+  let sim = Lanes.create (Lanes.compile nl) in
+  Lanes.reset sim ~init:Logic4.X;
+  let value n = Lanes.get sim n 0 in
   (* quiescent mission values on test/debug inputs *)
   let base_assign reset_active rdata_val =
     let acc = ref [ (rstn, if reset_active then Logic4.L0 else Logic4.L1) ] in
@@ -81,20 +84,19 @@ let record ?(max_cycles = 20_000) ?(data = []) cfg nl ~program =
   let finished = ref false in
   let cycle = ref 0 in
   (* one reset cycle *)
-  let apply assigns =
-    List.iter (fun (i, v) -> Seq_sim.set_input sim i v) assigns
-  in
+  let apply assigns = List.iter (fun (i, v) -> Lanes.set_input sim i v) assigns in
   let reset_assigns = base_assign true 0 in
+  let last = ref reset_assigns in
   apply reset_assigns;
-  Seq_sim.step sim;
+  Lanes.step sim;
   steps := { Seq_fsim.assign = reset_assigns; strobe = false } :: !steps;
   incr cycle;
   while (not !finished) && !cycle < max_cycles do
     (* settle with last cycle's rdata to observe this cycle's request *)
-    Seq_sim.settle sim;
-    let a = read_bus sim addr in
-    let reading = Logic4.equal (Seq_sim.value sim rd_en) Logic4.L1 in
-    let writing = Logic4.equal (Seq_sim.value sim wr_en) Logic4.L1 in
+    Lanes.settle sim;
+    let a = read_bus value addr in
+    let reading = Logic4.equal (value rd_en) Logic4.L1 in
+    let writing = Logic4.equal (value wr_en) Logic4.L1 in
     let response =
       if reading then
         match a with
@@ -103,7 +105,7 @@ let record ?(max_cycles = 20_000) ?(data = []) cfg nl ~program =
       else 0
     in
     if writing then begin
-      match a, read_bus sim wdata with
+      match a, read_bus value wdata with
       | Some a, Some v ->
         Hashtbl.replace memory a v;
         writes := (a, v) :: !writes
@@ -111,10 +113,13 @@ let record ?(max_cycles = 20_000) ?(data = []) cfg nl ~program =
     end;
     let assigns = base_assign false response in
     apply assigns;
-    Seq_sim.step sim;
+    (* a settle depends only on the inputs and the state: when this
+       cycle drives the inputs the settle above saw, it still holds *)
+    if assigns = !last then Lanes.clock sim else Lanes.step sim;
+    last := assigns;
     steps := { Seq_fsim.assign = assigns; strobe = writing } :: !steps;
     incr cycle;
-    if Logic4.equal (Seq_sim.value sim halted) Logic4.L1 then finished := true
+    if Logic4.equal (value halted) Logic4.L1 then finished := true
   done;
   (* one final strobe: the halted flag and the closing MISR signature *)
   steps := { Seq_fsim.assign = base_assign false 0; strobe = true } :: !steps;
@@ -138,7 +143,8 @@ let replay_matches cfg nl run =
       List.iter (fun (i, v) -> Seq_sim.set_input sim i v) step.Seq_fsim.assign;
       Seq_sim.settle sim;
       if Logic4.equal (Seq_sim.value sim wr_en) Logic4.L1 then begin
-        match read_bus sim addr, read_bus sim wdata with
+        let value = Seq_sim.value sim in
+        match read_bus value addr, read_bus value wdata with
         | Some a, Some v -> writes := (a, v) :: !writes
         | _ -> ()
       end;

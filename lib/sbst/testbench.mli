@@ -32,8 +32,11 @@ val record :
   run
 (** Loads [program] at the ROM base and [data] words into memory, applies
     one reset cycle, then runs until HALT or [max_cycles] (default
-    20,000). *)
+    20,000).  The good machine runs on the word-level core
+    {!Olfu_sim.Lanes} with every lane equal and lane 0 read; each cycle
+    settles once to see the bus request and, when the response changes
+    the driven inputs, once more before the clock edge. *)
 
 val replay_matches : Soc.config -> Netlist.t -> run -> bool
-(** Sanity check: replaying the stimulus on the fault-free netlist
-    reproduces the recorded writes (used by tests). *)
+(** Sanity check: replaying the stimulus on the scalar {!Olfu_sim.Seq_sim}
+    oracle reproduces the recorded writes (used by tests). *)

@@ -3,6 +3,7 @@ open Olfu_netlist
 open Olfu_fault
 open Olfu_atpg
 open Olfu_fsim
+module Eval = Olfu_sim.Eval
 module B = Netlist.Builder
 
 (* --- combinational PPSFP --- *)
@@ -299,6 +300,319 @@ let prop_seq_jobs_deterministic =
       let reference = run 1 in
       List.for_all (fun jobs -> run jobs = reference) [ 2; 4 ])
 
+(* --- reference: the boxed Dualrail loops the word-level core replaced ---
+   One batch of 63 faults at a time over [Dualrail.t] environments, the
+   faults' masks in per-batch [Hashtbl]s keyed by node or (node, pin).
+   Batches run one after the other: each owns its fault indices, so the
+   engine's [jobs] cannot matter. *)
+module Reference = struct
+  type batch = {
+    fault_index : int array;  (* flist index per lane, -1 for unused/good *)
+    stem0 : (int, int64) Hashtbl.t;  (* node -> lanes stuck at 0 *)
+    stem1 : (int, int64) Hashtbl.t;
+    branch0 : (int * int, int64) Hashtbl.t;  (* (node, pin) -> lanes *)
+    branch1 : (int * int, int64) Hashtbl.t;
+    clk : (int, int64) Hashtbl.t;  (* flop node -> frozen lanes *)
+  }
+
+  let add_mask tbl key lane =
+    let m = Option.value ~default:0L (Hashtbl.find_opt tbl key) in
+    Hashtbl.replace tbl key (Int64.logor m (Int64.shift_left 1L lane))
+
+  let make_batch fl lanes =
+    let b =
+      {
+        fault_index = Array.make 64 (-1);
+        stem0 = Hashtbl.create 67;
+        stem1 = Hashtbl.create 67;
+        branch0 = Hashtbl.create 67;
+        branch1 = Hashtbl.create 67;
+        clk = Hashtbl.create 17;
+      }
+    in
+    List.iteri
+      (fun k fi ->
+        let lane = k + 1 in
+        b.fault_index.(lane) <- fi;
+        let f = Flist.fault fl fi in
+        let { Fault.node; pin } = f.Fault.site in
+        match pin with
+        | Cell.Pin.Out ->
+          add_mask (if f.Fault.stuck then b.stem1 else b.stem0) node lane
+        | Cell.Pin.In p ->
+          add_mask
+            (if f.Fault.stuck then b.branch1 else b.branch0)
+            (node, p) lane
+        | Cell.Pin.Clk -> add_mask b.clk node lane)
+      lanes;
+    b
+
+  let mask_of tbl key = Option.value ~default:0L (Hashtbl.find_opt tbl key)
+
+  let inject_stem b node v =
+    let m0 = mask_of b.stem0 node and m1 = mask_of b.stem1 node in
+    if m0 = 0L && m1 = 0L then v else Dualrail.force_mask v ~m0 ~m1
+
+  let next_state nl operand s =
+    match Netlist.kind nl s with
+    | Cell.Dff -> operand s 0
+    | Cell.Dffr ->
+      Dualrail.mux ~sel:(operand s 1) ~a:Dualrail.zero ~b:(operand s 0)
+    | Cell.Sdff ->
+      Dualrail.mux ~sel:(operand s 2) ~a:(operand s 0) ~b:(operand s 1)
+    | Cell.Sdffr ->
+      Dualrail.mux ~sel:(operand s 3) ~a:Dualrail.zero
+        ~b:(Dualrail.mux ~sel:(operand s 2) ~a:(operand s 0) ~b:(operand s 1))
+    | _ -> assert false
+
+  (* one settle of [env]: sources, flops, then the topological order *)
+  let settle nl env ~inputs ~state ~stem ~operand =
+    Netlist.iter_nodes
+      (fun i nd ->
+        match nd.Netlist.kind with
+        | Cell.Input -> env.(i) <- stem i inputs.(i)
+        | Cell.Tie0 -> env.(i) <- stem i Dualrail.zero
+        | Cell.Tie1 -> env.(i) <- stem i Dualrail.one
+        | Cell.Tiex -> env.(i) <- stem i Dualrail.unknown
+        | _ -> ())
+      nl;
+    Array.iteri (fun k s -> env.(s) <- stem s state.(k)) (Netlist.seq_nodes nl);
+    Array.iter
+      (fun i ->
+        let nd = Netlist.node nl i in
+        let ins = Array.init (Array.length nd.Netlist.fanin) (operand i) in
+        env.(i) <- stem i (Eval.comb_par nd.Netlist.kind ins))
+      (Netlist.topo nl)
+
+  let run ~init ~observe nl fl stimulus =
+    let seqs = Netlist.seq_nodes nl in
+    let outs = Array.to_list (Netlist.outputs nl) |> List.filter observe in
+    let n = Netlist.length nl in
+    let active =
+      Flist.indices fl ~f:(fun st ->
+          match st with
+          | Status.Not_analyzed | Status.Not_detected
+          | Status.Possibly_detected ->
+            true
+          | _ -> false)
+    in
+    let detected = ref 0 and possibly = ref 0 in
+    let rec batches = function
+      | [] -> []
+      | l ->
+        let rec take k acc rest =
+          match rest with
+          | x :: tl when k > 0 -> take (k - 1) (x :: acc) tl
+          | _ -> (List.rev acc, rest)
+        in
+        let batch, rest = take 63 [] l in
+        batch :: batches rest
+    in
+    List.iter
+      (fun lane_faults ->
+        let b = make_batch fl lane_faults in
+        let env = Array.make n Dualrail.unknown in
+        let inputs = Array.make n Dualrail.unknown in
+        let state = Array.map (fun _ -> Dualrail.const init) seqs in
+        let det = Array.make 64 false and pt = Array.make 64 false in
+        let operand node p =
+          let v = env.((Netlist.fanin nl node).(p)) in
+          let m0 = mask_of b.branch0 (node, p)
+          and m1 = mask_of b.branch1 (node, p) in
+          if m0 = 0L && m1 = 0L then v else Dualrail.force_mask v ~m0 ~m1
+        in
+        Array.iter
+          (fun step ->
+            List.iter
+              (fun (i, v) -> inputs.(i) <- Dualrail.const v)
+              step.Seq_fsim.assign;
+            settle nl env ~inputs ~state ~stem:(inject_stem b) ~operand;
+            if step.Seq_fsim.strobe then
+              List.iter
+                (fun o ->
+                  let fv = operand o 0 in
+                  let g = Dualrail.get fv 0 in
+                  if Logic4.is_binary g then begin
+                    let d = Dualrail.diff_mask (Dualrail.const g) fv in
+                    let p = Int64.lognot (Dualrail.binary_mask fv) in
+                    for lane = 1 to 63 do
+                      if b.fault_index.(lane) >= 0 then begin
+                        let bit = Int64.shift_left 1L lane in
+                        if Int64.logand d bit <> 0L then det.(lane) <- true
+                        else if Int64.logand p bit <> 0L then pt.(lane) <- true
+                      end
+                    done
+                  end)
+                outs;
+            Array.iteri
+              (fun k s ->
+                let next = inject_stem b s (next_state nl operand s) in
+                let frozen = mask_of b.clk s in
+                state.(k) <-
+                  (if frozen = 0L then next
+                   else Dualrail.select_mask next state.(k) frozen))
+              seqs)
+          stimulus;
+        for lane = 1 to 63 do
+          let fi = b.fault_index.(lane) in
+          if fi >= 0 then
+            if det.(lane) then begin
+              Flist.set_status fl fi Status.Detected;
+              incr detected
+            end
+            else if
+              pt.(lane)
+              && not
+                   (Status.equal (Flist.status fl fi) Status.Possibly_detected)
+            then begin
+              Flist.set_status fl fi Status.Possibly_detected;
+              incr possibly
+            end
+        done)
+      (batches active);
+    {
+      Seq_fsim.cycles = Array.length stimulus;
+      faults_simulated = List.length active;
+      detected = !detected;
+      possibly = !possibly;
+    }
+
+  let run_seu ~init ~observe ~alarm nl ~ffs stimulus =
+    let seqs = Netlist.seq_nodes nl in
+    let seq_slot = Hashtbl.create 97 in
+    Array.iteri (fun k s -> Hashtbl.replace seq_slot s k) seqs;
+    let outs p = Array.to_list (Netlist.outputs nl) |> List.filter p in
+    let func_outs = outs (fun o -> observe o && not (alarm o)) in
+    let alarm_outs = outs (fun o -> observe o && alarm o) in
+    let n = Netlist.length nl in
+    let results =
+      Array.map
+        (fun ff ->
+          { Seq_fsim.seu_ff = ff; seu_diverged = false; seu_alarmed = false })
+        ffs
+    in
+    let rec batches lo =
+      if lo >= Array.length ffs then []
+      else
+        let hi = min (Array.length ffs) (lo + 63) in
+        (lo, hi) :: batches hi
+    in
+    List.iter
+      (fun (lo, hi) ->
+        let env = Array.make n Dualrail.unknown in
+        let inputs = Array.make n Dualrail.unknown in
+        let state = Array.map (fun _ -> Dualrail.const init) seqs in
+        for k = lo to hi - 1 do
+          let slot = Hashtbl.find seq_slot ffs.(k) in
+          state.(slot) <-
+            Dualrail.set state.(slot) (1 + k - lo) (Logic4.not_ init)
+        done;
+        let diverged = ref 0L and alarmed = ref 0L in
+        let operand node p = env.((Netlist.fanin nl node).(p)) in
+        Array.iter
+          (fun step ->
+            List.iter
+              (fun (i, v) -> inputs.(i) <- Dualrail.const v)
+              step.Seq_fsim.assign;
+            settle nl env ~inputs ~state ~stem:(fun _ v -> v) ~operand;
+            if step.Seq_fsim.strobe then begin
+              let strobe_outs acc outs =
+                List.fold_left
+                  (fun acc o ->
+                    let fv = operand o 0 in
+                    let g = Dualrail.get fv 0 in
+                    if Logic4.is_binary g then
+                      Int64.logor acc (Dualrail.diff_mask (Dualrail.const g) fv)
+                    else acc)
+                  acc outs
+              in
+              diverged := strobe_outs !diverged func_outs;
+              alarmed := strobe_outs !alarmed alarm_outs
+            end;
+            Array.iteri
+              (fun k s -> state.(k) <- next_state nl operand s)
+              seqs)
+          stimulus;
+        for k = lo to hi - 1 do
+          let bit = Int64.shift_left 1L (1 + k - lo) in
+          results.(k) <-
+            {
+              (results.(k)) with
+              seu_diverged = Int64.logand !diverged bit <> 0L;
+              seu_alarmed = Int64.logand !alarmed bit <> 0L;
+            }
+        done)
+      (batches 0);
+    results
+end
+
+(* A random machine over every cell kind and a stimulus that drives a
+   random subset of inputs per cycle, X included, strobing two cycles in
+   three. *)
+let random_machine seed =
+  let rng = Random.State.make [| seed |] in
+  let nl =
+    Test_support.random_seq_netlist ~all_kinds:true rng ~inputs:4 ~gates:24
+      ~flops:6
+  in
+  let values = [| Logic4.L0; Logic4.L1; Logic4.L0; Logic4.L1; Logic4.X |] in
+  let stim =
+    Array.init 14 (fun c ->
+        {
+          Seq_fsim.assign =
+            Array.to_list (Netlist.inputs nl)
+            |> List.filter (fun _ -> c = 0 || Random.State.int rng 3 > 0)
+            |> List.map (fun i -> (i, values.(Random.State.int rng 5)));
+          strobe = c mod 3 <> 1;
+        })
+  in
+  (nl, rng, stim)
+
+let prop_seq_matches_reference =
+  QCheck2.Test.make ~count:30
+    ~name:"word-level seq fsim = boxed reference, any init and jobs"
+    QCheck2.Gen.(int_bound 1_000_000)
+    (fun seed ->
+      let nl, rng, stim = random_machine seed in
+      let init = if seed mod 2 = 0 then Logic4.X else Logic4.L0 in
+      let observe o = (o + seed) mod 4 <> 0 in
+      (* 64..123 faults: two batches, the second partial *)
+      let u = Fault.universe nl in
+      let faults = Array.sub u 0 (min (Array.length u) (64 + (seed mod 60))) in
+      let pre = Array.map (fun _ -> Random.State.int rng 8) faults in
+      let fresh () =
+        let fl = Flist.create nl faults in
+        Array.iteri
+          (fun k r ->
+            if r = 0 then Flist.set_status fl k Status.Detected
+            else if r = 1 then Flist.set_status fl k Status.Possibly_detected)
+          pre;
+        fl
+      in
+      let fl_ref = fresh () in
+      let r_ref = Reference.run ~init ~observe nl fl_ref stim in
+      Array.length faults > 63
+      && List.for_all
+           (fun jobs ->
+             let fl = fresh () in
+             let r = Seq_fsim.run ~init ~observe ~jobs nl fl stim in
+             r = r_ref && statuses fl = statuses fl_ref)
+           [ 1; 2; 4 ])
+
+let prop_seu_matches_reference =
+  QCheck2.Test.make ~count:30 ~name:"word-level SEU replay = boxed reference"
+    QCheck2.Gen.(int_bound 1_000_000)
+    (fun seed ->
+      let nl, _, stim = random_machine seed in
+      let init = if seed mod 2 = 0 then Logic4.L0 else Logic4.X in
+      let observe o = (o + seed) mod 5 <> 0 in
+      let alarm o = o mod 3 = 0 in
+      (* every flop, repeated past one batch *)
+      let seqs = Netlist.seq_nodes nl in
+      let ffs = Array.init 70 (fun k -> seqs.(k mod Array.length seqs)) in
+      Seq_fsim.run_seu ~init ~observe ~alarm nl ~ffs stim
+      = Reference.run_seu ~init ~observe ~alarm nl ~ffs stim)
+
 (* --- diagnosis --- *)
 
 let test_diagnosis_pinpoints_fault () =
@@ -403,4 +717,6 @@ let () =
           qt prop_seq_matches_scalar;
           qt prop_seq_jobs_deterministic;
         ] );
+      ( "boxed",
+        [ qt prop_seq_matches_reference; qt prop_seu_matches_reference ] );
     ]

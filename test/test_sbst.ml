@@ -223,6 +223,119 @@ let test_testbench_data_preload () =
   Alcotest.(check (list (pair int int))) "write doubles preload" [ (base, 42) ]
     run.Testbench.writes
 
+(* --- reference: the testbench on the scalar simulator ---
+   [Testbench.record] as it ran on [Seq_sim] before the word-level core:
+   settle to see the cycle's bus request, answer it, step. *)
+let reference_record ?(max_cycles = 20_000) cfg nl ~program =
+  let module Seq_sim = Olfu_sim.Seq_sim in
+  let module Seq_fsim = Olfu_fsim.Seq_fsim in
+  let xlen = cfg.Soc.xlen in
+  let bus prefix =
+    Array.init xlen (fun i ->
+        Netlist.find_exn nl (Printf.sprintf "%s[%d]" prefix i))
+  in
+  let rstn = Netlist.find_exn nl "rstn" in
+  let rdata = bus "bus_rdata" and addr = bus "bus_addr" in
+  let wdata = bus "bus_wdata" in
+  let rd_en = Netlist.find_exn nl "bus_rd" in
+  let wr_en = Netlist.find_exn nl "bus_wr" in
+  let halted = Netlist.find_exn nl "halted" in
+  let scan_en = Netlist.find nl "scan_en" in
+  let dbg_inputs =
+    Soc.debug_control_inputs cfg |> List.filter_map (fun s -> Netlist.find nl s)
+  in
+  let scan_ins = Netlist.nodes_with_role nl Netlist.Scan_in |> Array.to_list in
+  let memory = Hashtbl.create 1024 in
+  Array.iteri
+    (fun i w -> Hashtbl.replace memory (cfg.Soc.rom.Olfu_manip.Memmap.lo + i) w)
+    program;
+  let sim = Seq_sim.create ~init:Logic4.X nl in
+  let read_bus nets =
+    let acc = ref 0 and ok = ref true in
+    Array.iteri
+      (fun i n ->
+        match Logic4.to_bool (Seq_sim.value sim n) with
+        | Some true -> acc := !acc lor (1 lsl i)
+        | Some false -> ()
+        | None -> ok := false)
+      nets;
+    if !ok then Some !acc else None
+  in
+  let base_assign reset_active rdata_val =
+    let acc = ref [ (rstn, if reset_active then Logic4.L0 else Logic4.L1) ] in
+    (match scan_en with
+    | Some se -> acc := (se, Logic4.L0) :: !acc
+    | None -> ());
+    List.iter (fun i -> acc := (i, Logic4.L0) :: !acc) dbg_inputs;
+    List.iter (fun i -> acc := (i, Logic4.L0) :: !acc) scan_ins;
+    Array.iteri
+      (fun i n ->
+        acc := (n, Logic4.of_bool ((rdata_val lsr i) land 1 = 1)) :: !acc)
+      rdata;
+    !acc
+  in
+  let steps = ref [] and writes = ref [] in
+  let finished = ref false and cycle = ref 0 in
+  let apply assigns =
+    List.iter (fun (i, v) -> Seq_sim.set_input sim i v) assigns
+  in
+  let reset_assigns = base_assign true 0 in
+  apply reset_assigns;
+  Seq_sim.step sim;
+  steps := { Seq_fsim.assign = reset_assigns; strobe = false } :: !steps;
+  incr cycle;
+  while (not !finished) && !cycle < max_cycles do
+    Seq_sim.settle sim;
+    let a = read_bus addr in
+    let reading = Logic4.equal (Seq_sim.value sim rd_en) Logic4.L1 in
+    let writing = Logic4.equal (Seq_sim.value sim wr_en) Logic4.L1 in
+    let response =
+      if reading then
+        match a with
+        | Some a -> Option.value ~default:0 (Hashtbl.find_opt memory a)
+        | None -> 0
+      else 0
+    in
+    if writing then begin
+      match a, read_bus wdata with
+      | Some a, Some v ->
+        Hashtbl.replace memory a v;
+        writes := (a, v) :: !writes
+      | _ -> ()
+    end;
+    let assigns = base_assign false response in
+    apply assigns;
+    Seq_sim.step sim;
+    steps := { Seq_fsim.assign = assigns; strobe = writing } :: !steps;
+    incr cycle;
+    if Logic4.equal (Seq_sim.value sim halted) Logic4.L1 then finished := true
+  done;
+  steps := { Seq_fsim.assign = base_assign false 0; strobe = true } :: !steps;
+  incr cycle;
+  {
+    Testbench.stimulus = Array.of_list (List.rev !steps);
+    cycles = !cycle;
+    writes = List.rev !writes;
+    halted = !finished;
+  }
+
+let test_record_matches_reference () =
+  let nl = Lazy.force t16 in
+  List.iter
+    (fun p ->
+      let program = Programs.assemble p in
+      let r = Testbench.record cfg nl ~program in
+      let e = reference_record cfg nl ~program in
+      let name what = Printf.sprintf "%s: %s" p.Programs.pname what in
+      Alcotest.(check bool) (name "stimulus") true
+        (r.Testbench.stimulus = e.Testbench.stimulus);
+      Alcotest.(check int) (name "cycles") e.Testbench.cycles r.Testbench.cycles;
+      Alcotest.(check (list (pair int int)))
+        (name "writes") e.Testbench.writes r.Testbench.writes;
+      Alcotest.(check bool) (name "halted") e.Testbench.halted
+        r.Testbench.halted)
+    (Programs.suite cfg)
+
 (* --- coverage machinery --- *)
 
 let test_coverage_detects_and_prunes () =
@@ -308,6 +421,8 @@ let () =
           Alcotest.test_case "observed set" `Quick test_testbench_observed_set;
           Alcotest.test_case "data preload" `Quick test_testbench_data_preload;
           Alcotest.test_case "misr deterministic" `Quick test_misr_deterministic;
+          Alcotest.test_case "record = scalar reference" `Quick
+            test_record_matches_reference;
         ] );
       ( "coverage",
         [

@@ -210,6 +210,119 @@ let prop_par_matches_scalar =
       done;
       !ok)
 
+(* --- the word-level core against the boxed loop it replaced ---
+   The random-simulation loop invariant mining ran on: [Dualrail.t]
+   environments, [Eval.comb_par] per node, next state by [Dualrail.mux]. *)
+let boxed_cycle nl env ~state ~driven =
+  Netlist.iter_nodes
+    (fun i nd ->
+      match nd.Netlist.kind with
+      | Cell.Input | Cell.Tiex -> env.(i) <- driven.(i)
+      | Cell.Tie0 -> env.(i) <- Dualrail.zero
+      | Cell.Tie1 -> env.(i) <- Dualrail.one
+      | _ -> ())
+    nl;
+  Array.iteri (fun k s -> env.(s) <- state.(k)) (Netlist.seq_nodes nl);
+  let operand i p = env.((Netlist.fanin nl i).(p)) in
+  Array.iter
+    (fun i ->
+      let nd = Netlist.node nl i in
+      let ins = Array.init (Array.length nd.Netlist.fanin) (operand i) in
+      env.(i) <- Eval.comb_par nd.Netlist.kind ins)
+    (Netlist.topo nl);
+  Array.map
+    (fun s ->
+      match Netlist.kind nl s with
+      | Cell.Dff -> operand s 0
+      | Cell.Dffr ->
+        Dualrail.mux ~sel:(operand s 1) ~a:Dualrail.zero ~b:(operand s 0)
+      | Cell.Sdff ->
+        Dualrail.mux ~sel:(operand s 2) ~a:(operand s 0) ~b:(operand s 1)
+      | Cell.Sdffr ->
+        Dualrail.mux ~sel:(operand s 3) ~a:Dualrail.zero
+          ~b:(Dualrail.mux ~sel:(operand s 2) ~a:(operand s 0) ~b:(operand s 1))
+      | _ -> assert false)
+    (Netlist.seq_nodes nl)
+
+let prop_lanes_match_boxed =
+  QCheck2.Test.make ~count:60
+    ~name:"lanes core = boxed Dualrail loop, every node every cycle"
+    QCheck2.Gen.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let nl =
+        Test_support.random_seq_netlist ~all_kinds:true rng ~inputs:4
+          ~gates:30 ~flops:6
+      in
+      let n = Netlist.length nl in
+      let core = Lanes.compile nl in
+      let st = Lanes.create core in
+      let init = [| Logic4.X; Logic4.L0; Logic4.L1 |].(seed mod 3) in
+      Lanes.reset st ~init;
+      let seqs = Netlist.seq_nodes nl in
+      let state = Array.map (fun _ -> Dualrail.const init) seqs in
+      (* some flops start from a random word *)
+      Array.iteri
+        (fun k s ->
+          if Random.State.int rng 3 = 0 then begin
+            let w = Random.State.bits64 rng in
+            Lanes.set_state_word st s w;
+            state.(k) <- Dualrail.make ~hi:w ~lo:(Int64.lognot w)
+          end)
+        seqs;
+      let env = Array.make n Dualrail.unknown in
+      let driven = Array.make n Dualrail.unknown in
+      let same i (v : Dualrail.t) =
+        Int64.equal (Bigarray.Array1.get (Lanes.hi st) i) v.Dualrail.hi
+        && Int64.equal (Bigarray.Array1.get (Lanes.lo st) i) v.Dualrail.lo
+        && Logic4.equal (Lanes.get st i (seed mod 64)) (Dualrail.get v (seed mod 64))
+      in
+      let ok = ref true in
+      for _cycle = 1 to 20 do
+        (* a random word on inputs and Tiex, or one value in every lane *)
+        Netlist.iter_nodes
+          (fun i nd ->
+            match nd.Netlist.kind with
+            | Cell.Input | Cell.Tiex ->
+              if Random.State.int rng 4 = 0 then begin
+                let v =
+                  [| Logic4.L0; Logic4.L1; Logic4.X |].(Random.State.int rng 3)
+                in
+                Lanes.set_input st i v;
+                driven.(i) <- Dualrail.const v
+              end
+              else begin
+                let w = Random.State.bits64 rng in
+                Lanes.set_input_word st i w;
+                driven.(i) <- Dualrail.make ~hi:w ~lo:(Int64.lognot w)
+              end
+            | _ -> ())
+          nl;
+        let next = boxed_cycle nl env ~state ~driven in
+        Lanes.settle st;
+        for i = 0 to n - 1 do
+          if not (same i env.(i)) then ok := false
+        done;
+        (* after the edge a flop reads its new state *)
+        Lanes.clock st;
+        Array.iteri
+          (fun k s ->
+            state.(k) <- next.(k);
+            if not (same s next.(k)) then ok := false)
+          seqs
+      done;
+      !ok)
+
+let test_lanes_errors () =
+  let nl = Test_support.full_adder () in
+  let st = Lanes.create (Lanes.compile nl) in
+  let raises f = try f (); false with Invalid_argument _ -> true in
+  Alcotest.(check bool) "drive a gate" true
+    (raises (fun () ->
+         Lanes.set_input st (Netlist.find_exn nl "sum_net") Logic4.L1));
+  Alcotest.(check bool) "state of an input" true
+    (raises (fun () -> Lanes.set_state_word st (Netlist.find_exn nl "a") 0L))
+
 let test_toggle () =
   let b = B.create () in
   let i = B.input b "live" in
@@ -290,6 +403,11 @@ let () =
         ] );
       ( "par",
         [ qt prop_par_matches_scalar; qt prop_par_next_states_match ] );
+      ( "lanes",
+        [
+          qt prop_lanes_match_boxed;
+          Alcotest.test_case "errors" `Quick test_lanes_errors;
+        ] );
       ("toggle", [ Alcotest.test_case "activity" `Quick test_toggle ]);
       ("vcd", [ Alcotest.test_case "writer" `Quick test_vcd_writer ]);
     ]

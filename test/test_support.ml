@@ -115,14 +115,19 @@ let random_comb_netlist rng ~inputs ~gates =
 
 (* Random sequential netlist: a few flip-flops closing feedback loops.
    With [ties], one pick in eight is a Tie0 or Tie1 cell, so constant
-   selects, constant flops and severed mux branches occur. *)
-let random_seq_netlist ?(ties = false) rng ~inputs ~gates ~flops =
+   selects, constant flops and severed mux branches occur.  With
+   [all_kinds], every cell kind is in the pool: the four flop kinds in
+   turn, a Tiex source, and Buf/Not/Mux2 besides the six n-ary gates at
+   arity 1 to 4. *)
+let random_seq_netlist ?(ties = false) ?(all_kinds = false) rng ~inputs ~gates
+    ~flops =
   let b = B.create () in
   let srcs = ref [] in
   for i = 0 to inputs - 1 do
     srcs := B.input b (Printf.sprintf "i%d" i) :: !srcs
   done;
   let rst = B.input b ~roles:[ Netlist.Reset ] "rstn" in
+  if all_kinds then srcs := B.tie b Logic4.X :: !srcs;
   let consts =
     if ties then [| B.tie b Logic4.L0; B.tie b Logic4.L1 |] else [||]
   in
@@ -141,21 +146,39 @@ let random_seq_netlist ?(ties = false) rng ~inputs ~gates ~flops =
   for f = 0 to flops - 1 do
     let d0 = pick () in
     let ff =
-      if f mod 2 = 0 then B.dffr b ~d:d0 ~rstn:rst
+      if all_kinds then
+        match f mod 4 with
+        | 0 -> B.dffr b ~d:d0 ~rstn:rst
+        | 1 -> B.dff b ~d:d0
+        | 2 -> B.sdff b ~d:d0 ~si:(pick ()) ~se:(pick ())
+        | _ -> B.sdffr b ~d:d0 ~si:(pick ()) ~se:(pick ()) ~rstn:rst
+      else if f mod 2 = 0 then B.dffr b ~d:d0 ~rstn:rst
       else B.dff b ~d:d0
     in
     flop_ids := ff :: !flop_ids;
     srcs := ff :: !srcs
   done;
+  let nary k =
+    B.gate b k (List.init (1 + Random.State.int rng 4) (fun _ -> pick ()))
+  in
   for g = 0 to gates - 1 do
     let n =
-      match Random.State.int rng 6 with
-      | 0 -> B.not_ b (pick ())
-      | 1 -> B.and2 b (pick ()) (pick ())
-      | 2 -> B.or2 b (pick ()) (pick ())
-      | 3 -> B.xor2 b (pick ()) (pick ())
-      | 4 -> B.mux2 b ~sel:(pick ()) ~a:(pick ()) ~b:(pick ())
-      | _ -> B.nand2 b (pick ()) (pick ())
+      if all_kinds then
+        match Random.State.int rng 9 with
+        | 0 -> B.not_ b (pick ())
+        | 1 -> B.buf b (pick ())
+        | 2 -> B.mux2 b ~sel:(pick ()) ~a:(pick ()) ~b:(pick ())
+        | k ->
+          nary
+            [| Cell.And; Cell.Nand; Cell.Or; Cell.Nor; Cell.Xor; Cell.Xnor |].(k - 3)
+      else
+        match Random.State.int rng 6 with
+        | 0 -> B.not_ b (pick ())
+        | 1 -> B.and2 b (pick ()) (pick ())
+        | 2 -> B.or2 b (pick ()) (pick ())
+        | 3 -> B.xor2 b (pick ()) (pick ())
+        | 4 -> B.mux2 b ~sel:(pick ()) ~a:(pick ()) ~b:(pick ())
+        | _ -> B.nand2 b (pick ()) (pick ())
     in
     ignore (g : int);
     srcs := n :: !srcs

@@ -55,6 +55,13 @@ gate source-lint source_lint
 gate build dune build
 gate runtest dune runtest
 
+# Verdict-identity gate: the facts benchmark/expect.json pins (coverage,
+# invariant, safety, slice and analyze verdicts per core), recomputed by
+# the code as it is now, must match byte for byte.  A verdict drift then
+# fails here without running the timed benchmark.
+gate pins sh -c "dune exec --root . --display quiet benchmark/olfu_bench.exe \
+  -- pins | cmp - benchmark/expect.json"
+
 gate absint dune exec bin/olfu_cli.exe -- absint -c tcore32 --suite
 
 for core in tcore32 tcore32_dft tcore16; do
