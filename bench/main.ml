@@ -145,15 +145,14 @@ let refute ~observable ~conflict_limit ~n keep mnl fl =
     fl;
   { checked = !checked; refuted = List.rev !refuted; timeouts = !timeouts }
 
-(* The mission flow (jobs 4) and the on-line machine that BMC and the
-   invariant engine run on. *)
+(* The fully manipulated circuit alone: the flow's Memory stage. *)
+let mission_netlist nl mission =
+  (List.assoc Olfu.Flow.Memory (fst (Olfu.Flow.stages rc nl mission)))
+    .Olfu.Flow.netlist
+
+(* The on-line machine that BMC and the invariant engine run on. *)
 let machine nl mission =
-  let flow =
-    Olfu.Flow.run
-      { rc with Olfu.Run_config.jobs = 4 }
-      (Lazy.force nl) (Lazy.force mission)
-  in
-  (Sc.bmc_machine flow.Olfu.Flow.mission_netlist, flow)
+  Sc.bmc_machine (mission_netlist (Lazy.force nl) (Lazy.force mission))
 
 (* ---------------------------------------------------------------- *)
 (* Table I                                                          *)
@@ -415,9 +414,7 @@ let print_pathdelay () =
   let nl = Lazy.force t16 in
   let raw = Untestable.analyze nl in
   let c_raw = Pathdelay.classify ~max_paths:20_000 raw nl in
-  let mission_nl =
-    (Olfu.Flow.run rc nl (Lazy.force mission16)).Olfu.Flow.mission_netlist
-  in
+  let mission_nl = mission_netlist nl (Lazy.force mission16) in
   let mission = Untestable.analyze mission_nl in
   let c_mis = Pathdelay.classify ~max_paths:20_000 mission mission_nl in
   Format.printf "  raw netlist:     %a@." Pathdelay.pp_census c_raw;
@@ -486,15 +483,12 @@ let print_absint () =
 
 let print_ablation_sweep () =
   section "Ablation — dead-logic sweep of the mission netlist";
-  let r = Olfu.Flow.run rc (Lazy.force t16) (Lazy.force mission16) in
-  let swept, removed = Sweep.sweep r.Olfu.Flow.mission_netlist in
+  let mnl = mission_netlist (Lazy.force t16) (Lazy.force mission16) in
+  let _, removed = Sweep.sweep mnl in
   Format.printf
     "  mission netlist: %d nodes; a synthesis-style sweep would remove %d      (%.1f%%), the rest of the untestable faults sit in logic that stays@."
-    (Netlist.length r.Olfu.Flow.mission_netlist)
-    removed
-    (100. *. float_of_int removed
-    /. float_of_int (Netlist.length r.Olfu.Flow.mission_netlist));
-  ignore swept
+    (Netlist.length mnl) removed
+    (100. *. float_of_int removed /. float_of_int (Netlist.length mnl))
 
 let print_ablation_ff_mode () =
   section "Ablation — sequential constant propagation mode";
@@ -529,12 +523,12 @@ let print_ablation_scan_bufs () =
     (fun bufs ->
       let cfg = { Soc.tcore16 with Soc.scan_link_buffers = bufs } in
       let nl = Soc.generate cfg in
-      let mission = Olfu.Mission.of_soc cfg nl in
-      let r = Olfu.Flow.run rc nl mission in
-      let scan = Olfu.Flow.step_count r Olfu.Flow.Scan in
+      (* the flow's scan step: the first to classify the universe *)
+      let fl = Flist.full nl in
+      let scan = Scan_trace.prune nl fl in
       Format.printf "  %d buffers/link: scan %6d of %6d = %.1f%%@." bufs scan
-        r.Olfu.Flow.universe
-        (100. *. float_of_int scan /. float_of_int r.Olfu.Flow.universe))
+        (Flist.size fl)
+        (100. *. float_of_int scan /. float_of_int (Flist.size fl)))
     [ 0; 1; 2; 3 ]
 
 let print_ablation_podem_confirm () =
@@ -987,23 +981,10 @@ let obs_bench files =
       Format.printf "  %s: FAIL — emitted JSON does not reparse: %s@." name e;
       None
   in
-  let steps =
-    List.map
-      (fun (s : Olfu.Flow.step_report) ->
-        {
-          Manifest.name = Olfu.Flow.source_name s.Olfu.Flow.source;
-          seconds = s.Olfu.Flow.seconds;
-          classified = s.Olfu.Flow.classified;
-          verdicts =
-            List.map
-              (fun (u, n) ->
-                (Status.code (Status.Undetectable u), n))
-              s.Olfu.Flow.by_verdict;
-        })
-      r1.Olfu.Flow.steps
-  in
   let manifest =
-    Manifest.make ~steps ~prep:r1.Olfu.Flow.prep ~wall_seconds:w1 s1
+    Manifest.make
+      ~steps:(Olfu.Flow.manifest_steps r1)
+      ~prep:r1.Olfu.Flow.prep ~wall_seconds:w1 s1
   in
   let manifest_ok =
     match roundtrip "manifest" manifest with
@@ -1247,9 +1228,9 @@ let invar_bench () =
   let module Inv = Olfu_invar.Invar in
   let module U = Untestable in
   section "invar — sequential invariant engine gates";
-  let m16, _ = machine t16 mission16 in
-  let m32, flow32 = machine t32 mission32 in
-  let mdft, _ = machine tdft mission_dft in
+  let m16 = machine t16 mission16 in
+  let m32 = machine t32 mission32 in
+  let mdft = machine tdft mission_dft in
   let r16 = Inv.run ~jobs:1 m16 in
   let r16j4 = Inv.run ~jobs:4 m16 in
   let r32 = Inv.run ~jobs:4 m32 in
@@ -1293,11 +1274,7 @@ let invar_bench () =
       sample
   in
   (* (d) UC-delta on tcore32: what only the strengthened database closes *)
-  let observable =
-    Olfu.Mission.observed_in_field
-      (Lazy.force mission32)
-      flow32.Olfu.Flow.mission_netlist
-  in
+  let observable = Olfu.Mission.observed_in_field (Lazy.force mission32) m32 in
   let base = U.analyze ~observable_output:observable m32 in
   let strengthened =
     U.analyze ~observable_output:observable
@@ -1360,9 +1337,9 @@ let slice_bench () =
   let module Seu = Olfu_safety.Seu in
   let module Inv = Olfu_invar.Invar in
   section "slice — constant-severed cone-of-influence gates";
-  let m16, _ = machine t16 mission16 in
-  let m32, _ = machine t32 mission32 in
-  let mdft, _ = machine tdft mission_dft in
+  let m16 = machine t16 mission16 in
+  let m32 = machine t32 mission32 in
+  let mdft = machine tdft mission_dft in
   let edge_count (e : Sl.edges) =
     Array.fold_left (fun a s -> a + Array.length s) 0 e.Sl.supports
   in

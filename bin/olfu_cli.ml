@@ -891,7 +891,7 @@ let serve socket workers byte_budget_mb audit =
       {
         S.Server.socket;
         workers;
-        byte_budget = Option.map (fun mb -> mb * 1024 * 1024) byte_budget_mb;
+        byte_budget = byte_budget_mb * 1024 * 1024;
         audit;
       }
     in
@@ -924,13 +924,12 @@ let serve_cmd =
   in
   let byte_budget =
     Arg.(
-      value
-      & opt (some int) None
+      value & opt int 1024
       & info [ "byte-budget" ] ~docv:"MB"
           ~doc:
             "Approximate cap in megabytes on cached netlists, flow \
              reports and rendered outcomes; least-recently-used entries \
-             are evicted past it.  Default 1024.")
+             are evicted past it.")
   in
   let audit =
     Arg.(

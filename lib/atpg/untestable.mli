@@ -83,7 +83,7 @@ val make_walker : t -> walker
 
 val verdict_with : t -> walker -> Fault.t -> Status.t option
 (** {!fault_verdict} through an explicit walker — the multi-domain entry
-    point ({!Olfu_core.Tdf_flow} shards fault pairs over a pool). *)
+    point ({!Olfu.Tdf_flow} shards fault pairs over a pool). *)
 
 val implication_db : t -> Implic.t option
 (** The database built by {!analyze} (for stats reporting). *)

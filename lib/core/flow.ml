@@ -73,8 +73,6 @@ let timed f =
   let r = f () in
   (r, Unix.gettimeofday () -. t0)
 
-let scan_step nl fl = Scan_trace.prune nl fl
-
 let verify_scan_rule nl =
   match Netlist.find nl "scan_en" with
   | None -> true
@@ -98,15 +96,88 @@ let verify_scan_rule nl =
         on_se_branch || Untestable.fault_verdict t f <> None)
       (Scan_trace.untestable_faults tied)
 
-(* Classify all still-unclassified faults that the engine proves
-   untestable in the given circuit model. *)
-let engine_step (cfg : Run_config.t) ?observable_output ?consts nl fl =
-  let t =
-    Untestable.analyze ~ff_mode:cfg.Run_config.ff_mode ?observable_output
-      ?consts ~implic:cfg.Run_config.implic ~trace:cfg.Run_config.trace nl
+type circuit = {
+  netlist : Netlist.t;
+  consts : Ternary.t option;
+  observable : (int -> bool) option;
+  edges : (int * int) list;
+}
+
+let analyze (cfg : Run_config.t) c =
+  Untestable.analyze ~ff_mode:cfg.Run_config.ff_mode
+    ?observable_output:c.observable ?consts:c.consts
+    ~implic:cfg.Run_config.implic ~extra_edges:c.edges
+    ~trace:cfg.Run_config.trace c.netlist
+
+(* The circuits of the four engine steps, each manipulation timed as a
+   [prep] entry under its own engine span.  Debug control and Debug
+   observation analyze the same tied netlist, so its ternary fixpoint is
+   computed once, here, and neither step's seconds double-count it. *)
+let stages (cfg : Run_config.t) nl mission =
+  let engine name f = Trace.span cfg.Run_config.trace ~cat:"engine" name f in
+  let tied, tied_t =
+    timed (fun () ->
+        engine "manip" (fun () ->
+            Script.apply nl (Mission.tie_controls_script mission)))
   in
-  Untestable.classify ~jobs:cfg.Run_config.jobs ~trace:cfg.Run_config.trace t
-    fl
+  let consts, consts_t =
+    timed (fun () ->
+        engine "ternary" (fun () ->
+            Ternary.run ~ff_mode:cfg.Run_config.ff_mode tied))
+  in
+  (* debug observation: stop observing the debug buses (and scan-outs) *)
+  let observable, observable_t =
+    timed (fun () ->
+        engine "mission" (fun () -> Mission.observed_in_field mission tied))
+  in
+  (* memory map: tie forced address registers and ports *)
+  let mission_nl, mission_nl_t =
+    timed (fun () ->
+        let forced =
+          engine "mission" (fun () -> Mission.address_forcing mission)
+        in
+        engine "manip" (fun () ->
+            Const_regs.tie_address_ports
+              (Const_regs.tie_address_registers tied ~forced)
+              ~forced))
+  in
+  let circuit ?consts ?observable netlist =
+    { netlist; consts; observable; edges = [] }
+  in
+  ( [
+      (Baseline, circuit nl);
+      (Debug_control, circuit ~consts tied);
+      (Debug_observe, circuit ~consts ~observable tied);
+      (Memory, circuit ~observable mission_nl);
+    ],
+    [
+      ("tied netlist", tied_t);
+      ("shared ternary fixpoint", consts_t);
+      ("mission observability", observable_t);
+      ("mission netlist", mission_nl_t);
+    ] )
+
+(* The step runner: [body] classifies still-open faults of [fl] inside a
+   ["step"] span, and its newly classified faults are attributed to the
+   verdict class (UT/UB/UC/...) that proved them.  The tally sweeps run
+   outside the span, as one ["tally"] engine record; their seconds come
+   back separately so the flow can account them as prep. *)
+let stepped trace fl name body =
+  let before, bt = timed (fun () -> undet_tally fl) in
+  let n, secs = timed (fun () -> Trace.span trace ~cat:"step" name body) in
+  let v, at = timed (fun () -> diff_tally before (undet_tally fl)) in
+  Trace.record trace ~cat:"engine" ~dur:(bt +. at) "tally";
+  (n, v, secs, bt +. at)
+
+let classify (cfg : Run_config.t) c fl =
+  Untestable.classify ~jobs:cfg.Run_config.jobs ~trace:cfg.Run_config.trace
+    (analyze cfg c) fl
+
+let step (cfg : Run_config.t) name c fl =
+  let n, v, _, _ =
+    stepped cfg.Run_config.trace fl name (fun () -> classify cfg c fl)
+  in
+  (n, v)
 
 let run (cfg : Run_config.t) nl mission =
   let trace = cfg.Run_config.trace in
@@ -117,140 +188,64 @@ let run (cfg : Run_config.t) nl mission =
   in
   (* structural collapsing on the untouched universe: the prime count
      is what an ATPG tool would target, the dominance prune what a
-     target list additionally sheds; run on a scratch copy so the
-     flow's own classification never sees the implicit verdicts *)
+     target list additionally sheds; the prune runs on a copy (every
+     status still [Not_analyzed]) so the flow's own classification never
+     sees the implicit verdicts *)
   let (collapsed, dominance_pruned), collapse_t =
     timed (fun () ->
         Trace.span trace ~cat:"engine" "collapse" (fun () ->
             let prime = Collapse.num_classes (Collapse.compute fl) in
-            let scratch = Flist.full nl in
-            (prime, Collapse.dominance_prune scratch)))
+            (prime, Collapse.dominance_prune (Flist.copy fl))))
   in
-  (* wrap each step so its newly classified faults are attributed to the
-     verdict class (UT/UB/UC/...) that proved them; the tally sweeps run
-     outside the step spans and are accounted as prep *)
   let tally_s = ref 0. in
-  let stepped name f =
-    let before, bt = timed (fun () -> undet_tally fl) in
-    let r, secs = timed (fun () -> Trace.span trace ~cat:"step" name f) in
-    let v, at = timed (fun () -> diff_tally before (undet_tally fl)) in
-    tally_s := !tally_s +. bt +. at;
-    Trace.record trace ~cat:"engine" ~dur:(bt +. at) "tally";
-    (r, v, secs)
+  let report source body =
+    let classified, by_verdict, seconds, tally =
+      stepped trace fl (source_name source) body
+    in
+    tally_s := !tally_s +. tally;
+    { source; classified; by_verdict; seconds }
   in
-  (* 1. scan rule *)
-  let scan_count, scan_v, scan_t =
-    stepped (source_name Scan) (fun () ->
+  let scan =
+    report Scan (fun () ->
         Trace.span trace ~cat:"engine" "scan_trace" (fun () ->
-            scan_step nl fl))
+            Scan_trace.prune nl fl))
   in
-  (* 1b. baseline: untestable before any manipulation (reset network,
-     steady-state constants of the mission circuit itself) *)
-  let base_count, base_v, base_t =
-    stepped (source_name Baseline) (fun () -> engine_step cfg nl fl)
-  in
-  (* 2+3 share the tied netlist; its ternary fixpoint is computed once,
-     outside both steps, so neither step's seconds double-count it (it is
-     reported as a [prep] entry and its own "ternary" engine span). *)
-  let tied_controls, tied_t =
-    timed (fun () ->
-        Trace.span trace ~cat:"engine" "manip" (fun () ->
-            Script.apply nl (Mission.tie_controls_script mission)))
-  in
-  let tied_consts, shared_ternary_t =
-    timed (fun () ->
-        Trace.span trace ~cat:"engine" "ternary" (fun () ->
-            Ternary.run ~ff_mode:cfg.Run_config.ff_mode tied_controls))
-  in
-  (* 2. debug control ties *)
-  let ctl_count, ctl_v, ctl_t =
-    stepped (source_name Debug_control) (fun () ->
-        engine_step cfg ~consts:tied_consts tied_controls fl)
-  in
-  (* 3. debug observation: stop observing the debug buses (and scan-outs).
-     Same netlist as step 2 — only observability changes. *)
-  let observable, mission_obs_t =
-    timed (fun () ->
-        Trace.span trace ~cat:"engine" "mission" (fun () ->
-            Mission.observed_in_field mission tied_controls))
-  in
-  let obs_count, obs_v, obs_t =
-    stepped (source_name Debug_observe) (fun () ->
-        engine_step cfg ~observable_output:observable ~consts:tied_consts
-          tied_controls fl)
-  in
-  (* 4. memory map: tie forced address registers and ports *)
-  let mission_nl, mission_nl_t =
-    timed (fun () ->
-        let forced =
-          Trace.span trace ~cat:"engine" "mission" (fun () ->
-              Mission.address_forcing mission)
-        in
-        Trace.span trace ~cat:"engine" "manip" (fun () ->
-            Const_regs.tie_address_ports
-              (Const_regs.tie_address_registers tied_controls ~forced)
-              ~forced))
-  in
-  let mem_count, mem_v, mem_t =
-    stepped (source_name Memory) (fun () ->
-        engine_step cfg ~observable_output:observable mission_nl fl)
-  in
+  let circuits, stage_prep = stages cfg nl mission in
   let steps =
-    [
-      {
-        source = Scan;
-        classified = scan_count;
-        by_verdict = scan_v;
-        seconds = scan_t;
-      };
-      {
-        source = Baseline;
-        classified = base_count;
-        by_verdict = base_v;
-        seconds = base_t;
-      };
-      {
-        source = Debug_control;
-        classified = ctl_count;
-        by_verdict = ctl_v;
-        seconds = ctl_t;
-      };
-      {
-        source = Debug_observe;
-        classified = obs_count;
-        by_verdict = obs_v;
-        seconds = obs_t;
-      };
-      {
-        source = Memory;
-        classified = mem_count;
-        by_verdict = mem_v;
-        seconds = mem_t;
-      };
-    ]
+    scan
+    :: List.map (fun (source, c) -> report source (fun () -> classify cfg c fl))
+         circuits
   in
-  let total = scan_count + base_count + ctl_count + obs_count + mem_count in
+  let total = List.fold_left (fun acc s -> acc + s.classified) 0 steps in
   {
     universe = Flist.size fl;
     collapsed;
     dominance_pruned;
     steps;
     prep =
-      [
-        ("fault universe", flist_t);
-        ("fault collapsing", collapse_t);
-        ("tied netlist", tied_t);
-        ("shared ternary fixpoint", shared_ternary_t);
-        ("mission observability", mission_obs_t);
-        ("mission netlist", mission_nl_t);
-        ("verdict accounting", !tally_s);
-      ];
+      (("fault universe", flist_t) :: ("fault collapsing", collapse_t)
+       :: stage_prep)
+      @ [ ("verdict accounting", !tally_s) ];
     total_olfu = total;
     fraction = float_of_int total /. float_of_int (max 1 (Flist.size fl));
     flist = fl;
-    mission_netlist = mission_nl;
+    mission_netlist = (List.assoc Memory circuits).netlist;
     seconds = Unix.gettimeofday () -. t0;
   }
+
+let manifest_steps r =
+  List.map
+    (fun s ->
+      {
+        Olfu_obs.Manifest.name = source_name s.source;
+        seconds = s.seconds;
+        classified = s.classified;
+        verdicts =
+          List.map
+            (fun (u, n) -> (Status.code (Status.Undetectable u), n))
+            s.by_verdict;
+      })
+    r.steps
 
 let step_count r src =
   List.fold_left

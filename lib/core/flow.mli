@@ -68,16 +68,62 @@ val run : Run_config.t -> Netlist.t -> Mission.t -> report
     classification step over a domain pool (results are identical for
     any value); [cfg.implic] enables the static implication engine's UC
     verdicts inside every classification step (disabling it reproduces
-    the pure UT+UB flow).  The Debug control and Debug observation steps
-    analyze the same tied netlist, so the ternary constant fixpoint is
-    computed once, outside both steps, and reported under [prep].
+    the pure UT+UB flow).  The scan step runs first, then each of the
+    {!stages} as a {!step}.
 
     A recording [cfg.trace] gets one ["step"]-category span per step
     (named by {!source_name}) with the engine attribution
     (["graph"] / ["ternary"] / ["observe"] / ["implic"] / ["classify"]
     spans) nested inside. *)
 
-val scan_step : Netlist.t -> Flist.t -> int
+val manifest_steps : report -> Olfu_obs.Manifest.step list
+(** The report's steps as manifest entries (name, seconds, classified,
+    verdict codes). *)
+
+(** {1 The manipulate–classify–attribute loop}
+
+    Shared by {!run}, {!Tdf_flow.run} and the safe-fault passes of
+    [Olfu_safety.Classify]. *)
+
+type circuit = {
+  netlist : Netlist.t;
+  consts : Olfu_atpg.Ternary.t option;
+      (** a ternary fixpoint of [netlist] shared between steps *)
+  observable : (int -> bool) option;  (** [None]: every output observed *)
+  edges : (int * int) list;
+      (** proved implications for {!Olfu_atpg.Implic.build}'s
+          [extra_edges]; [[]] in the paper's steps *)
+}
+(** What the structural engine reads for one step. *)
+
+val stages :
+  Run_config.t ->
+  Netlist.t ->
+  Mission.t ->
+  (source * circuit) list * (string * float) list
+(** The circuits of the four engine steps, in flow order: {!Baseline}
+    (the netlist as is), {!Debug_control} (debug controls tied),
+    {!Debug_observe} (the same tied netlist, debug buses and scan-outs
+    unobserved) and {!Memory} (forced address registers and ports tied
+    on top).  The two Debug steps share one ternary fixpoint, computed
+    here.  The second component times the manipulations: ["tied
+    netlist"], ["shared ternary fixpoint"], ["mission observability"]
+    and ["mission netlist"]. *)
+
+val analyze : Run_config.t -> circuit -> Olfu_atpg.Untestable.t
+(** The one mapping of [cfg] onto {!Olfu_atpg.Untestable.analyze}. *)
+
+val step :
+  Run_config.t ->
+  string ->
+  circuit ->
+  Flist.t ->
+  int * (Olfu_fault.Status.undetectable * int) list
+(** [step cfg name c fl] classifies the still-open faults of [fl]
+    against [c] inside a ["step"] span called [name]: the count of newly
+    classified faults and their split by verdict class (non-zero classes
+    only, in {!Olfu_fault.Status.undetectable} order).  The tally sweeps
+    run outside the span, as one ["tally"] engine record. *)
 
 val paper_total : report -> int
 (** Sum over the paper's three sources (scan + debug + memory), excluding

@@ -1,6 +1,5 @@
 open Olfu_fault
 open Olfu_atpg
-open Olfu_manip
 module Trace = Olfu_obs.Trace
 
 type report = {
@@ -16,7 +15,7 @@ type report = {
 }
 
 let run (cfg : Run_config.t) nl mission =
-  let { Run_config.ff_mode; jobs; implic; trace } = cfg in
+  let { Run_config.jobs; trace; _ } = cfg in
   let t0 = Unix.gettimeofday () in
   let u =
     Trace.span trace ~cat:"engine" "flist" (fun () -> Tdf.universe nl)
@@ -49,15 +48,15 @@ let run (cfg : Run_config.t) nl mission =
             Array.iter (fun c -> n := !n + c) wn));
     !n
   in
-  let stepped name f = Trace.span trace ~cat:"step" name f in
+  let stepped src f = Trace.span trace ~cat:"step" (Flow.source_name src) f in
   (* 1. scan rule: every transition fault on a scan-rule site is dead —
      the SE net never toggles in mission mode, so even the pins whose
      stuck-at-1 is kept cannot launch a transition *)
   let scan =
-    stepped "Scan" (fun () ->
+    stepped Flow.Scan (fun () ->
         let scan_sites =
           Trace.span trace ~cat:"engine" "scan_trace" (fun () ->
-              Scan_trace.untestable_faults nl)
+              Olfu_manip.Scan_trace.untestable_faults nl)
           |> List.map (fun (f : Fault.t) -> f.Fault.site)
         in
         let site_set = Hashtbl.create 999 in
@@ -72,64 +71,23 @@ let run (cfg : Run_config.t) nl mission =
           u;
         !scan)
   in
-  (* 2. baseline *)
-  let baseline =
-    stepped "Baseline" (fun () ->
-        classify_with (Untestable.analyze ~ff_mode ~implic ~trace nl))
+  (* 2-5. the stuck-at flow's circuits, in its order *)
+  let circuits, _ = Flow.stages cfg nl mission in
+  let counts =
+    List.map
+      (fun (src, c) ->
+        (src, stepped src (fun () -> classify_with (Flow.analyze cfg c))))
+      circuits
   in
-  (* 3+4 analyze the same tied netlist: compute its ternary fixpoint once,
-     outside both steps (its own "ternary" engine span). *)
-  let tied =
-    Trace.span trace ~cat:"engine" "manip" (fun () ->
-        Script.apply nl (Mission.tie_controls_script mission))
-  in
-  let tied_consts =
-    Trace.span trace ~cat:"engine" "ternary" (fun () ->
-        Ternary.run ~ff_mode tied)
-  in
-  (* 3. debug control *)
-  let debug_control =
-    stepped "Debug (control)" (fun () ->
-        classify_with
-          (Untestable.analyze ~ff_mode ~consts:tied_consts ~implic ~trace
-             tied))
-  in
-  (* 4. debug observation *)
-  let observable =
-    Trace.span trace ~cat:"engine" "mission" (fun () ->
-        Mission.observed_in_field mission tied)
-  in
-  let debug_observe =
-    stepped "Debug (observation)" (fun () ->
-        classify_with
-          (Untestable.analyze ~ff_mode ~observable_output:observable
-             ~consts:tied_consts ~implic ~trace tied))
-  in
-  (* 5. memory map *)
-  let forced =
-    Trace.span trace ~cat:"engine" "mission" (fun () ->
-        Mission.address_forcing mission)
-  in
-  let mission_nl =
-    Trace.span trace ~cat:"engine" "manip" (fun () ->
-        Const_regs.tie_address_ports
-          (Const_regs.tie_address_registers tied ~forced)
-          ~forced)
-  in
-  let memory =
-    stepped "Memory" (fun () ->
-        classify_with
-          (Untestable.analyze ~ff_mode ~observable_output:observable ~implic
-             ~trace mission_nl))
-  in
-  let total = scan + baseline + debug_control + debug_observe + memory in
+  let count src = List.assoc src counts in
+  let total = List.fold_left (fun acc (_, n) -> acc + n) scan counts in
   {
     universe = Array.length u;
     scan;
-    baseline;
-    debug_control;
-    debug_observe;
-    memory;
+    baseline = count Flow.Baseline;
+    debug_control = count Flow.Debug_control;
+    debug_observe = count Flow.Debug_observe;
+    memory = count Flow.Memory;
     total;
     fraction = float_of_int total /. float_of_int (max 1 (Array.length u));
     seconds = Unix.gettimeofday () -. t0;

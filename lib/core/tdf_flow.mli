@@ -22,9 +22,10 @@ type report = {
 
 val run : Run_config.t -> Netlist.t -> Mission.t -> report
 (** [cfg.jobs] shards each classification step over a domain pool; the
-    report is identical for any value.  The two Debug steps analyze the
-    same tied netlist, so its ternary fixpoint is computed once, outside
-    both.  A recording [cfg.trace] gets one ["step"]-category span per
-    step with the engine spans nested inside. *)
+    report is identical for any value.  After the scan step, each of
+    {!Flow.stages}' circuits is analyzed through {!Flow.analyze} and
+    claims the transition faults it proves.  A recording [cfg.trace]
+    gets one ["step"]-category span per step (named by
+    {!Flow.source_name}) with the engine spans nested inside. *)
 
 val pp : Format.formatter -> report -> unit

@@ -25,6 +25,7 @@ let create nl faults =
   }
 
 let full ?include_ties nl = create nl (Fault.universe ?include_ties nl)
+let copy t = { t with status = Array.copy t.status }
 
 let netlist t = t.nl
 let size t = Array.length t.faults

@@ -28,6 +28,11 @@ val create : Netlist.t -> Fault.t array -> t
 val full : ?include_ties:bool -> Netlist.t -> t
 (** The complete stuck-at universe of the netlist, all [Not_analyzed]. *)
 
+val copy : t -> t
+(** A fresh status array over the same faults: classifying the copy never
+    touches the original.  The fault array and index are shared (they
+    are never mutated after {!create}). *)
+
 val netlist : t -> Netlist.t
 val size : t -> int
 val fault : t -> int -> Fault.t

@@ -177,23 +177,6 @@ let compute_si_cycles nl =
     (Netlist.seq_nodes nl);
   List.rev !cycles
 
-let compute_dead nl =
-  let n = Netlist.length nl in
-  let mark = Array.make n false in
-  let rec visit i =
-    if not mark.(i) then begin
-      mark.(i) <- true;
-      Array.iter visit (Netlist.fanin nl i)
-    end
-  in
-  Array.iter visit (Netlist.outputs nl);
-  let acc = ref [] in
-  for i = n - 1 downto 0 do
-    if (not mark.(i)) && not (Cell.equal_kind (Netlist.kind nl i) Cell.Input)
-    then acc := i :: !acc
-  done;
-  !acc
-
 (* Reset-role inputs backward-reachable through the gating idioms
    (buffers, inverters, and/or gates).  Root set of a reset pin: which
    reset inputs ultimately control it, through whatever gating. *)
@@ -253,7 +236,7 @@ let create ?(thresholds = default_thresholds) ?software ?invariants nl =
       lazy
         (Olfu_atpg.Observe.run nl
            ~consts:(Lazy.force ternary).Olfu_atpg.Ternary.values);
-    dead = lazy (compute_dead nl);
+    dead = lazy (Olfu_manip.Sweep.dead_nodes nl);
     chains;
     chain_cells =
       lazy

@@ -16,30 +16,41 @@ type t =
    bounded chunks ([to_channel]): a daemon answer can be megabytes. *)
 type out = { buf : Buffer.t; spill : unit -> unit }
 
-(* Runs of characters that need no escape are copied in one piece. *)
+(* The characters a string literal must escape, by code. *)
+let must_escape =
+  Array.init 256 (fun k -> k < 32 || k = Char.code '"' || k = Char.code '\\')
+
+(* Runs of characters that need no escape are found by one table lookup
+   per character and copied in one piece.  This scan is the hot loop of
+   a daemon cache hit. *)
 let escape_to o s =
   let b = o.buf in
   Buffer.add_char b '"';
   let n = String.length s in
-  let rec go start i =
-    if i = n then Buffer.add_substring b s start (n - start)
-    else
-      match s.[i] with
-      | ('"' | '\\' | '\000' .. '\031') as c ->
-        Buffer.add_substring b s start (i - start);
-        Buffer.add_string b
-          (match c with
-          | '"' -> "\\\""
-          | '\\' -> "\\\\"
-          | '\n' -> "\\n"
-          | '\r' -> "\\r"
-          | '\t' -> "\\t"
-          | c -> Printf.sprintf "\\u%04x" (Char.code c));
-        o.spill ();
-        go (i + 1) (i + 1)
-      | _ -> go start (i + 1)
-  in
-  go 0 0;
+  let i = ref 0 in
+  while !i < n do
+    let start = !i in
+    (* a char code is below 256, the table's length *)
+    while
+      !i < n
+      && not (Array.unsafe_get must_escape (Char.code (String.unsafe_get s !i)))
+    do
+      incr i
+    done;
+    Buffer.add_substring b s start (!i - start);
+    if !i < n then begin
+      Buffer.add_string b
+        (match String.unsafe_get s !i with
+        | '"' -> "\\\""
+        | '\\' -> "\\\\"
+        | '\n' -> "\\n"
+        | '\r' -> "\\r"
+        | '\t' -> "\\t"
+        | c -> Printf.sprintf "\\u%04x" (Char.code c));
+      o.spill ();
+      incr i
+    end
+  done;
   Buffer.add_char b '"'
 
 let float_to buf f =

@@ -1,6 +1,5 @@
 open Olfu_netlist
 open Olfu_fault
-module U = Olfu_atpg.Untestable
 module Ternary = Olfu_atpg.Ternary
 module Trace = Olfu_obs.Trace
 module Absint = Olfu_absint.Absint
@@ -83,87 +82,55 @@ let run ?(config = default) ~facts nl mission =
   let size = Flist.size fl in
   let before = Array.init size (Flist.status fl) in
   let observable = Olfu.Mission.observed_in_field mission mnl in
-  (* 2. software-safe: re-analyze the mission machine with the ternary
-     fixpoint strengthened by the software-proven constants, then turn
-     every newly proved verdict into the Software class (the underlying
-     Tied/Blocked/Conflict proof is kept as evidence) *)
-  let assume = Absint.facts_assume facts mnl in
-  let software_safe =
-    if assume = [] then 0
-    else begin
-      let consts =
-        Trace.span trace ~cat:"engine" "ternary" (fun () ->
-            Ternary.run ~ff_mode:rc.Olfu.Run_config.ff_mode ~assume mnl)
-      in
-      let tsw =
-        U.analyze ~observable_output:observable ~consts
-          ~implic:rc.Olfu.Run_config.implic ~trace mnl
-      in
-      Trace.span trace ~cat:"step" "Software safe" (fun () ->
-          U.classify ~jobs:rc.Olfu.Run_config.jobs ~trace tsw fl)
-    end
+  (* one safe-fault pass: strengthen the ternary fixpoint of [machine]
+     with [assume], run one flow step on the still-open faults,
+     then relabel every newly proved fault [label] — the by-verdict split
+     keeps the underlying UT/UB/UC proofs as evidence *)
+  let reclassify name label ~assume ?(edges = []) machine =
+    let consts =
+      Trace.span trace ~cat:"engine" "ternary" (fun () ->
+          Ternary.run ~ff_mode:rc.Olfu.Run_config.ff_mode ~assume machine)
+    in
+    let circuit =
+      {
+        Olfu.Flow.netlist = machine;
+        consts = Some consts;
+        observable = Some observable;
+        edges;
+      }
+    in
+    let prior = Array.init size (Flist.status fl) in
+    let n, by = Olfu.Flow.step rc name circuit fl in
+    Array.iteri
+      (fun i st ->
+        if not (Status.equal st (Flist.status fl i)) then
+          Flist.set_status fl i (Status.Undetectable label))
+      prior;
+    (n, by)
   in
-  let sw_by = Array.make (Array.length base_classes) 0 in
-  for i = 0 to size - 1 do
-    let now = Flist.status fl i in
-    if not (Status.equal before.(i) now) then begin
-      Array.iteri
-        (fun k c ->
-          if Status.equal now (Status.Undetectable c) then
-            sw_by.(k) <- sw_by.(k) + 1)
-        base_classes;
-      Flist.set_status fl i (Status.Undetectable Status.Software)
-    end
-  done;
-  let software_by =
-    Array.to_list
-      (Array.map2 (fun c n -> (c, n)) base_classes sw_by)
-    |> List.filter (fun (_, n) -> n > 0)
+  (* 2. software-safe: the mission machine under the software-proven
+     constants *)
+  let assume = Absint.facts_assume facts mnl in
+  let software_safe, software_by =
+    if assume = [] then (0, [])
+    else reclassify "Software safe" Status.Software ~assume mnl
   in
   (* 2b. invariant-safe: the on-line machine (scan interface held
-     functional), re-analyzed with induction-proved state invariants —
-     assumed constants strengthen the ternary fixpoint, pairwise facts
-     strengthen the implication database.  Newly proved verdicts become
-     the Invariant class, keeping the underlying evidence tally. *)
+     functional) under induction-proved state invariants — assumed
+     constants strengthen the ternary fixpoint, pairwise facts the
+     implication database *)
   let machine = bmc_machine mnl in
   let invariants =
     if config.invariants then
       Some (Invar.run ~jobs:rc.Olfu.Run_config.jobs ~trace machine)
     else None
   in
-  let before_inv = Array.init size (Flist.status fl) in
-  let invariant_safe =
+  let invariant_safe, invariant_by =
     match invariants with
-    | None -> 0
+    | None -> (0, [])
     | Some ir ->
-      let consts =
-        Trace.span trace ~cat:"engine" "ternary" (fun () ->
-            Ternary.run ~ff_mode:rc.Olfu.Run_config.ff_mode
-              ~assume:(Invar.assume_facts ir) machine)
-      in
-      let tin =
-        U.analyze ~observable_output:observable ~consts
-          ~implic:rc.Olfu.Run_config.implic ~extra_edges:(Invar.edges ir)
-          ~trace machine
-      in
-      Trace.span trace ~cat:"step" "Invariant safe" (fun () ->
-          U.classify ~jobs:rc.Olfu.Run_config.jobs ~trace tin fl)
-  in
-  let inv_by = Array.make (Array.length base_classes) 0 in
-  for i = 0 to size - 1 do
-    let now = Flist.status fl i in
-    if not (Status.equal before_inv.(i) now) then begin
-      Array.iteri
-        (fun k c ->
-          if Status.equal now (Status.Undetectable c) then
-            inv_by.(k) <- inv_by.(k) + 1)
-        base_classes;
-      Flist.set_status fl i (Status.Undetectable Status.Invariant)
-    end
-  done;
-  let invariant_by =
-    Array.to_list (Array.map2 (fun c n -> (c, n)) base_classes inv_by)
-    |> List.filter (fun (_, n) -> n > 0)
+      reclassify "Invariant safe" Status.Invariant
+        ~assume:(Invar.assume_facts ir) ~edges:(Invar.edges ir) machine
   in
   (* 3. the partition *)
   let classes =

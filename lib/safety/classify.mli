@@ -90,8 +90,10 @@ val run :
     set; with no resolvable facts the software pass is skipped (zero
     software-safe faults, never a claim).
 
+    Each of the two safe-fault passes is one {!Olfu.Flow.step} over a
+    {!Olfu.Flow.circuit} whose ternary fixpoint carries the assumptions.
     A recording trace (via [config.rc.trace]) gets the flow's spans plus
-    ["Software safe"] and ["Invariant safe"] step spans, the
+    the passes' ["Software safe"] and ["Invariant safe"] step spans, the
     {!Olfu_invar.Invar.run} and {!Seu.run} spans/counters, and the
     ["safety.software_safe"] / ["safety.invariant_safe"] /
     ["safety.unclassified"] counters. *)

@@ -5,11 +5,12 @@ module Manifest = Olfu_obs.Manifest
 type config = {
   socket : string;
   workers : int;
-  byte_budget : int option;
+  byte_budget : int;
   audit : string option;
 }
 
-let default ~socket = { socket; workers = 2; byte_budget = None; audit = None }
+let default ~socket =
+  { socket; workers = 2; byte_budget = 1 lsl 30; audit = None }
 
 type state = {
   cfg : config;
@@ -128,7 +129,7 @@ let serve cfg =
     {
       cfg;
       listen_fd;
-      session = Session.create ?byte_budget:cfg.byte_budget ();
+      session = Session.create ~byte_budget:cfg.byte_budget ();
       stop = Atomic.make false;
       served = Atomic.make 0;
       audit_m = Mutex.create ();

@@ -20,12 +20,12 @@
 type config = {
   socket : string;  (** path of the Unix-domain socket to bind *)
   workers : int;  (** accept-loop domains (clamped to at least 1) *)
-  byte_budget : int option;  (** session cache budget; default 1 GiB *)
+  byte_budget : int;  (** session cache budget, bytes *)
   audit : string option;  (** per-request manifest log, JSON lines *)
 }
 
 val default : socket:string -> config
-(** [workers = 2], default budget, no audit log. *)
+(** [workers = 2], a 1 GiB budget, no audit log. *)
 
 val serve : config -> unit
 (** Bind, accept and serve until a [shutdown] request arrives.  Replaces

@@ -145,21 +145,6 @@ let verdict_fields l =
       (Olfu_fault.Status.code (Olfu_fault.Status.Undetectable u), J.Int n))
     l
 
-let manifest_steps (r : Olfu.Flow.report) =
-  List.map
-    (fun (s : Olfu.Flow.step_report) ->
-      {
-        Manifest.name = Olfu.Flow.source_name s.Olfu.Flow.source;
-        seconds = s.Olfu.Flow.seconds;
-        classified = s.Olfu.Flow.classified;
-        verdicts =
-          List.map
-            (fun (u, n) ->
-              (Olfu_fault.Status.code (Olfu_fault.Status.Undetectable u), n))
-            s.Olfu.Flow.by_verdict;
-      })
-    r.Olfu.Flow.steps
-
 (* Table I as structured JSON.  Deliberately excludes every wall-clock
    field of the report (per-step seconds, prep, total) — the payload
    must be deterministic so cached and fresh answers are
@@ -227,7 +212,7 @@ let coverage_payload (s : Olfu_sbst.Coverage.summary) =
 
 let flow_meta (flow : Olfu.Flow.report) extras =
   {
-    steps = manifest_steps flow;
+    steps = Olfu.Flow.manifest_steps flow;
     prep = flow.Olfu.Flow.prep;
     extras;
     aux = [];

@@ -20,7 +20,7 @@ type value = Loaded of loaded | Flow of Olfu.Flow.report | Outcome of outcome
 type stats = {
   entries : int;
   bytes : int;
-  budget : int;
+  budget : int option;
   hits : int;
   misses : int;
   evictions : int;
@@ -30,7 +30,7 @@ type entry = { value : value; bytes : int; mutable tick : int }
 
 type t = {
   tbl : (string, entry) Hashtbl.t;
-  budget : int;
+  budget : int option;
   m : Mutex.t;
   mutable used : int;
   mutable clock : int;
@@ -39,7 +39,7 @@ type t = {
   mutable evictions : int;
 }
 
-let create ?(byte_budget = 1 lsl 30) () =
+let create ?byte_budget () =
   {
     tbl = Hashtbl.create 64;
     budget = byte_budget;
@@ -58,8 +58,12 @@ let locked t f =
 (* Size at insertion: the whole reachable graph of the value.  Shared
    substructure (a [Loaded] netlist also reachable from a [Flow] report)
    is counted once per entry, so [used] over-approximates the true
-   footprint — the safe direction for a budget. *)
-let size_of value = Obj.reachable_words (Obj.repr value) * (Sys.word_size / 8)
+   footprint — the safe direction for a budget.  Only a budget reads
+   it: an unbounded session never walks its values. *)
+let size_of t value =
+  match t.budget with
+  | None -> 0
+  | Some _ -> Obj.reachable_words (Obj.repr value) * (Sys.word_size / 8)
 
 let find t key =
   locked t (fun () ->
@@ -73,10 +77,10 @@ let find t key =
         t.hits <- t.hits + 1;
         Some e.value)
 
-let evict_locked t ~keep =
+let evict_locked t ~keep budget =
   let exception Done in
   try
-    while t.used > t.budget && Hashtbl.length t.tbl > 1 do
+    while t.used > budget && Hashtbl.length t.tbl > 1 do
       let victim =
         Hashtbl.fold
           (fun k e acc ->
@@ -97,7 +101,7 @@ let evict_locked t ~keep =
   with Done -> ()
 
 let add t key value =
-  let bytes = size_of value in
+  let bytes = size_of t value in
   locked t (fun () ->
       (match Hashtbl.find_opt t.tbl key with
       | Some old ->
@@ -107,7 +111,7 @@ let add t key value =
       t.clock <- t.clock + 1;
       Hashtbl.replace t.tbl key { value; bytes; tick = t.clock };
       t.used <- t.used + bytes;
-      evict_locked t ~keep:key)
+      Option.iter (evict_locked t ~keep:key) t.budget)
 
 let memo t key build =
   match find t key with
@@ -133,7 +137,7 @@ let stats_json s =
     [
       ("entries", J.Int s.entries);
       ("bytes", J.Int s.bytes);
-      ("budget", J.Int s.budget);
+      ("budget", match s.budget with Some b -> J.Int b | None -> J.Null);
       ("hits", J.Int s.hits);
       ("misses", J.Int s.misses);
       ("evictions", J.Int s.evictions);

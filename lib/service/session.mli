@@ -9,10 +9,12 @@
     connections and clients — two keys collide only when the work is
     interchangeable.
 
-    Eviction is LRU under a byte budget measured with
-    [Obj.reachable_words] at insertion time.  The most recently added
-    entry is never evicted (a single oversized artifact still completes
-    its request; the budget re-asserts itself on the next insert).
+    A session with a byte budget evicts LRU entries past it, measuring
+    each entry with [Obj.reachable_words] at insertion time.  The most
+    recently added entry is never evicted (a single oversized artifact
+    still completes its request; the budget re-asserts itself on the
+    next insert).  A session without a budget (the one-shot CLI's)
+    never evicts and never pays for the size walk.
 
     All operations are thread-safe (one mutex around the table);
     {!memo} runs its build function {e outside} the lock so concurrent
@@ -47,8 +49,9 @@ type value =
 
 type stats = {
   entries : int;
-  bytes : int;  (** sum of the sizes measured at insertion *)
-  budget : int;
+  bytes : int;
+      (** sum of the sizes measured at insertion; [0] when unbounded *)
+  budget : int option;  (** [None]: unbounded *)
   hits : int;
   misses : int;
   evictions : int;
@@ -57,13 +60,13 @@ type stats = {
 type t
 
 val create : ?byte_budget:int -> unit -> t
-(** Default budget: 1 GiB. *)
+(** Without [byte_budget] the session is unbounded. *)
 
 val find : t -> string -> value option
 (** Counts as a hit/miss and refreshes recency on hit. *)
 
 val add : t -> string -> value -> unit
-(** Insert (replacing any previous binding), then evict
+(** Insert (replacing any previous binding), then, under a budget, evict
     least-recently-used entries — never the one just added — until the
     budget holds again. *)
 

@@ -46,7 +46,7 @@ let test_flow_idempotent_attribution () =
   (* no fault is counted twice: re-running a step classifies nothing new *)
   let nl = Lazy.force t16 in
   let r = Lazy.force report16 in
-  let again = Flow.scan_step nl r.Flow.flist in
+  let again = Olfu_manip.Scan_trace.prune nl r.Flow.flist in
   Alcotest.(check int) "scan step idempotent" 0 again
 
 let test_soundness_sample_podem () =
@@ -216,6 +216,51 @@ let test_flow_on_roles_mission_matches () =
     [ Flow.Scan; Flow.Baseline; Flow.Debug_control; Flow.Debug_observe;
       Flow.Memory ]
 
+(* --- pins: the exact figures of the parent flow on tcore16 --- *)
+
+let verdicts by =
+  String.concat ", "
+    (List.map
+       (fun (u, n) -> Printf.sprintf "%s %d" (Status.code (Status.Undetectable u)) n)
+       by)
+
+let test_pin_steps () =
+  let r = Lazy.force report16 in
+  Alcotest.(check (list string))
+    "count (split) per step"
+    [
+      "Scan: 3011 (UU 3011)";
+      "Baseline (reset/steady): 598 (UT 558, UB 40)";
+      "Debug (control): 2306 (UT 560, UB 1745, UC 1)";
+      "Debug (observation): 469 (UB 469)";
+      "Memory: 1171 (UT 348, UB 811, UC 12)";
+    ]
+    (List.map
+       (fun s ->
+         Printf.sprintf "%s: %d (%s)" (Flow.source_name s.Flow.source)
+           s.Flow.classified (verdicts s.Flow.by_verdict))
+       r.Flow.steps)
+
+let test_pin_tdf () =
+  let r =
+    Tdf_flow.run Run_config.default (Lazy.force t16) (Lazy.force mission16)
+  in
+  Alcotest.(check (list int))
+    "scan, baseline, control, observation, memory"
+    [ 3440; 1156; 2466; 384; 1300 ]
+    Tdf_flow.[ r.scan; r.baseline; r.debug_control; r.debug_observe; r.memory ]
+
+let test_pin_prep () =
+  (* the names benchmark/replay.ml slugs into its core.prep.* layers *)
+  Alcotest.(check (list string))
+    "prep names, in order"
+    [
+      "fault universe"; "fault collapsing"; "tied netlist";
+      "shared ternary fixpoint"; "mission observability"; "mission netlist";
+      "verdict accounting";
+    ]
+    (List.map fst (Lazy.force report16).Flow.prep)
+
 let test_table1_renders () =
   let r = Lazy.force report16 in
   let s = Format.asprintf "%a" (Flow.pp_table1 ~paper:true) r in
@@ -246,6 +291,12 @@ let () =
           Alcotest.test_case "roles mission" `Quick
             test_flow_on_roles_mission_matches;
           Alcotest.test_case "table renders" `Quick test_table1_renders;
+        ] );
+      ( "pins",
+        [
+          Alcotest.test_case "stuck-at steps" `Quick test_pin_steps;
+          Alcotest.test_case "tdf steps" `Quick test_pin_tdf;
+          Alcotest.test_case "prep names" `Quick test_pin_prep;
         ] );
       ( "categories",
         [ Alcotest.test_case "fig1 lattice" `Quick test_categories_fig1 ] );

@@ -50,12 +50,15 @@ let test_float_outputs () =
   let _ = B.output b ~roles:[ Netlist.Debug_observe ] "DBG" g in
   let _ = B.output b "F" g in
   let nl = B.freeze_exn b in
-  let nl' = Float_out.debug_observation nl in
-  Alcotest.(check int) "one output left" 1 (Array.length (Netlist.outputs nl'));
-  let nl'' = Float_out.outputs_by_name nl [ "F"; "DBG" ] in
-  Alcotest.(check int) "all floated" 0 (Array.length (Netlist.outputs nl''));
+  let float names =
+    Script.apply nl (List.map (fun s -> Script.Float_output s) names)
+  in
+  Alcotest.(check int) "one output left" 1
+    (Array.length (Netlist.outputs (float [ "DBG" ])));
+  Alcotest.(check int) "all floated" 0
+    (Array.length (Netlist.outputs (float [ "F"; "DBG" ])));
   (try
-     ignore (Float_out.outputs_by_name nl [ "x" ] : Netlist.t);
+     ignore (float [ "x" ] : Netlist.t);
      Alcotest.fail "expected error"
    with Invalid_argument _ -> ())
 

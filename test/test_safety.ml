@@ -199,6 +199,15 @@ let test_bmc_machine () =
 
 (* --- full classifier on the small core --- *)
 
+(* A safe-fault pass's count and its evidence split, as "UT n" codes. *)
+let check_pass what (n, split) count by =
+  Alcotest.(check int) what n count;
+  Alcotest.(check (list string))
+    (what ^ " evidence") split
+    (List.map
+       (fun (u, k) -> Printf.sprintf "%s %d" (Status.code (Status.Undetectable u)) k)
+       by)
+
 let test_classify_tcore16 () =
   let module A = Olfu_absint.Absint in
   let module P = Olfu_sbst.Programs in
@@ -223,7 +232,35 @@ let test_classify_tcore16 () =
     (List.fold_left (fun acc (_, n) -> acc + n) 0 r.Classify.counts);
   Alcotest.(check bool) "structural verdicts present" true
     (List.assoc Taxonomy.Structural_uc r.Classify.counts > 0);
-  Alcotest.(check int) "seu sample" 6 (Array.length r.Classify.seu.Seu.results)
+  Alcotest.(check int) "seu sample" 6 (Array.length r.Classify.seu.Seu.results);
+  check_pass "invariant safe" (34, [ "UT 1"; "UB 17"; "UC 16" ])
+    r.Classify.invariant_safe r.Classify.invariant_by
+
+(* the pinned passes on the large core: software facts resolve here *)
+let test_classify_tcore32 () =
+  let module A = Olfu_absint.Absint in
+  let cfg = Olfu_soc.Soc.tcore32 in
+  let nl = Olfu_soc.Soc.generate cfg in
+  let named =
+    List.map
+      (fun p -> (p.Olfu_sbst.Programs.pname, A.of_program cfg p))
+      (Olfu_sbst.Programs.suite cfg)
+  in
+  let facts = A.activation_facts ~label:"tcore32-suite" cfg named in
+  let config =
+    {
+      Classify.default with
+      Classify.rc = { Olfu.Run_config.default with jobs = 2 };
+      window = 1;
+      seu_limit = 1;
+    }
+  in
+  let r = Classify.run ~config ~facts nl (Olfu.Mission.of_soc cfg nl) in
+  Alcotest.(check bool) "consistent" true (Classify.consistent r);
+  check_pass "software safe" (761, [ "UT 544"; "UB 203"; "UC 14" ])
+    r.Classify.software_safe r.Classify.software_by;
+  check_pass "invariant safe" (164, [ "UT 97"; "UB 61"; "UC 6" ])
+    r.Classify.invariant_safe r.Classify.invariant_by
 
 (* --- qcheck: BMC verdicts vs concrete replay --- *)
 
@@ -345,5 +382,6 @@ let () =
         [
           Alcotest.test_case "bmc machine" `Quick test_bmc_machine;
           Alcotest.test_case "tcore16" `Slow test_classify_tcore16;
+          Alcotest.test_case "tcore32" `Slow test_classify_tcore32;
         ] );
     ]
