@@ -1,239 +1,143 @@
 open Olfu_logic
 open Olfu_netlist
 open Olfu_fault
-open Olfu_sim
+module Lanes = Olfu_sim.Lanes
+module A1 = Bigarray.Array1
 module Pool = Olfu_pool.Pool
 module Trace = Olfu_obs.Trace
 
 type pattern = Logic4.t array
 type engine = Cone | Full_settle
 
-let source_nodes nl = Analysis.sources (Analysis.get nl)
-
 let random_patterns ?(seed = 0) nl n =
   let rng = Random.State.make [| seed |] in
-  let width = Array.length (source_nodes nl) in
+  let width = Array.length (Analysis.sources (Analysis.get nl)) in
   Array.init n (fun _ ->
       Array.init width (fun _ -> Logic4.of_bool (Random.State.bool rng)))
 
 type report = { patterns : int; detected : int; possibly : int }
 
-let stuck_word (f : Fault.t) =
-  Dualrail.const (if f.Fault.stuck then Logic4.L1 else Logic4.L0)
+let ( &. ) = Int64.logand
+let ( |. ) = Int64.logor
+let ( ^. ) = Int64.logxor
 
-let pt_mask good faulty =
-  (* good binary, faulty unknown: only possibly detected *)
-  Int64.logand (Dualrail.binary_mask good)
-    (Int64.lognot (Dualrail.binary_mask faulty))
+let words n =
+  let a = A1.create Bigarray.int64 Bigarray.c_layout n in
+  A1.fill a 0L;
+  a
 
-(* Next-state value of a sequential cell from its input-pin values. *)
-let capture_ins kind (ins : Dualrail.t array) =
-  match kind with
-  | Cell.Dff -> ins.(0)
-  | Cell.Dffr -> Dualrail.mux ~sel:ins.(1) ~a:Dualrail.zero ~b:ins.(0)
-  | Cell.Sdff -> Dualrail.mux ~sel:ins.(2) ~a:ins.(0) ~b:ins.(1)
-  | Cell.Sdffr ->
-    Dualrail.mux ~sel:ins.(3) ~a:Dualrail.zero
-      ~b:(Dualrail.mux ~sel:ins.(2) ~a:ins.(0) ~b:ins.(1))
-  | _ -> invalid_arg "Comb_fsim.capture_ins"
+(* The batch's good machine, settled once, and the capture of every flop
+   (node-indexed), computed once. *)
+type good = { g : Lanes.state; cap_hi : Lanes.words; cap_lo : Lanes.words }
 
-(* ------------------------------------------------------------------ *)
-(* Full-settle reference engine: re-evaluates the whole netlist for    *)
-(* every fault.  Kept as the oracle the cone engine is tested against  *)
-(* and as the pre-optimization benchmark baseline.                     *)
-(* ------------------------------------------------------------------ *)
+(* One pool worker: a copy of the good state into which one fault at a
+   time is forced, the faulty capture of one flop, and the detected /
+   possibly-detected lanes of the current fault. *)
+type worker = {
+  st : Lanes.state;
+  scratch : Analysis.Scratch.t;
+  fcap_hi : Lanes.words;
+  fcap_lo : Lanes.words;
+  acc : Lanes.words;  (* 0: detected lanes, 1: possibly detected *)
+}
 
-(* Settle with a single fault injected, 64 patterns wide.  [env] must have
-   source lanes already loaded.  Operand buffers come from [scratch]
-   instead of a fresh [Array.init] per node. *)
-let settle_faulty an scratch env (f : Fault.t) =
-  let nl = Analysis.netlist an in
-  let stuck = stuck_word f in
-  let fnode = f.Fault.site.Fault.node in
-  let fpin = f.Fault.site.Fault.pin in
-  let stem_faulty i = fpin = Cell.Pin.Out && i = fnode in
-  (* fault on a source stem *)
-  Netlist.iter_nodes
-    (fun i nd ->
-      match nd.Netlist.kind with
-      | Cell.Tie0 -> env.(i) <- Dualrail.zero
-      | Cell.Tie1 -> env.(i) <- Dualrail.one
-      | Cell.Tiex -> env.(i) <- Dualrail.unknown
-      | _ -> if stem_faulty i then env.(i) <- stuck)
-    nl;
-  let operand i p =
-    let v = env.((Netlist.fanin nl i).(p)) in
-    if i = fnode && Cell.Pin.equal fpin (Cell.Pin.In p) then stuck else v
-  in
-  Array.iter
-    (fun i ->
-      let fanin = Netlist.fanin nl i in
-      let a = Array.length fanin in
-      let ins = Analysis.Scratch.ins scratch a in
-      for p = 0 to a - 1 do
-        ins.(p) <- operand i p
-      done;
-      let v = Eval.comb_par (Netlist.kind nl i) ins in
-      env.(i) <- (if stem_faulty i then stuck else v))
-    (Netlist.topo nl);
-  operand
+(* Detected where good and faulty are both binary and differ; possibly
+   detected where good is binary and faulty X. *)
+let[@inline] observe w gh gl fh fl =
+  let bin_g = Int64.lognot (gh &. gl) and bin_f = Int64.lognot (fh &. fl) in
+  A1.unsafe_set w.acc 0
+    (A1.unsafe_get w.acc 0 |. (bin_g &. bin_f &. ((gh ^. fh) |. (gl ^. fl))));
+  A1.unsafe_set w.acc 1 (A1.unsafe_get w.acc 1 |. (bin_g &. Int64.lognot bin_f))
 
-let capture_par nl operand i =
-  match Netlist.kind nl i with
-  | Cell.Dff -> operand i 0
-  | Cell.Dffr ->
-    Dualrail.mux ~sel:(operand i 1) ~a:Dualrail.zero ~b:(operand i 0)
-  | Cell.Sdff -> Dualrail.mux ~sel:(operand i 2) ~a:(operand i 0) ~b:(operand i 1)
-  | Cell.Sdffr ->
-    Dualrail.mux ~sel:(operand i 3) ~a:Dualrail.zero
-      ~b:(Dualrail.mux ~sel:(operand i 2) ~a:(operand i 0) ~b:(operand i 1))
-  | _ -> invalid_arg "capture_par"
+let observe_node good w i =
+  observe w
+    (A1.unsafe_get (Lanes.hi good.g) i)
+    (A1.unsafe_get (Lanes.lo good.g) i)
+    (A1.unsafe_get (Lanes.hi w.st) i)
+    (A1.unsafe_get (Lanes.lo w.st) i)
 
-(* det/pt masks of one fault under the full-settle engine. *)
-let eval_fault_full an scratch fenv genv good_cap obs_out observe_captures f =
-  let nl = Analysis.netlist an in
-  Array.iter (fun src -> fenv.(src) <- genv.(src)) (Analysis.sources an);
-  let operand = settle_faulty an scratch fenv f in
-  let det = ref 0L and pt = ref 0L in
-  Array.iter
-    (fun o ->
-      if obs_out.(o) then begin
-        let fv = operand o 0 in
-        det := Int64.logor !det (Dualrail.diff_mask genv.(o) fv);
-        pt := Int64.logor !pt (pt_mask genv.(o) fv)
-      end)
-    (Netlist.outputs nl);
-  if observe_captures then
-    Array.iter
-      (fun s ->
-        let fv = capture_par nl operand s in
-        det := Int64.logor !det (Dualrail.diff_mask good_cap.(s) fv);
-        pt := Int64.logor !pt (pt_mask good_cap.(s) fv))
-      (Netlist.seq_nodes nl);
-  (!det, !pt)
+let observe_capture good w s =
+  Lanes.capture w.st s ~hi:w.fcap_hi ~lo:w.fcap_lo 0;
+  observe w (A1.get good.cap_hi s) (A1.get good.cap_lo s) (A1.get w.fcap_hi 0)
+    (A1.get w.fcap_lo 0)
 
-(* ------------------------------------------------------------------ *)
-(* Cone-limited engine: good circuit settled once per batch; per fault *)
-(* only the levelized fanout cone of the site is re-evaluated, with    *)
-(* early exit once the event frontier dies out.                        *)
-(* ------------------------------------------------------------------ *)
+let differs good w i =
+  A1.unsafe_get (Lanes.hi w.st) i <> A1.unsafe_get (Lanes.hi good.g) i
+  || A1.unsafe_get (Lanes.lo w.st) i <> A1.unsafe_get (Lanes.lo good.g) i
 
-(* Propagate a differing value [v_start] on [start] through its cone.
-   A node is re-evaluated only when a fanin carries a differing word;
-   values that settle back to the good value are not stamped, so the
-   frontier can die ([last_effect] tracks the furthest schedule position
-   any live difference can still reach). *)
-let walk_cone an s genv good_cap obs_out observe_captures
-    (c : Analysis.cone) start v_start =
-  let nl = Analysis.netlist an in
-  let fval = Analysis.Scratch.fval s and stamp = Analysis.Scratch.stamp s in
-  let gen = Analysis.Scratch.fresh_gen s in
-  stamp.(start) <- gen;
-  fval.(start) <- v_start;
-  let sched = c.Analysis.sched in
-  let last_sink = c.Analysis.last_sink in
-  let last_effect = ref c.Analysis.stem_last in
-  let nsched = Array.length sched in
+let restore good w i =
+  A1.unsafe_set (Lanes.hi w.st) i (A1.unsafe_get (Lanes.hi good.g) i);
+  A1.unsafe_set (Lanes.lo w.st) i (A1.unsafe_get (Lanes.lo good.g) i)
+
+(* Re-evaluate the fanout cone of [d], whose value differs from the good
+   one, up to the last schedule position a live difference can still
+   reach; observe the cone's outputs and captures; put the walked nodes
+   back. *)
+let walk_cone an good w obs_out observe_captures d =
+  let c = Analysis.cone an w.scratch d in
+  let sched = c.Analysis.sched and last_sink = c.Analysis.last_sink in
+  let last = ref c.Analysis.stem_last in
   let k = ref 0 in
-  while !k < nsched && !k <= !last_effect do
+  while !k < Array.length sched && !k <= !last do
     let i = sched.(!k) in
-    let fanin = Netlist.fanin nl i in
-    let a = Array.length fanin in
-    let dirty = ref false in
-    for p = 0 to a - 1 do
-      if stamp.(fanin.(p)) = gen then dirty := true
-    done;
-    if !dirty then begin
-      let ins = Analysis.Scratch.ins s a in
-      for p = 0 to a - 1 do
-        let d = fanin.(p) in
-        ins.(p) <- (if stamp.(d) = gen then fval.(d) else genv.(d))
-      done;
-      let v = Eval.comb_par (Netlist.kind nl i) ins in
-      if not (Dualrail.equal v genv.(i)) then begin
-        fval.(i) <- v;
-        stamp.(i) <- gen;
-        if last_sink.(!k) > !last_effect then last_effect := last_sink.(!k)
-      end
-    end;
+    Lanes.eval w.st i;
+    if differs good w i && last_sink.(!k) > !last then last := last_sink.(!k);
     incr k
   done;
-  let det = ref 0L and pt = ref 0L in
-  Array.iter
-    (fun o ->
-      if obs_out.(o) && stamp.(o) = gen then begin
-        det := Int64.logor !det (Dualrail.diff_mask genv.(o) fval.(o));
-        pt := Int64.logor !pt (pt_mask genv.(o) fval.(o))
-      end)
-    c.Analysis.outs;
-  if observe_captures then
-    Array.iter
-      (fun sq ->
-        let fanin = Netlist.fanin nl sq in
-        let a = Array.length fanin in
-        let ins = Analysis.Scratch.ins s a in
-        let dirty = ref false in
-        for p = 0 to a - 1 do
-          let d = fanin.(p) in
-          if stamp.(d) = gen then begin
-            dirty := true;
-            ins.(p) <- fval.(d)
-          end
-          else ins.(p) <- genv.(d)
-        done;
-        if !dirty then begin
-          let fv = capture_ins (Netlist.kind nl sq) ins in
-          det := Int64.logor !det (Dualrail.diff_mask good_cap.(sq) fv);
-          pt := Int64.logor !pt (pt_mask good_cap.(sq) fv)
-        end)
-      c.Analysis.seqs;
-  (!det, !pt)
+  Array.iter (fun o -> if obs_out.(o) then observe_node good w o) c.Analysis.outs;
+  if observe_captures then Array.iter (observe_capture good w) c.Analysis.seqs;
+  for j = 0 to !k - 1 do
+    restore good w sched.(j)
+  done
 
-let eval_fault_cone an s genv good_cap obs_out observe_captures (f : Fault.t) =
+(* Force [f] in all 64 lanes of the worker's state and accumulate its
+   detected / possibly-detected lanes in [w.acc]. *)
+let eval_fault an engine good w ~outs ~seqs obs_out observe_captures
+    (f : Fault.t) =
   let nl = Analysis.netlist an in
-  let stuck = stuck_word f in
-  let fnode = f.Fault.site.Fault.node in
-  match f.Fault.site.Fault.pin with
-  | Cell.Pin.Clk -> (0L, 0L) (* no combinational meaning; filtered earlier *)
-  | Cell.Pin.Out -> (
-    match Netlist.kind nl fnode with
-    | Cell.Tie0 | Cell.Tie1 | Cell.Tiex ->
-      (0L, 0L) (* ties are outside the topo order; never injected *)
-    | _ ->
-      if Dualrail.equal stuck genv.(fnode) then (0L, 0L)
-      else
-        walk_cone an s genv good_cap obs_out observe_captures
-          (Analysis.cone an s fnode) fnode stuck)
-  | Cell.Pin.In p ->
-    let kind = Netlist.kind nl fnode in
-    let fanin = Netlist.fanin nl fnode in
-    let a = Array.length fanin in
-    if p >= a then (0L, 0L)
-    else begin
-    let ins = Analysis.Scratch.ins s a in
-    for q = 0 to a - 1 do
-      ins.(q) <- genv.(fanin.(q))
-    done;
-    ins.(p) <- stuck;
-    if Cell.is_seq kind then
-      (* the only batch-local effect is this flip-flop's capture *)
-      if not observe_captures then (0L, 0L)
-      else begin
-        let fv = capture_ins kind ins in
-        (Dualrail.diff_mask good_cap.(fnode) fv, pt_mask good_cap.(fnode) fv)
-      end
-    else begin
-      let v = Eval.comb_par kind ins in
-      if Dualrail.equal v genv.(fnode) then (0L, 0L)
-      else
-        walk_cone an s genv good_cap obs_out observe_captures
-          (Analysis.cone an s fnode) fnode v
-    end
-    end
+  A1.unsafe_set w.acc 0 0L;
+  A1.unsafe_set w.acc 1 0L;
+  let { Fault.node; pin } = f.Fault.site in
+  match (pin, Netlist.kind nl node) with
+  | Cell.Pin.Clk, _ -> () (* no combinational meaning *)
+  | Cell.Pin.Out, (Cell.Tie0 | Cell.Tie1 | Cell.Tiex) ->
+    () (* a tie's stem fault never acts *)
+  | _, kind ->
+    Lanes.inject w.st ~node pin ~lanes:(-1L) ~stuck:f.Fault.stuck;
+    (match engine with
+    | Full_settle ->
+      Lanes.settle w.st;
+      Array.iter (observe_node good w) outs;
+      if observe_captures then Array.iter (observe_capture good w) seqs
+    | Cone -> (
+      match pin with
+      | Cell.Pin.In _ when Cell.is_seq kind ->
+        (* the only batch-local effect is this flop's capture *)
+        if observe_captures then observe_capture good w node
+      | _ ->
+        Lanes.eval w.st node;
+        if differs good w node then begin
+          walk_cone an good w obs_out observe_captures node;
+          restore good w node
+        end));
+    Lanes.clear w.st ~node pin
 
-(* ------------------------------------------------------------------ *)
-(* Batched run over a fault list, sharded across a domain pool.        *)
-(* ------------------------------------------------------------------ *)
+(* Lane [l] of every source holds pattern [base + l]; lanes past the last
+   pattern stay X. *)
+let load_batch good srcs patterns ~base ~lanes =
+  Lanes.reset good.g ~init:Logic4.X;
+  Array.iteri
+    (fun k src ->
+      let hi = ref (-1L) and lo = ref (-1L) in
+      for l = 0 to lanes - 1 do
+        let m = Int64.lognot (Int64.shift_left 1L l) in
+        match patterns.(base + l).(k) with
+        | Logic4.L0 -> hi := !hi &. m
+        | Logic4.L1 -> lo := !lo &. m
+        | Logic4.X | Logic4.Z -> ()
+      done;
+      Lanes.set_rails good.g src ~hi:!hi ~lo:!lo)
+    srcs
 
 let run ?(observe_captures = true) ?(observable_output = fun _ -> true)
     ?(engine = Cone) ?jobs ?(trace = Trace.null) nl fl patterns =
@@ -245,19 +149,28 @@ let run ?(observe_captures = true) ?(observable_output = fun _ -> true)
   let srcs = Analysis.sources an in
   let n = Netlist.length nl in
   let nfaults = Flist.size fl in
+  let seqs = Netlist.seq_nodes nl in
+  let outs =
+    Array.of_list (List.filter observable_output (Array.to_list (Netlist.outputs nl)))
+  in
   let obs_out = Array.make n false in
-  Array.iter
-    (fun o -> if observable_output o then obs_out.(o) <- true)
-    (Netlist.outputs nl);
+  Array.iter (fun o -> obs_out.(o) <- true) outs;
+  let core = Lanes.compile nl in
+  let good = { g = Lanes.create core; cap_hi = words n; cap_lo = words n } in
   let detected = ref 0 and possibly = ref 0 in
   Pool.with_pool ~jobs (fun pool ->
       let nw = Pool.jobs pool in
-      let scratches = Array.init nw (fun _ -> Analysis.Scratch.create an) in
-      let fenvs =
-        match engine with
-        | Cone -> [||]
-        | Full_settle ->
-          Array.init nw (fun _ -> Array.make n Dualrail.unknown)
+      (* the per-fault words are padded to 128 bytes, so no two workers'
+         share a cache line *)
+      let workers =
+        Array.init nw (fun _ ->
+            {
+              st = Lanes.create core;
+              scratch = Analysis.Scratch.create an;
+              fcap_hi = words 16;
+              fcap_lo = words 16;
+              acc = words 16;
+            })
       in
       (* stride-padded per-worker counters: adjacent slots would
          false-share when every worker bumps its own tally *)
@@ -271,35 +184,27 @@ let run ?(observe_captures = true) ?(observable_output = fun _ -> true)
           ~site:(fun k -> (Flist.fault fl k).Fault.site.Fault.node)
           nfaults
       in
-      let good_cap = Array.make n Dualrail.unknown in
       let nbatches = (Array.length patterns + 63) / 64 in
       for batch = 0 to nbatches - 1 do
         let base = batch * 64 in
         let lanes = min 64 (Array.length patterns - base) in
-        let lane_full =
+        let live =
           if lanes = 64 then -1L
           else Int64.sub (Int64.shift_left 1L lanes) 1L
         in
-        let genv = Par_sim.init nl Dualrail.unknown in
-        Array.iteri
-          (fun k src ->
-            let v = ref Dualrail.unknown in
-            for lane = 0 to lanes - 1 do
-              v := Dualrail.set !v lane patterns.(base + lane).(k)
-            done;
-            genv.(src) <- !v)
-          srcs;
-        Par_sim.settle nl genv;
+        load_batch good srcs patterns ~base ~lanes;
+        Lanes.settle good.g;
         if observe_captures then
           Array.iter
-            (fun (s, v) -> good_cap.(s) <- v)
-            (Par_sim.next_states nl genv);
+            (fun s -> Lanes.capture good.g s ~hi:good.cap_hi ~lo:good.cap_lo s)
+            seqs;
+        Array.iter (fun w -> Lanes.blit ~src:good.g ~dst:w.st) workers;
         (* Sharding discipline: each fault index is processed by exactly
            one worker per batch; statuses and per-worker counters touch
            disjoint slots, so results are independent of scheduling. *)
         Pool.parallel_chunks pool ~n:nfaults ~chunk:256 ~trace ~label:"fsim"
           (fun ~worker ~lo ~hi ->
-            let s = scratches.(worker) in
+            let w = workers.(worker) in
             let nact = ref 0 in
             for k = lo to hi - 1 do
               let fi = order.(k) in
@@ -314,23 +219,15 @@ let run ?(observe_captures = true) ?(observable_output = fun _ -> true)
               in
               if active then begin
                 incr nact;
-                let det, pt =
-                  match engine with
-                  | Cone ->
-                    eval_fault_cone an s genv good_cap obs_out
-                      observe_captures f
-                  | Full_settle ->
-                    eval_fault_full an s fenvs.(worker) genv good_cap
-                      obs_out observe_captures f
-                in
-                let det = Int64.logand det lane_full in
-                let pt = Int64.logand pt lane_full in
-                if det <> 0L then begin
+                eval_fault an engine good w ~outs ~seqs obs_out
+                  observe_captures f;
+                if A1.get w.acc 0 &. live <> 0L then begin
                   Flist.set_status fl fi Status.Detected;
                   wdet.(worker * stride) <- wdet.(worker * stride) + 1
                 end
                 else if
-                  pt <> 0L && not (Status.equal st Status.Possibly_detected)
+                  A1.get w.acc 1 &. live <> 0L
+                  && not (Status.equal st Status.Possibly_detected)
                 then begin
                   Flist.set_status fl fi Status.Possibly_detected;
                   wposs.(worker * stride) <- wposs.(worker * stride) + 1
@@ -351,22 +248,6 @@ let run ?(observe_captures = true) ?(observable_output = fun _ -> true)
     Trace.add trace "fsim.possibly" !possibly
   end;
   { patterns = Array.length patterns; detected = !detected; possibly = !possibly }
-
-(* ------------------------------------------------------------------ *)
-(* Single-pattern helpers                                              *)
-(* ------------------------------------------------------------------ *)
-
-let faulty_outputs nl f pattern =
-  let an = Analysis.get nl in
-  let scratch = Analysis.Scratch.create an in
-  let srcs = Analysis.sources an in
-  let env = Par_sim.init nl Dualrail.unknown in
-  Array.iteri
-    (fun k src -> env.(src) <- Dualrail.const pattern.(k))
-    srcs;
-  let operand = settle_faulty an scratch env f in
-  Netlist.outputs nl |> Array.to_list
-  |> List.map (fun o -> (o, Dualrail.get (operand o 0) 0))
 
 let detects ?(observe_captures = true) ?observable_output nl f pattern =
   let fl = Flist.create nl [| f |] in

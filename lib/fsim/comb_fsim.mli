@@ -4,11 +4,13 @@ open Olfu_fault
 
 (** Parallel-pattern single-fault (PPSFP) combinational fault simulation:
     64 patterns per gate evaluation, one fault at a time, with fault
-    dropping.
+    dropping, on the word-level core {!Olfu_sim.Lanes}.
 
     Patterns assign primary inputs {e and} flip-flop outputs (full-access
     view); detection is observed on primary outputs and flip-flop capture
-    values, matching {!Olfu_atpg.Podem}'s model. *)
+    values, matching {!Olfu_atpg.Podem}'s model.  A capture is computed
+    from the flop's operands: its own stem fault and clock pin play no
+    part, and a tie's stem fault never acts. *)
 
 type pattern = Logic4.t array
 (** One value per entry of [Netlist.inputs nl] followed by one per entry
@@ -29,8 +31,8 @@ type engine =
   | Cone
       (** settle the good circuit once per 64-pattern batch, then per
           fault re-evaluate only the levelized fanout cone of the fault
-          site, exiting early when the event frontier dies out *)
-  | Full_settle  (** re-evaluate the entire netlist for every fault *)
+          site, up to the last position a live difference can reach *)
+  | Full_settle  (** re-settle the entire netlist for every fault *)
 
 val run :
   ?observe_captures:bool ->
@@ -57,12 +59,6 @@ val run :
     ["fsim.batches"], ["fsim.fault_evals"], ["fsim.detected"] and
     ["fsim.possibly"] (fault dropping is batch-synchronous, so the
     evaluation count does not depend on scheduling). *)
-
-val faulty_outputs :
-  Netlist.t -> Fault.t -> pattern -> (int * Olfu_logic.Logic4.t) list
-(** Output-marker values of the faulty circuit under one pattern
-    [(marker node, value)] — the prediction a fault dictionary compares
-    against silicon observations. *)
 
 val detects :
   ?observe_captures:bool ->

@@ -58,7 +58,7 @@ let run ?(init = Logic4.X) ?(observe = fun _ -> true) ?jobs
     Array.iteri
       (fun k fi ->
         let { Fault.site = { node; pin }; stuck } = Flist.fault fl fi in
-        Lanes.inject st ~node pin ~lane:(k + 1) ~stuck)
+        Lanes.inject st ~node pin ~lanes:(Int64.shift_left 1L (k + 1)) ~stuck)
       faults;
     Lanes.reset st ~init;
     replay st stimulus ~strobe:(fun () -> Lanes.strobe st outs ~into:0);

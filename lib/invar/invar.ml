@@ -146,7 +146,7 @@ let[@inline] binary st i =
 
 (* Lanes (as a mask) where the candidate is violated in this cycle.  X
    lanes never violate: a candidate is only refuted by a binary
-   counterexample, exactly like {!Dualrail.diff_mask}. *)
+   counterexample, as a fault is only detected by one. *)
 let violation st = function
   | Const { ff; value } -> if value then zeros st ff else ones st ff
   | Implies { a; av; b; bv } ->

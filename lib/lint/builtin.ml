@@ -9,6 +9,7 @@
 
 open Olfu_logic
 open Olfu_netlist
+module Scan_trace = Olfu_manip.Scan_trace
 
 let name = Ctx.name
 
@@ -52,11 +53,11 @@ let scan_002 =
     (fun ctx ->
       Ctx.chains ctx
       |> List.filter_map (fun c ->
-             if c.Ctx.hops = [] then
+             if c.Scan_trace.hops = [] then
                Some
-                 (Rule.raw ~node:c.Ctx.scan_in
+                 (Rule.raw ~node:c.Scan_trace.scan_in
                     (Printf.sprintf "scan-in %s reaches no scan cell"
-                       (name ctx c.Ctx.scan_in)))
+                       (name ctx c.Scan_trace.scan_in)))
              else None))
 
 let scan_003 =
@@ -68,11 +69,11 @@ let scan_003 =
     (fun ctx ->
       Ctx.chains ctx
       |> List.filter_map (fun c ->
-             if c.Ctx.hops <> [] && c.Ctx.scan_out = None then
+             if c.Scan_trace.hops <> [] && c.Scan_trace.scan_out = None then
                Some
-                 (Rule.raw ~node:c.Ctx.scan_in
+                 (Rule.raw ~node:c.Scan_trace.scan_in
                     (Printf.sprintf "chain from %s has no scan-out port"
-                       (name ctx c.Ctx.scan_in)))
+                       (name ctx c.Scan_trace.scan_in)))
              else None))
 
 let scan_004 =
@@ -158,8 +159,8 @@ let scan_006 =
       List.mapi (fun i c -> (i, c)) (Ctx.chains ctx)
       |> List.filter_map (fun (i, c) ->
              let path =
-               List.concat_map (fun h -> h.Ctx.path) c.Ctx.hops
-               @ c.Ctx.tail_path
+               List.concat_map (fun h -> h.Scan_trace.path) c.Scan_trace.hops
+               @ c.Scan_trace.tail_path
              in
              if path = [] then None
              else
@@ -171,13 +172,13 @@ let scan_006 =
                       path)
                in
                Some
-                 (Rule.raw ~node:c.Ctx.scan_in ~path
+                 (Rule.raw ~node:c.Scan_trace.scan_in ~path
                     (Printf.sprintf
                        "chain %d (%s): %d cells, %d shift-path buffers (%d \
                         inverting)"
                        i
-                       (name ctx c.Ctx.scan_in)
-                       (List.length c.Ctx.hops)
+                       (name ctx c.Scan_trace.scan_in)
+                       (List.length c.Scan_trace.hops)
                        (List.length path) inverting))))
 
 let scan_007 =
@@ -191,7 +192,7 @@ let scan_007 =
     (fun ctx ->
       let lengths =
         Ctx.chains ctx
-        |> List.map (fun c -> List.length c.Ctx.hops)
+        |> List.map (fun c -> List.length c.Scan_trace.hops)
         |> List.filter (fun l -> l > 0)
       in
       match lengths with

@@ -11,15 +11,6 @@ type thresholds = {
 let default_thresholds =
   { max_fanout = 512; max_depth = 2048; chain_imbalance = 300; scoap_top = 3 }
 
-type hop = { cell : int; path : int list }
-
-type chain = {
-  scan_in : int;
-  hops : hop list;
-  scan_out : int option;
-  tail_path : int list;
-}
-
 type trace = { origin : int; inverted : bool; through : int list }
 
 type software = {
@@ -50,7 +41,7 @@ type t = {
   scoap : Olfu_atpg.Scoap.t Lazy.t;
   observe : Olfu_atpg.Observe.t Lazy.t;
   dead : int list Lazy.t;
-  chains : chain list Lazy.t;
+  chains : Olfu_manip.Scan_trace.chain list Lazy.t;
   chain_cells : (int, unit) Hashtbl.t Lazy.t;
   si_cycles : int list list Lazy.t;
   slice : Olfu_slice.Slice.t Lazy.t;
@@ -77,46 +68,6 @@ let back_trace nl net =
 
 let is_scan_cell nl i =
   match Netlist.kind nl i with Cell.Sdff | Cell.Sdffr -> true | _ -> false
-
-(* First-match hop from [net] to the next SI pin or scan-out port, crossing
-   buffers/inverters (recorded in shift order). *)
-let next_hop nl net =
-  let rec hop net path =
-    let fanout = Netlist.fanout nl net in
-    let rec scan k =
-      if k >= Array.length fanout then None
-      else
-        let sink, pin = fanout.(k) in
-        match Netlist.kind nl sink with
-        | (Cell.Sdff | Cell.Sdffr) when pin = 1 ->
-          Some (`Cell sink, List.rev path)
-        | Cell.Output when Netlist.has_role nl sink Netlist.Scan_out ->
-          Some (`Out sink, List.rev path)
-        | Cell.Buf | Cell.Not -> (
-          match hop sink (sink :: path) with
-          | Some h -> Some h
-          | None -> scan (k + 1))
-        | _ -> scan (k + 1)
-    in
-    scan 0
-  in
-  hop net []
-
-let trace_chains nl =
-  let trace_from port =
-    let rec follow net hops =
-      match next_hop nl net with
-      | Some (`Cell ff, path) -> follow ff ({ cell = ff; path } :: hops)
-      | Some (`Out o, path) -> (List.rev hops, Some o, path)
-      | None -> (List.rev hops, None, [])
-    in
-    let hops, scan_out, tail_path = follow port [] in
-    { scan_in = port; hops; scan_out; tail_path }
-  in
-  Netlist.nodes_with_role nl Netlist.Scan_in
-  |> Array.to_list
-  |> List.filter (fun i -> Cell.equal_kind (Netlist.kind nl i) Cell.Input)
-  |> List.map trace_from
 
 (* Shift-path cycles.  Each scan cell has one SI pin with one driver; the
    backward trace of that driver through buffers yields at most one
@@ -221,7 +172,7 @@ let combined_assume nl software =
   @ (match software with Some s -> s.sw_assume | None -> [])
 
 let create ?(thresholds = default_thresholds) ?software ?invariants nl =
-  let chains = lazy (trace_chains nl) in
+  let chains = lazy (Olfu_manip.Scan_trace.trace nl) in
   let ternary = lazy (Olfu_atpg.Ternary.run nl) in
   {
     nl;
@@ -242,7 +193,10 @@ let create ?(thresholds = default_thresholds) ?software ?invariants nl =
       lazy
         (let h = Hashtbl.create 97 in
          List.iter
-           (fun c -> List.iter (fun hp -> Hashtbl.replace h hp.cell ()) c.hops)
+           (fun c ->
+             List.iter
+               (fun cell -> Hashtbl.replace h cell ())
+               (Olfu_manip.Scan_trace.cells c))
            (Lazy.force chains);
          h);
     si_cycles = lazy (compute_si_cycles nl);

@@ -9,11 +9,9 @@ open Olfu_netlist
     the full registry performs each analysis at most once no matter how
     many rules consume it.
 
-    The scan tracer is deliberately richer than
-    [Olfu_manip.Scan_trace.trace] (which this library must not depend on —
-    [olfu_manip] sits above [olfu_lint] in the dependency order): it
-    records the buffers/inverters of every shift-path hop, which feeds
-    the polarity, census and loop rules. *)
+    The scan chains are {!Olfu_manip.Scan_trace.trace}'s, whose hops
+    record the buffers/inverters crossed on the shift path; they feed the
+    polarity, census and loop rules. *)
 
 (** Tunable limits consumed by the structural rules. *)
 type thresholds = {
@@ -25,18 +23,6 @@ type thresholds = {
 }
 
 val default_thresholds : thresholds
-
-(** One shift-path hop: the mux-scan cell reached and the buffers or
-    inverters crossed since the previous cell (or the scan-in port), in
-    shift order. *)
-type hop = { cell : int; path : int list }
-
-type chain = {
-  scan_in : int;  (** the scan-in input port *)
-  hops : hop list;  (** cells in shift order, with their entry paths *)
-  scan_out : int option;  (** terminating output marker, if any *)
-  tail_path : int list;  (** buffers between the last cell and scan-out *)
-}
 
 (** Result of walking a net backward through buffers/inverters. *)
 type trace = {
@@ -135,7 +121,7 @@ val observe : t -> Olfu_atpg.Observe.t
 val dead_nodes : t -> int list
 (** Nodes with no structural path to any output marker (inputs exempt). *)
 
-val chains : t -> chain list
+val chains : t -> Olfu_manip.Scan_trace.chain list
 val chain_cells : t -> (int, unit) Hashtbl.t
 (** The set of mux-scan cells reached by some chain. *)
 

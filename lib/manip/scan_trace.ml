@@ -1,40 +1,51 @@
 open Olfu_netlist
 open Olfu_fault
 
+type hop = { cell : int; path : int list }
+
 type chain = {
   scan_in : int;
-  cells : int list;
+  hops : hop list;
   scan_out : int option;
+  tail_path : int list;
 }
 
-(* Follow the scan path leaving [net]: through buffers/inverters to the SI
-   pin of the next cell, or to a scan-out port. *)
-let rec next_hop nl net =
-  let fanout = Netlist.fanout nl net in
-  let rec scan k =
-    if k >= Array.length fanout then None
-    else
-      let sink, pin = fanout.(k) in
-      match Netlist.kind nl sink with
-      | (Cell.Sdff | Cell.Sdffr) when pin = 1 -> Some (`Cell sink)
-      | Cell.Output when Netlist.has_role nl sink Netlist.Scan_out ->
-        Some (`Out sink)
-      | Cell.Buf | Cell.Not -> (
-        match next_hop nl sink with Some h -> Some h | None -> scan (k + 1))
-      | _ -> scan (k + 1)
+let cells c = List.map (fun h -> h.cell) c.hops
+
+(* First-match hop from [net] to the next SI pin or scan-out port, crossing
+   buffers/inverters (recorded in shift order). *)
+let next_hop nl net =
+  let rec hop net path =
+    let fanout = Netlist.fanout nl net in
+    let rec scan k =
+      if k >= Array.length fanout then None
+      else
+        let sink, pin = fanout.(k) in
+        match Netlist.kind nl sink with
+        | (Cell.Sdff | Cell.Sdffr) when pin = 1 ->
+          Some (`Cell sink, List.rev path)
+        | Cell.Output when Netlist.has_role nl sink Netlist.Scan_out ->
+          Some (`Out sink, List.rev path)
+        | Cell.Buf | Cell.Not -> (
+          match hop sink (sink :: path) with
+          | Some h -> Some h
+          | None -> scan (k + 1))
+        | _ -> scan (k + 1)
+    in
+    scan 0
   in
-  scan 0
+  hop net []
 
 let trace nl =
   let trace_from port =
-    let rec follow net acc =
+    let rec follow net hops =
       match next_hop nl net with
-      | Some (`Cell ff) -> follow ff (ff :: acc)
-      | Some (`Out o) -> (List.rev acc, Some o)
-      | None -> (List.rev acc, None)
+      | Some (`Cell ff, path) -> follow ff ({ cell = ff; path } :: hops)
+      | Some (`Out o, path) -> (List.rev hops, Some o, path)
+      | None -> (List.rev hops, None, [])
     in
-    let cells, scan_out = follow port [] in
-    { scan_in = port; cells; scan_out }
+    let hops, scan_out, tail_path = follow port [] in
+    { scan_in = port; hops; scan_out; tail_path }
   in
   Netlist.nodes_with_role nl Netlist.Scan_in
   |> Array.to_list
@@ -127,5 +138,5 @@ let pp_chain nl ppf c =
     match Netlist.name nl i with Some s -> s | None -> Printf.sprintf "n%d" i
   in
   Format.fprintf ppf "%s -> [%d cells] -> %s" (name c.scan_in)
-    (List.length c.cells)
+    (List.length c.hops)
     (match c.scan_out with Some o -> name o | None -> "(open)")

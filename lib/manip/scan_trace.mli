@@ -11,16 +11,26 @@ open Olfu_fault
     {- every fault of buffers/inverters living purely on the scan path
        (including the scan-in port and the scan-out pin) is untestable.}} *)
 
+(** One shift-path hop: the mux-scan cell reached and the buffers or
+    inverters crossed since the previous cell (or the scan-in port), in
+    shift order. *)
+type hop = { cell : int; path : int list }
+
 type chain = {
   scan_in : int;  (** the scan-in input port *)
-  cells : int list;  (** mux-scan cells in shift order *)
+  hops : hop list;  (** cells in shift order, with their entry paths *)
   scan_out : int option;  (** output marker terminating the chain *)
+  tail_path : int list;  (** buffers between the last cell and scan-out *)
 }
+
+val cells : chain -> int list
+(** The chain's mux-scan cells in shift order. *)
 
 val trace : Netlist.t -> chain list
 (** Follows each {!Netlist.Scan_in} port through buffers/inverters and
-    mux-scan SI pins up to a {!Netlist.Scan_out} port.  Cells not reached
-    by any chain are simply absent from the result. *)
+    mux-scan SI pins up to a {!Netlist.Scan_out} port, taking the first
+    match in fanout order at each net.  Cells not reached by any chain
+    are simply absent from the result. *)
 
 val scan_only_nodes : Netlist.t -> int list
 (** Nodes (buffers, inverters, scan-in ports) whose every transitive

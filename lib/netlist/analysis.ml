@@ -1,5 +1,3 @@
-open Olfu_logic
-
 type cone = {
   sched : int array;
   last_sink : int array;
@@ -14,7 +12,6 @@ type t = {
   nl : Netlist.t;
   sources : int array;
   topo_pos : int array;
-  max_arity : int;
   cones : cone option array;
   mutable ipdom : int array option;
       (* global immediate post-dominators towards the virtual observation
@@ -39,7 +36,6 @@ let memo_budget = 4_000_000
 
 let netlist t = t.nl
 let sources t = t.sources
-let max_arity t = t.max_arity
 let topo_pos t = t.topo_pos
 
 let find_cache t f =
@@ -56,11 +52,6 @@ let add_cache t c =
   Mutex.unlock t.cm
 
 type scratch = {
-  owner : t;
-  fval : Dualrail.t array;
-  stamp : int array;
-  mutable gen : int;
-  ins_by_arity : Dualrail.t array array;
   (* cone-builder state *)
   cvis : int array;
   pvis : int array;
@@ -79,13 +70,6 @@ module Scratch = struct
   let create a =
     let n = Netlist.length a.nl in
     {
-      owner = a;
-      fval = Array.make n Dualrail.unknown;
-      stamp = Array.make n 0;
-      gen = 0;
-      ins_by_arity =
-        Array.init (a.max_arity + 1) (fun k ->
-            Array.make k Dualrail.unknown);
       cvis = Array.make n 0;
       pvis = Array.make n 0;
       cposv = Array.make n 0;
@@ -95,15 +79,6 @@ module Scratch = struct
       last_dom_stem = -1;
       last_dom = [||];
     }
-
-  let fval s = s.fval
-  let stamp s = s.stamp
-
-  let fresh_gen s =
-    s.gen <- s.gen + 1;
-    s.gen
-
-  let ins s arity = s.ins_by_arity.(arity)
 end
 
 (* Build the cone of stem [d]: frontier scan over fanouts (stopping at
@@ -409,17 +384,10 @@ let make nl =
   let n = Netlist.length nl in
   let topo_pos = Array.make n (-1) in
   Array.iteri (fun k i -> topo_pos.(i) <- k) (Netlist.topo nl);
-  let max_arity = ref 0 in
-  Netlist.iter_nodes
-    (fun _ nd ->
-      let a = Array.length nd.Netlist.fanin in
-      if a > !max_arity then max_arity := a)
-    nl;
   {
     nl;
     sources = Array.append (Netlist.inputs nl) (Netlist.seq_nodes nl);
     topo_pos;
-    max_arity = !max_arity;
     cones = Array.make n None;
     ipdom = None;
     cost = None;

@@ -1,5 +1,3 @@
-open Olfu_logic
-
 (** Memoized per-netlist structural analysis shared by the simulation and
     classification engines.
 
@@ -58,8 +56,6 @@ val sources : t -> int array
     order of the fault simulators.  Computed once (hoists the
     [Array.append] out of hot loops). *)
 
-val max_arity : t -> int
-
 val topo_pos : t -> int array
 (** Topological evaluation position per node ([-1] for source nodes,
     which precede the combinational schedule).  A node [f] with
@@ -85,25 +81,14 @@ type cone = {
           by the stem — the capture observation points of the cone *)
 }
 
-(** Per-worker mutable scratch: value/stamp buffers sized to the netlist,
-    per-arity operand arrays, and a one-entry cone cache.  Never share a
-    scratch between domains. *)
+(** Per-worker mutable scratch: the cone builder's visit marks and
+    one-entry cone and dominator-chain caches.  Never share a scratch
+    between domains. *)
 module Scratch : sig
   type analysis := t
   type t
 
   val create : analysis -> t
-
-  val fval : t -> Dualrail.t array
-  (** Faulty-value buffer, valid only where {!stamp} equals the current
-      generation. *)
-
-  val stamp : t -> int array
-  val fresh_gen : t -> int
-  (** Bumps and returns the generation, invalidating previous stamps. *)
-
-  val ins : t -> int -> Dualrail.t array
-  (** Preallocated operand buffer of exactly the given arity. *)
 end
 
 val cone : t -> Scratch.t -> int -> cone

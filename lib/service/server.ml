@@ -92,11 +92,12 @@ let handle_conn st fd =
         in
         if continue && not (Atomic.get st.stop) then loop ()
   in
-  loop ();
-  (* ic and oc share the descriptor; close_out flushes and closes it,
-     the second close's EBADF is expected *)
-  (try close_out oc with Sys_error _ -> ());
-  try Unix.close fd with Unix.Unix_error _ -> ()
+  (* every path closes the connection, so a client never waits on a
+     descriptor nobody answers; ic and oc share it, close_out flushes and
+     closes it, the second close's EBADF is expected *)
+  Fun.protect loop ~finally:(fun () ->
+      (try close_out oc with Sys_error _ -> ());
+      try Unix.close fd with Unix.Unix_error _ -> ())
 
 let accept_loop st =
   let exception Done in

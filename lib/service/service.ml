@@ -1039,4 +1039,9 @@ let execute session ?(sink = Trace.null) (req : Req.t) =
     try run_op session sink req.Req.id r with
     | Bad_request msg -> (Resp.fail ~id:req.Req.id msg, empty_meta)
     | Stack_overflow | Out_of_memory ->
-      (Resp.fail ~id:req.Req.id "resource exhaustion", empty_meta))
+      (Resp.fail ~id:req.Req.id "resource exhaustion", empty_meta)
+    | e ->
+      (* an engine's exception must reach neither an in-process caller
+         nor the daemon's connection handler *)
+      ( Resp.fail ~id:req.Req.id ("internal error: " ^ Printexc.to_string e),
+        empty_meta ))

@@ -43,4 +43,6 @@ val execute :
 (** Serve one request.  [sink] receives the engines' spans and counters
     when recording (cache hits record nothing — no engine runs).
     Control requests ([Ping]/[Stats]/[Shutdown]) are answered locally;
-    acting on [Shutdown] is the server's business. *)
+    acting on [Shutdown] is the server's business.  Raises nothing: an
+    exception out of an engine is answered [Bad_input] with the message
+    ["internal error: "] and the exception. *)

@@ -39,22 +39,6 @@ let comb5 (k : Cell.kind) (ins : Logic5.t array) : Logic5.t =
   | Tiex -> Logic5.X
   | Input | Dff | Dffr | Sdff | Sdffr -> bad k
 
-let comb_par (k : Cell.kind) (ins : Dualrail.t array) : Dualrail.t =
-  match k with
-  | Output | Buf -> ins.(0)
-  | Not -> Dualrail.not_ ins.(0)
-  | And -> fold1 Dualrail.and2 Dualrail.one ins
-  | Nand -> Dualrail.not_ (fold1 Dualrail.and2 Dualrail.one ins)
-  | Or -> fold1 Dualrail.or2 Dualrail.zero ins
-  | Nor -> Dualrail.not_ (fold1 Dualrail.or2 Dualrail.zero ins)
-  | Xor -> fold1 Dualrail.xor2 Dualrail.zero ins
-  | Xnor -> Dualrail.not_ (fold1 Dualrail.xor2 Dualrail.zero ins)
-  | Mux2 -> Dualrail.mux ~sel:ins.(0) ~a:ins.(1) ~b:ins.(2)
-  | Tie0 -> Dualrail.zero
-  | Tie1 -> Dualrail.one
-  | Tiex -> Dualrail.unknown
-  | Input | Dff | Dffr | Sdff | Sdffr -> bad k
-
 let next_state (k : Cell.kind) ~(ins : Logic4.t array) ~current =
   match k with
   | Dff -> ins.(0)

@@ -11,9 +11,6 @@ val comb : Cell.kind -> Logic4.t array -> Logic4.t
 val comb5 : Cell.kind -> Logic5.t array -> Logic5.t
 (** Five-valued variant for the ATPG. *)
 
-val comb_par : Cell.kind -> Dualrail.t array -> Dualrail.t
-(** 64-pattern bit-parallel variant. *)
-
 val next_state :
   Cell.kind -> ins:Logic4.t array -> current:Logic4.t -> Logic4.t
 (** Next flip-flop value at a clock edge.  [Dffr] treats an active (0)

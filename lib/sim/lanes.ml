@@ -14,7 +14,7 @@ type t = {
   slot : int array;  (* flop slot per node, -1 for the rest *)
 }
 
-let compile nl =
+let build nl =
   let n = Netlist.length nl in
   let kind = Array.init n (Netlist.kind nl) in
   let fanins = Array.init n (Netlist.fanin nl) in
@@ -34,6 +34,22 @@ let compile nl =
     |> Array.of_list
   in
   { kind; start; drv; sources; topo = Netlist.topo nl; seqs; slot }
+
+type Analysis.cache += Compiled of t
+
+(* Memoized on the netlist's analysis: every fault-simulation run asks
+   for it, and compiling per call would be most of a run's garbage. *)
+let compile nl =
+  let an = Analysis.get nl in
+  let find () =
+    Analysis.find_cache an (function Compiled c -> Some c | _ -> None)
+  in
+  match find () with
+  | Some c -> c
+  | None ->
+    Analysis.add_cache an (Compiled (build nl));
+    (* a sibling domain may have published first: share its value *)
+    Option.get (find ())
 
 type state = {
   c : t;
@@ -127,6 +143,26 @@ let set_state_word s i w =
   A1.set s.st_hi k w;
   A1.set s.st_lo k (Int64.lognot w)
 
+let set_rails s i ~hi ~lo =
+  let k = s.c.slot.(i) in
+  if k >= 0 then begin
+    A1.set s.st_hi k hi;
+    A1.set s.st_lo k lo
+  end
+  else begin
+    driven s i;
+    A1.set s.in_hi i hi;
+    A1.set s.in_lo i lo
+  end
+
+let blit ~src ~dst =
+  A1.blit src.hi dst.hi;
+  A1.blit src.lo dst.lo;
+  A1.blit src.in_hi dst.in_hi;
+  A1.blit src.in_lo dst.in_lo;
+  A1.blit src.st_hi dst.st_hi;
+  A1.blit src.st_lo dst.st_lo
+
 let set_state_lane s i ~lane v =
   let k = flop_slot s i and m = Int64.shift_left 1L lane in
   let put a rail =
@@ -141,8 +177,7 @@ let set_state_lane s i ~lane v =
 (* Fault masks                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let or_lane (a : words) j lane =
-  A1.set a j (Int64.logor (A1.get a j) (Int64.shift_left 1L lane))
+let or_lanes (a : words) j m = A1.set a j (Int64.logor (A1.get a j) m)
 
 (* The mask word of a site, or -1 when the site is not simulated (a
    clock pin of a non-flop, a pin past the cell's arity): such faults
@@ -151,15 +186,15 @@ let branch_slot s node p =
   let j = s.c.start.(node) + p in
   if p >= 0 && j < s.c.start.(node + 1) then j else -1
 
-let inject s ~node pin ~lane ~stuck =
+let inject s ~node pin ~lanes ~stuck =
   match (pin : Cell.Pin.t) with
-  | Out -> or_lane (if stuck then s.s1 else s.s0) node lane
+  | Out -> or_lanes (if stuck then s.s1 else s.s0) node lanes
   | In p ->
     let j = branch_slot s node p in
-    if j >= 0 then or_lane (if stuck then s.b1 else s.b0) j lane
+    if j >= 0 then or_lanes (if stuck then s.b1 else s.b0) j lanes
   | Clk ->
     let k = s.c.slot.(node) in
-    if k >= 0 then or_lane s.frz k lane
+    if k >= 0 then or_lanes s.frz k lanes
 
 let clear s ~node pin =
   match (pin : Cell.Pin.t) with
@@ -204,8 +239,8 @@ let[@inline] put s i h l =
   A1.unsafe_set s.hi i ((h &. lnot64 m0) |. m1);
   A1.unsafe_set s.lo i ((l &. lnot64 m1) |. m0)
 
-(* [Dualrail.mux], written into [(dh, dl)] at [k]: sel=0 -> a, sel=1 ->
-   b, sel=X -> the value both agree on, else X; a (0,0) lane becomes X. *)
+(* The 2:1 mux, written into [(dh, dl)] at [k]: sel=0 -> a, sel=1 -> b,
+   sel=X -> the value both agree on, else X; a (0,0) lane becomes X. *)
 let[@inline] mux (dh : words) (dl : words) k sh sl ah al bh bl =
   let pick0 = sl &. lnot64 sh and pick1 = sh &. lnot64 sl and selx = sh &. sl in
   let agree1 = ah &. bh &. lnot64 al &. lnot64 bl in
@@ -236,7 +271,7 @@ let[@inline] fold_or s i j0 j1 inv =
   done;
   store s i inv !h !l
 
-(* [Dualrail.xor2]: binary only where both operands are *)
+(* binary only where both operands are *)
 let[@inline] fold_xor s i j0 j1 inv =
   let h = ref 0L and l = ref (-1L) in
   for j = j0 to j1 - 1 do
@@ -248,7 +283,7 @@ let[@inline] fold_xor s i j0 j1 inv =
   done;
   store s i inv !h !l
 
-let eval s i =
+let eval_comb s i =
   let c = s.c in
   let j0 = Array.unsafe_get c.start i in
   let j1 = Array.unsafe_get c.start (i + 1) in
@@ -287,8 +322,43 @@ let settle s =
   done;
   let topo = c.topo in
   for k = 0 to Array.length topo - 1 do
-    eval s (Array.unsafe_get topo k)
+    eval_comb s (Array.unsafe_get topo k)
   done
+
+let eval s i =
+  match s.c.kind.(i) with
+  | Cell.Tie0 -> put s i 0L (-1L)
+  | Cell.Tie1 -> put s i (-1L) 0L
+  | Cell.Input | Cell.Tiex -> put s i (A1.get s.in_hi i) (A1.get s.in_lo i)
+  | Cell.Dff | Cell.Dffr | Cell.Sdff | Cell.Sdffr ->
+    let k = s.c.slot.(i) in
+    put s i (A1.get s.st_hi k) (A1.get s.st_lo k)
+  | _ -> eval_comb s i
+
+(* The value flop [i] captures at the next edge, from its operands,
+   written into [(nh, nl)] at [k]. *)
+let[@inline] next s i nh nl k =
+  let j0 = Array.unsafe_get s.c.start i in
+  match Array.unsafe_get s.c.kind i with
+  | Cell.Dff ->
+    A1.unsafe_set nh k (op_hi s j0);
+    A1.unsafe_set nl k (op_lo s j0)
+  | Cell.Dffr ->
+    mux nh nl k (op_hi s (j0 + 1)) (op_lo s (j0 + 1)) 0L (-1L)
+      (op_hi s j0) (op_lo s j0)
+  | Cell.Sdff ->
+    mux nh nl k (op_hi s (j0 + 2)) (op_lo s (j0 + 2)) (op_hi s j0)
+      (op_lo s j0) (op_hi s (j0 + 1)) (op_lo s (j0 + 1))
+  | Cell.Sdffr ->
+    mux nh nl k (op_hi s (j0 + 2)) (op_lo s (j0 + 2)) (op_hi s j0)
+      (op_lo s j0) (op_hi s (j0 + 1)) (op_lo s (j0 + 1));
+    mux nh nl k (op_hi s (j0 + 3)) (op_lo s (j0 + 3)) 0L (-1L)
+      (A1.unsafe_get nh k) (A1.unsafe_get nl k)
+  | _ -> assert false
+
+let capture s i ~hi ~lo k =
+  ignore (flop_slot s i : int);
+  next s i hi lo k
 
 let clock s =
   let c = s.c in
@@ -296,23 +366,7 @@ let clock s =
   let nh = s.nx_hi and nl = s.nx_lo in
   for k = 0 to Array.length seqs - 1 do
     let i = Array.unsafe_get seqs k in
-    let j0 = Array.unsafe_get c.start i in
-    (match Array.unsafe_get c.kind i with
-    | Cell.Dff ->
-      A1.unsafe_set nh k (op_hi s j0);
-      A1.unsafe_set nl k (op_lo s j0)
-    | Cell.Dffr ->
-      mux nh nl k (op_hi s (j0 + 1)) (op_lo s (j0 + 1)) 0L (-1L)
-        (op_hi s j0) (op_lo s j0)
-    | Cell.Sdff ->
-      mux nh nl k (op_hi s (j0 + 2)) (op_lo s (j0 + 2)) (op_hi s j0)
-        (op_lo s j0) (op_hi s (j0 + 1)) (op_lo s (j0 + 1))
-    | Cell.Sdffr ->
-      mux nh nl k (op_hi s (j0 + 2)) (op_lo s (j0 + 2)) (op_hi s j0)
-        (op_lo s j0) (op_hi s (j0 + 1)) (op_lo s (j0 + 1));
-      mux nh nl k (op_hi s (j0 + 3)) (op_lo s (j0 + 3)) 0L (-1L)
-        (A1.unsafe_get nh k) (A1.unsafe_get nl k)
-    | _ -> assert false);
+    next s i nh nl k;
     (* stem stuck-ats, then frozen lanes keep the pre-edge state *)
     let m0 = A1.unsafe_get s.s0 i and m1 = A1.unsafe_get s.s1 i in
     let f = A1.unsafe_get s.frz k in

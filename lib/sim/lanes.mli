@@ -1,17 +1,19 @@
 open Olfu_logic
 open Olfu_netlist
 
-(** The word-level sequential simulation core: 64 lanes of dual-rail
-    four-valued logic per node, compiled once per netlist, evaluated
-    without allocating.
+(** The word-level simulation core: 64 lanes of dual-rail four-valued
+    logic per node, compiled once per netlist, evaluated without
+    allocating.
 
-    Every 64-lane sequential loop runs on it: fault grading
-    ({!Olfu_fsim.Seq_fsim.run}: lane 0 is the good machine, lanes 1–63
-    faulty), SEU replay (lanes carry bit-flips), the SBST testbench (all
-    lanes equal, lane 0 read) and invariant mining (64 random lanes).
-    The semantics are exactly {!Dualrail} / {!Eval.comb_par}: a lane is
-    [1] = (1,0), [0] = (0,1), [X] = (1,1) on the [(hi, lo)] rails.
-    {!Seq_sim} stays the scalar oracle.
+    Every 64-lane loop runs on it: combinational fault grading
+    ({!Olfu_fsim.Comb_fsim.run}: lane [l] is pattern [base + l], the good
+    machine and each faulty one in states of their own), sequential
+    fault grading ({!Olfu_fsim.Seq_fsim.run}: lane 0 is the good machine,
+    lanes 1–63 faulty), SEU replay (lanes carry bit-flips), the SBST
+    testbench (all lanes equal, lane 0 read) and invariant mining (64
+    random lanes).  A lane is [1] = (1,0), [0] = (0,1), [X] = (1,1) on
+    the [(hi, lo)] rails; (0,0) is never produced (the mux turns it into
+    X).  {!Comb_sim} and {!Seq_sim} stay the scalar oracles.
 
     A cycle is {!settle} (sources, then flops, then the combinational
     nodes in {!Netlist.topo} order) followed by {!clock}.  Stuck-at
@@ -32,6 +34,9 @@ type state
 type words = (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 val compile : Netlist.t -> t
+(** Memoized per netlist (an {!Analysis.cache} entry), so every caller
+    of one netlist shares one compiled form. *)
+
 val create : t -> state
 (** Every mask and accumulator is clear; call {!reset} before a run. *)
 
@@ -57,13 +62,24 @@ val set_state_word : state -> int -> int64 -> unit
 val set_state_lane : state -> int -> lane:int -> Logic4.t -> unit
 (** Set one lane of a flop's current state. *)
 
+val set_rails : state -> int -> hi:int64 -> lo:int64 -> unit
+(** Drive an [Input] or [Tiex] node, or set a flop's current state, with
+    raw rails, X lanes included.  No lane may be (0,0).  Raises
+    [Invalid_argument] on other kinds. *)
+
+val blit : src:state -> dst:state -> unit
+(** Copy node values, driven inputs and flop state from [src] to [dst]
+    (both of one {!t}).  Fault masks and accumulators are not copied. *)
+
 (** {1 Faults} *)
 
-val inject : state -> node:int -> Cell.Pin.t -> lane:int -> stuck:bool -> unit
-(** Add a stuck-at-[stuck] fault on one pin of [node] in [lane]: [Out]
-    forces the stem, [In p] the operand on pin [p], [Clk] holds the flop
-    ([stuck] is ignored).  A site no evaluation reads (the clock pin of a
-    combinational cell, a pin past the arity) is ignored. *)
+val inject :
+  state -> node:int -> Cell.Pin.t -> lanes:int64 -> stuck:bool -> unit
+(** Add a stuck-at-[stuck] fault on one pin of [node] in every lane set
+    in [lanes]: [Out] forces the stem, [In p] the operand on pin [p],
+    [Clk] holds the flop ([stuck] is ignored).  A site no evaluation
+    reads (the clock pin of a combinational cell, a pin past the arity)
+    is ignored. *)
 
 val clear : state -> node:int -> Cell.Pin.t -> unit
 (** Remove every lane's fault on that site. *)
@@ -77,6 +93,18 @@ val clock : state -> unit
 
 val step : state -> unit
 (** {!settle} then {!clock}. *)
+
+val eval : state -> int -> unit
+(** Recompute one node as {!settle} does: a combinational node from its
+    operands, a source from its driven word, constant or state, with its
+    stem faults forced. *)
+
+val capture : state -> int -> hi:words -> lo:words -> int -> unit
+(** [capture st flop ~hi ~lo k] writes into [hi.{k}], [lo.{k}] the value
+    [flop] captures at the next edge, from its operands with their
+    branch faults.  Unlike {!clock}, the flop's own stem fault and clock
+    freeze do not apply.  Raises [Invalid_argument] if the node is not
+    sequential. *)
 
 (** {1 Reading} *)
 

@@ -1,3 +1,5 @@
+open Olfu_logic
+
 type t = { hi : int64; lo : int64 }
 
 let width = 64

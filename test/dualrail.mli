@@ -1,3 +1,5 @@
+open Olfu_logic
+
 (** 64-way bit-parallel four-valued words for pattern-parallel simulation.
 
     Each of the 64 lanes carries one pattern.  A lane encodes a value on two

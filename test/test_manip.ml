@@ -85,10 +85,10 @@ let test_scan_trace () =
   let nl = chain_netlist () in
   match Scan_trace.trace nl with
   | [ c ] ->
-    Alcotest.(check int) "3 cells" 3 (List.length c.Scan_trace.cells);
+    Alcotest.(check int) "3 cells" 3 (List.length (Scan_trace.cells c));
     Alcotest.(check bool) "found scan out" true (c.Scan_trace.scan_out <> None);
     let names =
-      List.map (fun i -> Option.get (Netlist.name nl i)) c.Scan_trace.cells
+      List.map (fun i -> Option.get (Netlist.name nl i)) (Scan_trace.cells c)
     in
     Alcotest.(check (list string)) "order" [ "f0"; "f1"; "f2" ] names
   | l -> Alcotest.failf "expected 1 chain, got %d" (List.length l)

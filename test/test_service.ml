@@ -189,6 +189,8 @@ let test_bad_requests_are_responses () =
       ("absint on file", run_req ~target:(Req.File "/nonexistent/x.v") (Req.Absint { programs = []; asm = None }));
       ("unknown program", run_req (Req.Absint { programs = [ "no_such_prog" ]; asm = None }));
       ("missing waivers", run_req (Req.Lint { waivers = Some "/nonexistent/w.json"; baseline = None; disabled = []; software = false; invariants = false; fail_on = Req.Never }));
+      (* the engine raises Invalid_argument: answered, not raised *)
+      ("invar k = -1", run_req (Req.Invar { k = -1; no_prove = false }));
     ]
   in
   List.iter
@@ -331,6 +333,26 @@ let test_daemon_protocol () =
             (r.Resp.status = Resp.Bad_input)
         | Error e -> Alcotest.failf "unparseable error reply: %s" e)
       | Error e -> Alcotest.failf "malformed rpc: %s" e);
+      (* an engine exception: an internal-error answer, then the same
+         connection still answers *)
+      (match
+         S.Client.rpc_line conn
+           {|{"op":"invar","target":"tcore16","params":{"k":-1}}|}
+       with
+      | Ok line -> (
+        match Resp.of_string line with
+        | Ok r ->
+          Alcotest.(check bool) "engine exception -> bad input" true
+            (r.Resp.status = Resp.Bad_input);
+          Alcotest.(check bool) "internal error diagnostic" true
+            (match r.Resp.error with
+            | Some m -> String.starts_with ~prefix:"internal error: " m
+            | None -> false)
+        | Error e -> Alcotest.failf "unparseable error reply: %s" e)
+      | Error e -> Alcotest.failf "engine exception rpc: %s" e);
+      (match S.Client.rpc conn { Req.id = 3; body = Req.Ping } with
+      | Ok r -> Alcotest.(check string) "ping after it" "pong\n" r.Resp.output
+      | Error e -> Alcotest.failf "ping after engine exception: %s" e);
       let req = run_req (Req.Analyze { paper = false }) in
       let cold =
         match S.Client.rpc conn req with

@@ -138,27 +138,42 @@ let prop_par_next_states_match =
       let nl = Test_support.random_seq_netlist rng ~inputs:3 ~gates:10 ~flops:3 in
       (* drive identical values through both simulators *)
       let env = Comb_sim.init nl Logic4.X in
-      let penv = Par_sim.init nl Dualrail.unknown in
+      let st = Lanes.create (Lanes.compile nl) in
+      Lanes.reset st ~init:Logic4.X;
       Array.iter
         (fun i ->
           let v = Logic4.of_bool (Random.State.bool rng) in
           env.(i) <- v;
-          penv.(i) <- Dualrail.const v)
+          Lanes.set_input st i v)
         (Netlist.inputs nl);
       Array.iter
         (fun i ->
-          let v = Logic4.of_bool (Random.State.bool rng) in
-          env.(i) <- v;
-          penv.(i) <- Dualrail.const v)
+          let v = Random.State.bool rng in
+          env.(i) <- Logic4.of_bool v;
+          Lanes.set_state_word st i (if v then -1L else 0L))
         (Netlist.seq_nodes nl);
       Comb_sim.settle nl env;
-      Par_sim.settle nl penv;
-      let next_s = Comb_sim.next_states nl env in
-      let next_p = Par_sim.next_states nl penv in
-      Array.for_all2
-        (fun (i1, v1) (i2, v2) ->
-          i1 = i2 && Logic4.equal v1 (Dualrail.get v2 0))
-        next_s next_p)
+      Lanes.settle st;
+      let hi = Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout 1 in
+      let lo = Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout 1 in
+      let lane0 () =
+        let h = Int64.logand (Bigarray.Array1.get hi 0) 1L
+        and l = Int64.logand (Bigarray.Array1.get lo 0) 1L in
+        if h = l then Logic4.X else if h = 1L then Logic4.L1 else Logic4.L0
+      in
+      let captured =
+        Array.map
+          (fun (i, v) ->
+            Lanes.capture st i ~hi ~lo 0;
+            Logic4.equal v (lane0 ()))
+          (Comb_sim.next_states nl env)
+      in
+      (* the edge loads the same values *)
+      Lanes.clock st;
+      Array.for_all Fun.id captured
+      && Array.for_all
+           (fun (i, v) -> Logic4.equal v (Lanes.get st i 0))
+           (Comb_sim.next_states nl env))
 
 let test_override_injection () =
   (* force the carry net of the adder to 1 regardless of inputs *)
@@ -170,7 +185,7 @@ let test_override_injection () =
       if i = cout then Some Logic4.L1 else None);
   Alcotest.check l4 "forced" Logic4.L1 env.(cout)
 
-(* Parallel simulator agrees with 64 scalar runs. *)
+(* The word-level core agrees with 64 scalar runs. *)
 let prop_par_matches_scalar =
   QCheck2.Test.make ~count:30 ~name:"bit-parallel = scalar x64"
     QCheck2.Gen.(pair (int_bound 1_000_000) (int_bound 1_000_000))
@@ -180,7 +195,8 @@ let prop_par_matches_scalar =
       let prng = Random.State.make [| pat_seed |] in
       let n = Netlist.length nl in
       (* random 64-lane stimulus on inputs, incl. some X lanes *)
-      let penv = Par_sim.init nl Dualrail.unknown in
+      let st = Lanes.create (Lanes.compile nl) in
+      Lanes.reset st ~init:Logic4.X;
       let lanes_of_input = Hashtbl.create 7 in
       Array.iter
         (fun i ->
@@ -191,9 +207,10 @@ let prop_par_matches_scalar =
                 | k -> Logic4.of_bool (k land 1 = 1))
           in
           Hashtbl.add lanes_of_input i lanes;
-          penv.(i) <- Dualrail.of_lanes lanes)
+          let v = Dualrail.of_lanes lanes in
+          Lanes.set_rails st i ~hi:v.Dualrail.hi ~lo:v.Dualrail.lo)
         (Netlist.inputs nl);
-      Par_sim.settle nl penv;
+      Lanes.settle st;
       let ok = ref true in
       for lane = 0 to 7 do
         (* spot-check 8 of the 64 lanes *)
@@ -204,7 +221,7 @@ let prop_par_matches_scalar =
         Comb_sim.settle nl env;
         for i = 0 to n - 1 do
           if not (Cell.equal_kind (Netlist.kind nl i) Cell.Input) then
-            if not (Logic4.equal env.(i) (Dualrail.get penv.(i) lane)) then
+            if not (Logic4.equal env.(i) (Lanes.get st i lane)) then
               ok := false
         done
       done;
@@ -212,7 +229,7 @@ let prop_par_matches_scalar =
 
 (* --- the word-level core against the boxed loop it replaced ---
    The random-simulation loop invariant mining ran on: [Dualrail.t]
-   environments, [Eval.comb_par] per node, next state by [Dualrail.mux]. *)
+   environments, [comb_par] per node, next state by [Dualrail.mux]. *)
 let boxed_cycle nl env ~state ~driven =
   Netlist.iter_nodes
     (fun i nd ->
@@ -228,7 +245,7 @@ let boxed_cycle nl env ~state ~driven =
     (fun i ->
       let nd = Netlist.node nl i in
       let ins = Array.init (Array.length nd.Netlist.fanin) (operand i) in
-      env.(i) <- Eval.comb_par nd.Netlist.kind ins)
+      env.(i) <- Test_support.comb_par nd.Netlist.kind ins)
     (Netlist.topo nl);
   Array.map
     (fun s ->
@@ -321,7 +338,14 @@ let test_lanes_errors () =
     (raises (fun () ->
          Lanes.set_input st (Netlist.find_exn nl "sum_net") Logic4.L1));
   Alcotest.(check bool) "state of an input" true
-    (raises (fun () -> Lanes.set_state_word st (Netlist.find_exn nl "a") 0L))
+    (raises (fun () -> Lanes.set_state_word st (Netlist.find_exn nl "a") 0L));
+  Alcotest.(check bool) "rails of a gate" true
+    (raises (fun () ->
+         Lanes.set_rails st (Netlist.find_exn nl "sum_net") ~hi:0L ~lo:(-1L)));
+  let w = Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout 1 in
+  Alcotest.(check bool) "capture of a gate" true
+    (raises (fun () ->
+         Lanes.capture st (Netlist.find_exn nl "sum_net") ~hi:w ~lo:w 0))
 
 let test_toggle () =
   let b = B.create () in

@@ -248,7 +248,7 @@ let test_scan_chains_traceable () =
   Alcotest.(check int) "chain count" Soc.tcore16.Soc.scan_chains
     (List.length chains);
   let total =
-    List.fold_left (fun a c -> a + List.length c.Olfu_manip.Scan_trace.cells) 0 chains
+    List.fold_left (fun a c -> a + List.length (Olfu_manip.Scan_trace.cells c)) 0 chains
   in
   let s = Stats.of_netlist nl in
   Alcotest.(check int) "all cells on chains" s.Stats.flops total;

@@ -200,3 +200,23 @@ let random_seq_netlist ?(ties = false) ?(all_kinds = false) rng ~inputs ~gates
   in
   outs 3 !srcs;
   B.freeze_exn b
+
+(* One gate over boxed 64-lane [Dualrail] words: the reference evaluation
+   the word-level core [Olfu_sim.Lanes] is tested against. *)
+let comb_par (k : Cell.kind) (ins : Dualrail.t array) : Dualrail.t =
+  let fold f init = Array.fold_left f init ins in
+  match k with
+  | Output | Buf -> ins.(0)
+  | Not -> Dualrail.not_ ins.(0)
+  | And -> fold Dualrail.and2 Dualrail.one
+  | Nand -> Dualrail.not_ (fold Dualrail.and2 Dualrail.one)
+  | Or -> fold Dualrail.or2 Dualrail.zero
+  | Nor -> Dualrail.not_ (fold Dualrail.or2 Dualrail.zero)
+  | Xor -> fold Dualrail.xor2 Dualrail.zero
+  | Xnor -> Dualrail.not_ (fold Dualrail.xor2 Dualrail.zero)
+  | Mux2 -> Dualrail.mux ~sel:ins.(0) ~a:ins.(1) ~b:ins.(2)
+  | Tie0 -> Dualrail.zero
+  | Tie1 -> Dualrail.one
+  | Tiex -> Dualrail.unknown
+  | Input | Dff | Dffr | Sdff | Sdffr ->
+    invalid_arg ("comb_par: " ^ Cell.kind_name k ^ " is not combinational")

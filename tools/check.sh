@@ -120,6 +120,8 @@ gate slice dune exec bench/main.exe -- slice
 #   - in < 0.5x the cold wall time,
 #   - with the same bytes as the cold response (envelope aside),
 #   - analyze and lint through the daemon to match the one-shot CLI,
+#   - an engine exception to be answered with status 2, and the same
+#     connection to answer a ping after it,
 #   - a clean shutdown (the daemon exits 0 and removes its socket).
 # Warm-request throughput is measured by benchmark/ (daemon_warm).
 serve_gate() {
@@ -181,6 +183,19 @@ serve_gate() {
     > "$OBS_TMP/lint-oneshot.txt"
   cmp -s "$OBS_TMP/lint-daemon.txt" "$OBS_TMP/lint-oneshot.txt" || {
     echo "serve: daemon and one-shot lint output differ"; return 1; }
+
+  # invar with k = -1 raises inside the engine; the daemon must answer
+  # it and keep the connection (a hang shows as timeout's exit 124)
+  _rc=0
+  timeout 60 "$_CLI" client --socket "$_sock" --raw \
+    '{"op":"invar","target":"tcore16","params":{"k":-1}}' '{"op":"ping"}' \
+    > "$OBS_TMP/exc.raw" || _rc=$?
+  [ "$_rc" -eq 2 ] || {
+    echo "serve: engine exception: client exit $_rc, want 2"; return 1; }
+  sed -n 1p "$OBS_TMP/exc.raw" | grep -q '"status":2' || {
+    echo "serve: engine exception not answered with status 2"; return 1; }
+  sed -n 2p "$OBS_TMP/exc.raw" | grep -q '"output":"pong\\n"' || {
+    echo "serve: no ping answer after the engine exception"; return 1; }
 
   "$_CLI" client --socket "$_sock" --shutdown \
     > /dev/null
