@@ -1076,7 +1076,6 @@ let safety_bench () =
             Sc.rc = { rc with Olfu.Run_config.jobs };
             window;
             seu_limit = 16;
-            conflict_limit = 50_000;
             (* the invariant pass has its own bench mode (invar) with a
                dedicated UC-delta gate; keep this mode's gates pinned to
                the software/SEU axes *)

@@ -159,7 +159,7 @@ let tdf cfg file ff_mode jobs trace manifest =
   let wall = Unix.gettimeofday () -. t0 in
   Format.printf "%a@." Olfu.Tdf_flow.pp r;
   C.write_obs ~trace ~manifest
-    ~config:(C.config_fields ~soc:cfg.Olfu_soc.Soc.name rc)
+    ~config:(C.config_fields (target_of cfg file) rc)
     ~wall_seconds:wall sink;
   `Ok ()
 
@@ -459,9 +459,9 @@ let lint_cmd =
       value & flag
       & info [ "invariants" ]
           ~doc:
-            "Prove state invariants on the netlist under the mission \
-             hold (debug controls and scan interface at 0) and feed the \
-             proved facts to the INV-* rules.")
+            "Prove state invariants on the netlist with its debug \
+             controls and scan interface tied to 0 and feed the proved \
+             facts to the INV-* rules.")
   in
   let software =
     Arg.(
@@ -722,7 +722,7 @@ let atpg cfg prune jobs trace manifest =
   Format.printf "%a@." Olfu_atpg.Atpg_flow.pp r;
   Format.printf "@.%a@." Olfu_fault.Flist.pp_summary fl;
   C.write_obs ~trace ~manifest
-    ~config:(C.config_fields ~soc:cfg.Olfu_soc.Soc.name rc)
+    ~config:(C.config_fields (S.Request.Config cfg.Olfu_soc.Soc.name) rc)
     ~wall_seconds:wall sink;
   `Ok ()
 

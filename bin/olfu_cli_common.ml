@@ -102,12 +102,16 @@ let write_obs ~trace ~manifest ?config ?steps ?prep ?extra ~wall_seconds sink
     Format.printf "wrote %s@." path
 
 (* Manifest [config] fields for a flow run (non-service subcommands:
-   tdf, atpg). *)
-let config_fields ?soc rc =
+   tdf, atpg): the target, keyed as the service keys it, then the run
+   configuration. *)
+let config_fields target rc =
   let base =
     match Olfu.Run_config.to_json rc with J.Obj l -> l | _ -> []
   in
-  match soc with None -> base | Some name -> ("soc", J.Str name) :: base
+  (match target with
+  | S.Request.Config name -> ("soc", J.Str name)
+  | S.Request.File path -> ("file", J.Str path))
+  :: base
 
 (* --- the service adapter --- *)
 

@@ -7,13 +7,58 @@ module CB = Cnf.Builder
 type stimulus = (int * bool) list array
 type result = Test of stimulus | No_test_within of int | Unknown
 
-(* One copy of the combinational logic for one cycle: [source] supplies
-   the literal of every source node (inputs and flop outputs);
-   [inject] optionally rewrites (node, pin, operand) literals and the
-   stem literal — the fault hook. *)
-let eval_cycle b nl ~source ~inject_stem ~inject_operand =
-  let n = Netlist.length nl in
-  let lits = Array.make n 0 in
+(* The bounded mission frame, written once for every bounded query.
+
+   A frame is one cycle's source literals: reset-role inputs at 1 (the
+   reset held inactive), every other input and every [Tiex] fresh, in
+   that order.  A state is the literal of every flop.  Both are indexed
+   by node id, so a lookup is one array read. *)
+type frame = int array
+type state = int array
+
+let frame b nl =
+  let f = Array.make (Netlist.length nl) 0 in
+  Array.iter
+    (fun i ->
+      f.(i) <-
+        (if Netlist.has_role nl i Netlist.Reset then CB.vtrue b
+         else CB.fresh b))
+    (Netlist.inputs nl);
+  Netlist.iter_nodes
+    (fun i nd ->
+      if Cell.equal_kind nd.Netlist.kind Cell.Tiex then f.(i) <- CB.fresh b)
+    nl;
+  f
+
+let frames b nl cycles = Array.init cycles (fun _ -> frame b nl)
+
+(* Resettable flops at 0 when [reset], every other flop fresh. *)
+let init_state ~reset b nl =
+  let st = Array.make (Netlist.length nl) 0 in
+  Array.iter
+    (fun i ->
+      st.(i) <-
+        (match Netlist.kind nl i with
+        | (Cell.Dffr | Cell.Sdffr) when reset -> -CB.vtrue b
+        | _ -> CB.fresh b))
+    (Netlist.seq_nodes nl);
+  st
+
+let reset_state b nl = init_state ~reset:true b nl
+let free_state b nl = init_state ~reset:false b nl
+let state_lit st i = st.(i)
+
+let flip st ff =
+  let st = Array.copy st in
+  st.(ff) <- -st.(ff);
+  st
+
+(* One copy of the combinational logic for one cycle, from frame [fr]
+   and state [st]; [inject_stem] / [inject_operand] may rewrite a stem
+   or an operand literal (identity for a fault-free copy).  Returns a
+   lookup that sees through [Output] markers. *)
+let eval_cycle b nl fr st ~inject_stem ~inject_operand =
+  let lits = Array.make (Netlist.length nl) 0 in
   let lit_of i =
     match Netlist.kind nl i with
     | Cell.Output -> lits.((Netlist.fanin nl i).(0))
@@ -23,11 +68,10 @@ let eval_cycle b nl ~source ~inject_stem ~inject_operand =
     (fun i nd ->
       match nd.Netlist.kind with
       | Cell.Output -> ()
-      | Cell.Input -> lits.(i) <- inject_stem i (source i)
-      | k when Cell.is_seq k -> lits.(i) <- inject_stem i (source i)
+      | Cell.Input | Cell.Tiex -> lits.(i) <- inject_stem i fr.(i)
+      | k when Cell.is_seq k -> lits.(i) <- inject_stem i st.(i)
       | Cell.Tie0 -> lits.(i) <- inject_stem i (-CB.vtrue b)
       | Cell.Tie1 -> lits.(i) <- inject_stem i (CB.vtrue b)
-      | Cell.Tiex -> lits.(i) <- inject_stem i (source i)
       | _ -> ())
     nl;
   Array.iter
@@ -43,10 +87,12 @@ let eval_cycle b nl ~source ~inject_stem ~inject_operand =
         in
         lits.(i) <- inject_stem i (CB.cell b k ins))
     (Netlist.topo nl);
-  (lits, lit_of)
+  lit_of
 
+(* The captured next state of one copy, from its cycle lookup. *)
 let next_state b nl lit_of ~inject_operand =
-  Array.map
+  let st = Array.make (Netlist.length nl) 0 in
+  Array.iter
     (fun i ->
       let ins =
         Array.to_list
@@ -54,8 +100,38 @@ let next_state b nl lit_of ~inject_operand =
              (fun p d -> inject_operand i p (lit_of d))
              (Netlist.fanin nl i))
       in
-      (i, CB.capture b (Netlist.kind nl i) ins))
-    (Netlist.seq_nodes nl)
+      st.(i) <- CB.capture b (Netlist.kind nl i) ins)
+    (Netlist.seq_nodes nl);
+  st
+
+let id_stem _ l = l
+let id_operand _ _ l = l
+
+let unroll b nl ~init ~steps =
+  let states = Array.make (steps + 1) init in
+  for c = 0 to steps - 1 do
+    let fr = frame b nl in
+    let lit =
+      eval_cycle b nl fr states.(c) ~inject_stem:id_stem
+        ~inject_operand:id_operand
+    in
+    states.(c + 1) <- next_state b nl lit ~inject_operand:id_operand
+  done;
+  states
+
+let unroll2 ?(inject_stem = id_stem) ?(inject_operand = id_operand) b nl
+    ~frames ~good ~bad ~observe =
+  let g = ref good and f = ref bad in
+  Array.iter
+    (fun fr ->
+      let glit =
+        eval_cycle b nl fr !g ~inject_stem:id_stem ~inject_operand:id_operand
+      in
+      let flit = eval_cycle b nl fr !f ~inject_stem ~inject_operand in
+      observe glit flit;
+      g := next_state b nl glit ~inject_operand:id_operand;
+      f := next_state b nl flit ~inject_operand)
+    frames
 
 let run ?(cycles = 8) ?(observable_output = fun _ -> true)
     ?(conflict_limit = 200_000) nl fault =
@@ -66,97 +142,30 @@ let run ?(cycles = 8) ?(observable_output = fun _ -> true)
   let b = CB.create s in
   let { Fault.node = fnode; pin = fpin } = fault.Fault.site in
   let stuck = CB.of_bool b fault.Fault.stuck in
-  let inject_stem_f i l = if fpin = Cell.Pin.Out && i = fnode then stuck else l in
-  let inject_operand_f i p l =
+  (* a stem fault on a flop output also covers its state: [eval_cycle]
+     rewrites the flop's source literal every cycle *)
+  let inject_stem i l = if fpin = Cell.Pin.Out && i = fnode then stuck else l in
+  let inject_operand i p l =
     if i = fnode && Cell.Pin.equal fpin (Cell.Pin.In p) then stuck else l
   in
-  let id_stem _ l = l in
-  let id_operand _ _ l = l in
-  (* per-cycle input variables, shared by the two copies *)
-  let input_vars =
-    Array.init cycles (fun _ ->
-        let tbl = Hashtbl.create 37 in
-        Array.iter
-          (fun i ->
-            let v =
-              if Netlist.has_role nl i Netlist.Reset then CB.vtrue b
-                (* mission: reset held inactive *)
-              else CB.fresh b
-            in
-            Hashtbl.replace tbl i v)
-          (Netlist.inputs nl);
-        tbl)
-  in
-  (* also per-cycle free vars for floating (Tiex) nets *)
-  let tiex_vars =
-    Array.init cycles (fun _ ->
-        let tbl = Hashtbl.create 7 in
-        Netlist.iter_nodes
-          (fun i nd ->
-            if nd.Netlist.kind = Cell.Tiex then
-              Hashtbl.replace tbl i (CB.fresh b))
-          nl;
-        tbl)
-  in
-  (* initial state: resettable flops at 0, others solver-chosen but equal
-     in the two copies *)
-  let seqs = Netlist.seq_nodes nl in
-  let init =
-    Array.map
-      (fun i ->
-        match Netlist.kind nl i with
-        | Cell.Dffr | Cell.Sdffr -> (i, -CB.vtrue b)
-        | _ -> (i, CB.fresh b))
-      seqs
-  in
+  let frames = frames b nl cycles in
+  let init = reset_state b nl in
   let diffs = ref [] in
-  let good_state = ref init in
-  let faulty_state = ref init in
-  for c = 0 to cycles - 1 do
-    let source_of state i =
-      match Netlist.kind nl i with
-      | Cell.Input -> Hashtbl.find input_vars.(c) i
-      | Cell.Tiex -> Hashtbl.find tiex_vars.(c) i
-      | _ -> (
-        match Array.find_opt (fun (j, _) -> j = i) state with
-        | Some (_, l) -> l
-        | None -> assert false)
-    in
-    let _glits, good_lit =
-      eval_cycle b nl
-        ~source:(source_of !good_state)
-        ~inject_stem:id_stem ~inject_operand:id_operand
-    in
-    let _flits, faulty_lit =
-      eval_cycle b nl
-        ~source:(source_of !faulty_state)
-        ~inject_stem:inject_stem_f ~inject_operand:inject_operand_f
-    in
-    (* observation at this cycle *)
-    Array.iter
-      (fun o ->
-        if observable_output o then begin
-          let d = (Netlist.fanin nl o).(0) in
-          (* a branch fault directly into this port pin *)
-          let fa =
-            if o = fnode && Cell.Pin.equal fpin (Cell.Pin.In 0) then stuck
-            else faulty_lit d
-          in
-          let x = CB.mk_xor2 b (good_lit d) fa in
-          if not (CB.is_false b x) then diffs := x :: !diffs
-        end)
-      (Netlist.outputs nl);
-    good_state :=
-      next_state b nl good_lit ~inject_operand:id_operand;
-    faulty_state :=
-      next_state b nl faulty_lit ~inject_operand:inject_operand_f;
-    (* stem fault on a flop output: force the next-state literal too *)
-    if fpin = Cell.Pin.Out then
-      faulty_state :=
-        Array.map
-          (fun (i, l) -> if i = fnode then (i, stuck) else (i, l))
-          !faulty_state
-  done;
+  unroll2 ~inject_stem ~inject_operand b nl ~frames ~good:init ~bad:init
+    ~observe:(fun good_lit faulty_lit ->
+      Array.iter
+        (fun o ->
+          if observable_output o then begin
+            let d = (Netlist.fanin nl o).(0) in
+            (* a branch fault directly into this port pin *)
+            let fa =
+              if o = fnode && Cell.Pin.equal fpin (Cell.Pin.In 0) then stuck
+              else faulty_lit d
+            in
+            let x = CB.mk_xor2 b (good_lit d) fa in
+            if not (CB.is_false b x) then diffs := x :: !diffs
+          end)
+        (Netlist.outputs nl));
   match !diffs with
   | [] -> No_test_within cycles
   | ds -> (
@@ -165,20 +174,18 @@ let run ?(cycles = 8) ?(observable_output = fun _ -> true)
     | S.Unsat -> No_test_within cycles
     | S.Unknown -> Unknown
     | S.Sat model ->
-      let stim =
-        Array.init cycles (fun c ->
-            Hashtbl.fold
-              (fun i v acc ->
-                let value =
-                  if CB.is_true b v then true
-                  else if CB.is_false b v then false
-                  else model (abs v) = (v > 0)
-                in
-                (i, value) :: acc)
-              input_vars.(c) []
-            |> List.sort compare)
+      let value v =
+        if CB.is_true b v then true
+        else if CB.is_false b v then false
+        else model (abs v) = (v > 0)
       in
-      Test stim)
+      Test
+        (Array.map
+           (fun fr ->
+             Array.to_list (Netlist.inputs nl)
+             |> List.map (fun i -> (i, value fr.(i)))
+             |> List.sort compare)
+           frames))
 
 let confirm_test ?(observable_output = fun _ -> true) nl fault stim =
   let open Olfu_sim in

@@ -95,12 +95,11 @@ let seed_state seed =
   ref (if s = 0L then 88172645463325252L else s)
 
 (* One random mission run: resettable flops start at 0, plain flops at a
-   random binary value per lane, reset inputs held inactive (1), [hold]
-   inputs constant, every other input (and every Tiex) a fresh random
-   binary value per lane per cycle, drawn in node-id order.
-   [observe st] sees each cycle's settled values — flop nodes hold the
-   current state. *)
-let simulate ~seed ~cycles ~hold nl ~observe =
+   random binary value per lane, reset inputs held inactive (1), every
+   other input (and every Tiex) a fresh random binary value per lane per
+   cycle, drawn in node-id order.  [observe st] sees each cycle's settled
+   values — flop nodes hold the current state. *)
+let simulate ~seed ~cycles nl ~observe =
   let rng = seed_state seed in
   let st = Lanes.create (Lanes.compile nl) in
   Lanes.reset st ~init:Logic4.L0;
@@ -110,19 +109,14 @@ let simulate ~seed ~cycles ~hold nl ~observe =
       | Cell.Dffr | Cell.Sdffr -> ()
       | _ -> Lanes.set_state_word st s (rand_word rng))
     (Netlist.seq_nodes nl);
-  let hold_tbl = Hashtbl.create 17 in
-  List.iter (fun (i, v) -> Hashtbl.replace hold_tbl i v) hold;
   let drawn = ref [] in
   Netlist.iter_nodes
     (fun i nd ->
       match nd.Netlist.kind with
-      | Cell.Input -> (
-        match Hashtbl.find_opt hold_tbl i with
-        | Some v -> Lanes.set_input st i (Logic4.of_bool v)
-        | None ->
-          if Netlist.has_role nl i Netlist.Reset then
-            Lanes.set_input st i Logic4.L1
-          else drawn := i :: !drawn)
+      | Cell.Input ->
+        if Netlist.has_role nl i Netlist.Reset then
+          Lanes.set_input st i Logic4.L1
+        else drawn := i :: !drawn
       | Cell.Tiex -> drawn := i :: !drawn
       | _ -> ())
     nl;
@@ -237,8 +231,14 @@ let max_range_values = 32
 let max_group_width = 16
 let pairing_cap = 48
 
-let mine ?(seed = 0x11A8) ?(cycles = 96) ?(hold = []) ?(max_candidates = 512)
-    nl =
+(* The miner's and the filter's runs: different seeds, so the filter
+   sees fresh stimuli. *)
+let mine_cycles = 96
+let filter_seed = 0x11A9
+let filter_cycles = 256
+let max_candidates = 512
+
+let mine ?(seed = 0x11A8) nl =
   let seqs = Netlist.seq_nodes nl in
   let nseq = Array.length seqs in
   let groups =
@@ -312,7 +312,7 @@ let mine ?(seed = 0x11A8) ?(cycles = 96) ?(hold = []) ?(max_candidates = 512)
       done
     done
   in
-  simulate ~seed ~cycles ~hold nl ~observe;
+  simulate ~seed ~cycles:mine_cycles nl ~observe;
   let consts = ref [] in
   let is_const_ff = Array.make nseq false in
   Array.iteri
@@ -385,7 +385,7 @@ let mine ?(seed = 0x11A8) ?(cycles = 96) ?(hold = []) ?(max_candidates = 512)
 (* Filter                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let filter ?(seed = 0xF117) ?(cycles = 256) ?(hold = []) nl cands =
+let filter nl cands =
   let arr = Array.of_list cands in
   let alive = Array.make (Array.length arr) true in
   let observe st =
@@ -393,7 +393,7 @@ let filter ?(seed = 0xF117) ?(cycles = 256) ?(hold = []) nl cands =
       (fun i c -> if alive.(i) && violation st c <> 0L then alive.(i) <- false)
       arr
   in
-  simulate ~seed ~cycles ~hold nl ~observe;
+  simulate ~seed:filter_seed ~cycles:filter_cycles nl ~observe;
   let survivors = ref [] and killed = ref [] in
   Array.iteri
     (fun i c -> if alive.(i) then survivors := c :: !survivors
@@ -436,93 +436,40 @@ let cand_lit b state_of = function
 let state_literals b ~state_of invs =
   List.map (fun inv -> cand_lit b state_of inv.form) invs
 
-let state_fn st =
-  let h = Hashtbl.create 97 in
-  Array.iter (fun (i, l) -> Hashtbl.replace h i l) st;
-  fun i -> Hashtbl.find h i
-
-(* Unroll [steps] transitions: returns the state literal tables for
-   cycles 0..steps.  Reset inputs inactive, [hold] inputs constant,
-   everything else (and every Tiex) fresh per cycle — the same frame
-   semantics as {!Olfu_safety.Seu} and {!simulate}. *)
-let unroll b nl ~steps ~hold ~init =
-  let id_stem _ l = l in
-  let id_op _ _ l = l in
-  let hold_tbl = Hashtbl.create 17 in
-  List.iter (fun (i, v) -> Hashtbl.replace hold_tbl i v) hold;
-  let states = Array.make (steps + 1) init in
-  for c = 0 to steps - 1 do
-    let input_tbl = Hashtbl.create 37 in
-    Array.iter
-      (fun i ->
-        let v =
-          match Hashtbl.find_opt hold_tbl i with
-          | Some true -> CB.vtrue b
-          | Some false -> -CB.vtrue b
-          | None ->
-            if Netlist.has_role nl i Netlist.Reset then CB.vtrue b
-            else CB.fresh b
-        in
-        Hashtbl.replace input_tbl i v)
-      (Netlist.inputs nl);
-    let tiex_tbl = Hashtbl.create 7 in
-    Netlist.iter_nodes
-      (fun i nd ->
-        if nd.Netlist.kind = Cell.Tiex then
-          Hashtbl.replace tiex_tbl i (CB.fresh b))
-      nl;
-    let st = state_fn states.(c) in
-    let source i =
-      match Netlist.kind nl i with
-      | Cell.Input -> Hashtbl.find input_tbl i
-      | Cell.Tiex -> Hashtbl.find tiex_tbl i
-      | _ -> st i
-    in
-    let _, lit =
-      Bmc.eval_cycle b nl ~source ~inject_stem:id_stem ~inject_operand:id_op
-    in
-    states.(c + 1) <- Bmc.next_state b nl lit ~inject_operand:id_op
-  done;
-  states
-
-let reset_init b nl =
-  Array.map
-    (fun i ->
-      match Netlist.kind nl i with
-      | Cell.Dffr | Cell.Sdffr -> (i, -CB.vtrue b)
-      | _ -> (i, CB.fresh b))
-    (Netlist.seq_nodes nl)
-
-let free_init b nl =
-  Array.map (fun i -> (i, CB.fresh b)) (Netlist.seq_nodes nl)
-
 (* Every query runs on a fresh solver so its outcome (including budget
    exhaustion) depends only on the formula — never on which worker ran
-   it or what it solved before: the Houdini result is jobs-invariant. *)
-let base_holds ~k ~conflict_limit ~hold nl cand =
-  let s = S.create () in
-  let b = CB.create s in
-  let states = unroll b nl ~steps:(k - 1) ~hold ~init:(reset_init b nl) in
-  let viols =
-    List.init k (fun j -> -cand_lit b (state_fn states.(j)) cand)
-  in
-  S.add_clause s viols;
+   it or what it solved before: the Houdini result is jobs-invariant.  A
+   query that exhausts [conflict_limit] counts as a failure. *)
+let conflict_limit = 100_000
+
+let holds s =
   match S.solve ~conflict_limit s with S.Unsat -> true | _ -> false
 
-let step_holds ~k ~conflict_limit ~hold nl survivors cand =
+let base_holds ~k nl cand =
   let s = S.create () in
   let b = CB.create s in
-  let states = unroll b nl ~steps:k ~hold ~init:(free_init b nl) in
+  let states = Bmc.unroll b nl ~steps:(k - 1) ~init:(Bmc.reset_state b nl) in
+  S.add_clause s
+    (List.init k (fun j -> -cand_lit b (Bmc.state_lit states.(j)) cand));
+  holds s
+
+let step_holds ~k nl survivors cand =
+  let s = S.create () in
+  let b = CB.create s in
+  let states = Bmc.unroll b nl ~steps:k ~init:(Bmc.free_state b nl) in
   for j = 0 to k - 1 do
-    let st = state_fn states.(j) in
+    let st = Bmc.state_lit states.(j) in
     Array.iter (fun c -> S.add_clause s [ cand_lit b st c ]) survivors
   done;
-  S.add_clause s [ -cand_lit b (state_fn states.(k)) cand ];
-  match S.solve ~conflict_limit s with S.Unsat -> true | _ -> false
+  S.add_clause s [ -cand_lit b (Bmc.state_lit states.(k)) cand ];
+  holds s
 
-let bounded_check ?(cycles = 8) ?(conflict_limit = 100_000) ?(hold = []) nl
-    cand =
-  base_holds ~k:cycles ~conflict_limit ~hold nl cand
+let check_k fn k =
+  if k < 1 then invalid_arg (Printf.sprintf "Invar.%s: k %d < 1" fn k)
+
+let bounded_check ?(cycles = 8) nl cand =
+  check_k "bounded_check" cycles;
+  base_holds ~k:cycles nl cand
 
 (* Component machines for sliced proving (k = 1 only).
 
@@ -537,11 +484,6 @@ let bounded_check ?(cycles = 8) ?(conflict_limit = 100_000) ?(hold = []) nl
    other components constrain disjoint variables and are jointly
    satisfiable (each passed the base pass, so the post-reset states
    satisfy them all), hence dropping them never changes a verdict. *)
-type comp_machine = {
-  red : Slice.reduced;
-  comp_hold : (int * bool) list;  (* [hold] translated to machine ids *)
-}
-
 let rename_cand m = function
   | Const { ff; value } -> Const { ff = m ff; value }
   | Implies { a; av; b; bv } -> Implies { a = m a; av; b = m b; bv }
@@ -549,7 +491,7 @@ let rename_cand m = function
   | At_most_one g -> At_most_one (Array.map m g)
   | Range { group; reach } -> Range { group = Array.map m group; reach }
 
-let component_machines g ~hold cands =
+let component_machines g cands =
   let nf = Array.length g.Slice.flops in
   let parent = Array.init nf (fun i -> i) in
   let rec find i = if parent.(i) = i then i else find parent.(i) in
@@ -581,23 +523,15 @@ let component_machines g ~hold cands =
             (fun o f -> if find o = root then targets := f :: !targets)
             g.Slice.flops;
           let targets = List.sort_uniq Int.compare !targets in
-          let red = Slice.backward g ~targets in
-          let comp_hold =
-            List.filter_map
-              (fun (i, v) ->
-                let m = red.Slice.new_of_old.(i) in
-                if m >= 0 then Some (m, v) else None)
-              hold
-          in
-          Hashtbl.replace machines root { red; comp_hold }
+          Hashtbl.replace machines root (Slice.backward g ~targets)
         end;
         root)
       seeds
   in
   (comp_of_cand, machines)
 
-let prove ?(k = 1) ?(conflict_limit = 100_000) ?jobs ?(trace = Trace.null)
-    ?(hold = []) ?(sliced = true) nl cands =
+let prove ?(k = 1) ?jobs ?(trace = Trace.null) ?(sliced = true) nl cands =
+  check_k "prove" k;
   let jobs = match jobs with Some j -> j | None -> Pool.default_jobs () in
   let shard label arr check =
     let n = Array.length arr in
@@ -619,7 +553,7 @@ let prove ?(k = 1) ?(conflict_limit = 100_000) ?jobs ?(trace = Trace.null)
   let ctx =
     if sliced && k = 1 && Array.length arr > 0 then begin
       let g = Slice.get nl in
-      let comp_of, machines = component_machines g ~hold arr in
+      let comp_of, machines = component_machines g arr in
       let comp_tbl = Hashtbl.create 97 in
       Array.iteri
         (fun i c -> Hashtbl.replace comp_tbl c comp_of.(i))
@@ -630,30 +564,28 @@ let prove ?(k = 1) ?(conflict_limit = 100_000) ?jobs ?(trace = Trace.null)
   in
   let base_check =
     match ctx with
-    | None -> fun _ c -> base_holds ~k ~conflict_limit ~hold nl c
+    | None -> fun _ c -> base_holds ~k nl c
     | Some (machines, comp_tbl) ->
       fun _ c ->
-        let cm = Hashtbl.find machines (Hashtbl.find comp_tbl c) in
-        let m d = cm.red.Slice.new_of_old.(d) in
-        base_holds ~k ~conflict_limit ~hold:cm.comp_hold
-          cm.red.Slice.rnl (rename_cand m c)
+        let red = Hashtbl.find machines (Hashtbl.find comp_tbl c) in
+        let m d = red.Slice.new_of_old.(d) in
+        base_holds ~k red.Slice.rnl (rename_cand m c)
   in
   let step_check cur =
     match ctx with
-    | None -> fun _ c -> step_holds ~k ~conflict_limit ~hold nl cur c
+    | None -> fun _ c -> step_holds ~k nl cur c
     | Some (machines, comp_tbl) ->
       fun _ c ->
         let root = Hashtbl.find comp_tbl c in
-        let cm = Hashtbl.find machines root in
-        let m d = cm.red.Slice.new_of_old.(d) in
+        let red = Hashtbl.find machines root in
+        let m d = red.Slice.new_of_old.(d) in
         let peers =
           Array.of_list
             (Array.to_list cur
             |> List.filter (fun c' -> Hashtbl.find comp_tbl c' = root)
             |> List.map (rename_cand m))
         in
-        step_holds ~k ~conflict_limit ~hold:cm.comp_hold
-          cm.red.Slice.rnl peers (rename_cand m c)
+        step_holds ~k red.Slice.rnl peers (rename_cand m c)
   in
   let base_ok = shard "invar-base" arr base_check in
   let survivors = ref [] in
@@ -686,18 +618,14 @@ let prove ?(k = 1) ?(conflict_limit = 100_000) ?jobs ?(trace = Trace.null)
 (* Pipeline                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let run ?(seed = 0x11A8) ?(mine_cycles = 96) ?(filter_cycles = 256)
-    ?(max_candidates = 512) ?(k = 1) ?(conflict_limit = 100_000) ?jobs
-    ?(trace = Trace.null) ?(hold = []) ?(no_prove = false) nl =
+let run ?(k = 1) ?jobs ?(trace = Trace.null) ?(no_prove = false) nl =
+  check_k "run" k;
   let t0 = Unix.gettimeofday () in
   Trace.span trace ~cat:"engine" "invar" @@ fun () ->
-  let mined = mine ~seed ~cycles:mine_cycles ~hold ~max_candidates nl in
-  let survivors, killed =
-    filter ~seed:(seed + 1) ~cycles:filter_cycles ~hold nl mined
-  in
+  let mined = mine nl in
+  let survivors, killed = filter nl mined in
   let proved, unproved =
-    if no_prove then ([], survivors)
-    else prove ~k ~conflict_limit ?jobs ~trace ~hold nl survivors
+    if no_prove then ([], survivors) else prove ~k ?jobs ~trace nl survivors
   in
   let r =
     {

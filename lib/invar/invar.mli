@@ -8,7 +8,8 @@ open Olfu_netlist
     needs it is safe.  This module mines candidate invariants over the
     flip-flop state of a netlist, filters them with 64-lane random
     sequential simulation, and proves the survivors by strengthening-set
-    k-induction (Houdini) over the {!Olfu_atpg.Bmc} cycle primitives.
+    k-induction (Houdini), unrolling the machine through the
+    {!Olfu_atpg.Bmc} mission frame.
 
     {b Soundness rule}: only {e proved} invariants — those carrying an
     induction {!certificate} — are ever exported to downstream consumers
@@ -17,12 +18,15 @@ open Olfu_netlist
     nothing else.
 
     A proved invariant holds in {e every} state reachable from reset
-    (resettable flops at 0, plain flops arbitrary, reset inactive, held
-    inputs constant).  It is therefore valid for any analysis of the
-    mission machine: extra implication edges for {!Olfu_atpg.Implic},
-    assumed constants for {!Olfu_atpg.Ternary}, and initial-state
-    constraints for bounded model checks whose cycle-0 state stands for
-    "any reachable state". *)
+    (resettable flops at 0, plain flops arbitrary, reset inactive) of the
+    netlist it was proved on.  Mission constants are netlist ties: prove
+    on the netlist with its mission inputs tied (as
+    {!Olfu_safety.Classify.bmc_machine} ties the scan interface) and the
+    invariants hold under the mission.  They are therefore valid for any
+    analysis of the mission machine: extra implication edges for
+    {!Olfu_atpg.Implic}, assumed constants for {!Olfu_atpg.Ternary}, and
+    initial-state constraints for bounded model checks whose cycle-0
+    state stands for "any reachable state". *)
 
 (** A candidate state predicate.  All node ids are flip-flop outputs of
     the analyzed netlist; [Range] groups are least-significant bit
@@ -71,56 +75,42 @@ val pp : Netlist.t -> Format.formatter -> report -> unit
 val count_by_class : report -> (string * int * int) list
 (** Per class name: (class, proved, unproved-or-killed). *)
 
-val mine :
-  ?seed:int ->
-  ?cycles:int ->
-  ?hold:(int * bool) list ->
-  ?max_candidates:int ->
-  Netlist.t ->
-  candidate list
-(** Propose candidates from a [cycles]-cycle (default 96) random
-    64-lane simulation on the word-level core {!Olfu_sim.Lanes} (every
-    input and [Tiex] gets a fresh random word per cycle, drawn in node-id
-    order): per-flop constants, per-register value sets and
-    at-most-one groups (registers are discovered by clustering flop
-    names of the form [base[i]]), and mutex / implication literals over
-    a bounded pairing set of one-bit and narrow-register flops.  Every
-    candidate holds on the mining trace by construction.  [hold] pins
-    the listed primary inputs to constants for the whole run (the
-    mission hold — e.g. scan enables at 0); inputs with the
-    {!Netlist.Reset} role are held inactive (1) and resettable flops
-    start at 0, plain flops random.  Deterministic in [seed]. *)
+val mine : ?seed:int -> Netlist.t -> candidate list
+(** Propose at most 512 candidates from a 96-cycle random 64-lane
+    simulation on the word-level core {!Olfu_sim.Lanes} (every input and
+    [Tiex] gets a fresh random word per cycle, drawn in node-id order):
+    per-flop constants, per-register value sets and at-most-one groups
+    (registers are discovered by clustering flop names of the form
+    [base[i]]), and mutex / implication literals over a bounded pairing
+    set of one-bit and narrow-register flops.  Every candidate holds on
+    the mining trace by construction.  Inputs with the
+    {!Netlist.Reset} role are held inactive (1); tied inputs are tie
+    cells, not inputs, and stay at their rail.  Resettable flops start
+    at 0, plain flops random.  Deterministic in [seed]. *)
 
-val filter :
-  ?seed:int ->
-  ?cycles:int ->
-  ?hold:(int * bool) list ->
-  Netlist.t ->
-  candidate list ->
-  candidate list * candidate list
-(** [(survivors, killed)] after a fresh [cycles]-cycle (default 256)
-    random simulation with a different default seed: cheap refutation so
-    only plausible candidates reach the prover. *)
+val filter : Netlist.t -> candidate list -> candidate list * candidate list
+(** [(survivors, killed)] after a fresh 256-cycle random simulation
+    under a fixed seed other than {!mine}'s default: cheap refutation
+    so only plausible candidates reach the prover. *)
 
 val prove :
   ?k:int ->
-  ?conflict_limit:int ->
   ?jobs:int ->
   ?trace:Olfu_obs.Trace.sink ->
-  ?hold:(int * bool) list ->
   ?sliced:bool ->
   Netlist.t ->
   candidate list ->
   invariant list * candidate list
-(** [(proved, failed)] by strengthening-set k-induction (default [k] 1):
-    base case from the reset state (plain flops unconstrained), then
-    Houdini rounds — every survivor is assumed at cycles [0..k-1], each
-    is checked at cycle [k], and all failures of a round are removed
-    together until the set is inductive.  The greatest inductive subset
-    is unique, so the result is independent of [jobs] (each query runs
-    on a fresh solver; a solver [Unknown] under [conflict_limit],
-    default 100_000, counts as a failure — sound, never unsound).
-    Sharded over {!Olfu_pool.Pool} with one candidate per chunk.
+(** [(proved, failed)] by strengthening-set k-induction (default [k] 1;
+    [Invalid_argument] when [k < 1]): base case from the reset state
+    (plain flops unconstrained), then Houdini rounds — every survivor
+    is assumed at cycles [0..k-1], each is checked at cycle [k], and all
+    failures of a round are removed together until the set is
+    inductive.  The greatest inductive subset is unique, so the result
+    is independent of [jobs] (each query runs on a fresh solver; a
+    solver [Unknown] after 100,000 conflicts counts as a failure —
+    sound, never unsound).  Sharded over {!Olfu_pool.Pool} with one
+    candidate per chunk.
 
     [sliced] (default [true]) runs every query (when [k = 1]) on the
     candidate's certified cone-of-influence component machine
@@ -135,38 +125,29 @@ val prove :
     took 0.03–0.24 s against 1.7–2.3 s on tcore16 and 0.4–1.7 s against
     4.6–6.4 s on tcore32. *)
 
-val bounded_check :
-  ?cycles:int ->
-  ?conflict_limit:int ->
-  ?hold:(int * bool) list ->
-  Netlist.t ->
-  candidate ->
-  bool
+val bounded_check : ?cycles:int -> Netlist.t -> candidate -> bool
 (** Independent bounded oracle: SAT-check that no state within [cycles]
-    (default 8) of the reset state violates the candidate.  [true] means
+    (default 8; [Invalid_argument] when below 1) of the reset state
+    violates the candidate.  [true] means
     no violation exists in the window (a solver [Unknown] also returns
     [false]).  Used by the bench gates to cross-check induction proofs
     with a proof mechanism that shares none of the induction
     structure. *)
 
 val run :
-  ?seed:int ->
-  ?mine_cycles:int ->
-  ?filter_cycles:int ->
-  ?max_candidates:int ->
   ?k:int ->
-  ?conflict_limit:int ->
   ?jobs:int ->
   ?trace:Olfu_obs.Trace.sink ->
-  ?hold:(int * bool) list ->
   ?no_prove:bool ->
   Netlist.t ->
   report
-(** The full pipeline.  [no_prove] stops after the simulation filter
-    (every survivor is reported as [unproved]; nothing is proved).  A
-    recording [trace] gets one ["engine"]-category ["invar"] span and
-    the jobs-invariant counters ["invar.mined"], ["invar.killed"],
-    ["invar.proved"], ["invar.unproved"]. *)
+(** The full pipeline: {!mine}, {!filter}, then {!prove} at depth [k]
+    ([Invalid_argument] when [k < 1]).  [no_prove] stops after the
+    simulation filter (every survivor is reported as [unproved];
+    nothing is proved).  A recording [trace] gets one
+    ["engine"]-category ["invar"] span and the jobs-invariant counters
+    ["invar.mined"], ["invar.killed"], ["invar.proved"],
+    ["invar.unproved"]. *)
 
 (** {2 Consumption — proved invariants only} *)
 

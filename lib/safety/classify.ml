@@ -10,7 +10,6 @@ type config = {
   rc : Olfu.Run_config.t;
   window : int;
   seu_limit : int;
-  conflict_limit : int;
   invariants : bool;
 }
 
@@ -19,7 +18,6 @@ let default =
     rc = Olfu.Run_config.default;
     window = 4;
     seu_limit = 64;
-    conflict_limit = 50_000;
     invariants = true;
   }
 
@@ -149,9 +147,8 @@ let run ?(config = default) ~facts nl mission =
      over-approximation *)
   let bmc_nl = machine in
   let seu =
-    Seu.run ~window:config.window ~conflict_limit:config.conflict_limit
-      ~limit:config.seu_limit ~jobs:rc.Olfu.Run_config.jobs ~trace
-      ~observable_output:observable
+    Seu.run ~window:config.window ~limit:config.seu_limit
+      ~jobs:rc.Olfu.Run_config.jobs ~trace ~observable_output:observable
       ~invariants:
         (match invariants with Some ir -> ir.Invar.proved | None -> [])
       bmc_nl

@@ -33,15 +33,13 @@ type config = {
   rc : Olfu.Run_config.t;  (** ff_mode / jobs / implic / trace *)
   window : int;  (** SEU latching window, cycles *)
   seu_limit : int;  (** flop sample size; [<= 0] checks every flop *)
-  conflict_limit : int;  (** SAT budget per SEU query *)
   invariants : bool;
       (** run the {!Olfu_invar} engine and the invariant-safe pass
           (default [true]) *)
 }
 
 val default : config
-(** {!Olfu.Run_config.default}, window 4, 64 flops, 50,000 conflicts,
-    invariants on. *)
+(** {!Olfu.Run_config.default}, window 4, 64 flops, invariants on. *)
 
 type report = {
   universe : int;

@@ -7,6 +7,10 @@ module Trace = Olfu_obs.Trace
 
 type ff_result = { ff : int; cls : Taxonomy.seu_class; structural : bool }
 
+(* SAT budget of each query; an exhausted budget is the [Seu_unknown]
+   verdict. *)
+let conflict_limit = 50_000
+
 type report = {
   window : int;
   total_ffs : int;
@@ -71,99 +75,35 @@ let reaches_observation nl ~window ~func_outs ff =
    each flop's certified backward slice instead gave the same verdicts
    but ran 1.2-2.1x slower on every core, window and sample size
    measured (hard slices keep about half the flops). *)
-let encode ~window ~conflict_limit ~invariants nl ~ff ~func_outs ~alarm_outs
-    =
+let encode ~window ~invariants nl ~ff ~func_outs ~alarm_outs =
   let s = S.create () in
   let b = CB.create s in
-  let id_stem _ l = l in
-  let id_op _ _ l = l in
-  (* shared per-cycle input variables (reset held inactive — mission)
-     and free variables for floating nets, exactly as {!Bmc.run} *)
-  let input_vars =
-    Array.init window (fun _ ->
-        let tbl = Hashtbl.create 37 in
-        Array.iter
-          (fun i ->
-            let v =
-              if Netlist.has_role nl i Netlist.Reset then CB.vtrue b
-              else CB.fresh b
-            in
-            Hashtbl.replace tbl i v)
-          (Netlist.inputs nl);
-        tbl)
-  in
-  let tiex_vars =
-    Array.init window (fun _ ->
-        let tbl = Hashtbl.create 7 in
-        Netlist.iter_nodes
-          (fun i nd ->
-            if nd.Netlist.kind = Cell.Tiex then
-              Hashtbl.replace tbl i (CB.fresh b))
-          nl;
-        tbl)
-  in
-  let seqs = Netlist.seq_nodes nl in
-  let init =
-    Array.map
-      (fun i ->
-        match Netlist.kind nl i with
-        | Cell.Dffr | Cell.Sdffr -> (i, -CB.vtrue b)
-        | _ -> (i, CB.fresh b))
-      seqs
-  in
+  let frames = Bmc.frames b nl window in
+  let init = Bmc.reset_state b nl in
   (* reachable-state prefilter: the pre-upset state satisfies every
      proved invariant, so cycle 0 ranges over the invariant
      over-approximation of the reachable set instead of all 2^n
      states (the flipped copy is that state with one bit inverted —
      deliberately off-manifold) *)
-  if invariants <> [] then begin
-    let tbl = Hashtbl.create 97 in
-    Array.iter (fun (i, l) -> Hashtbl.replace tbl i l) init;
-    List.iter
-      (fun l -> S.add_clause s [ l ])
-      (Olfu_invar.Invar.state_literals b ~state_of:(Hashtbl.find tbl)
-         invariants)
-  end;
+  List.iter
+    (fun l -> S.add_clause s [ l ])
+    (Olfu_invar.Invar.state_literals b ~state_of:(Bmc.state_lit init)
+       invariants);
+  let func_diffs = ref [] and alarm_diffs = ref [] in
   (* the upset machine: identical, except the target flop starts
      inverted — a single bit-flip latched just before cycle 0 *)
-  let flipped =
-    Array.map (fun (i, l) -> if i = ff then (i, -l) else (i, l)) init
-  in
-  let func_diffs = ref [] and alarm_diffs = ref [] in
-  let good = ref init and bad = ref flipped in
-  for c = 0 to window - 1 do
-    let source_of state i =
-      match Netlist.kind nl i with
-      | Cell.Input -> Hashtbl.find input_vars.(c) i
-      | Cell.Tiex -> Hashtbl.find tiex_vars.(c) i
-      | _ -> (
-        match Array.find_opt (fun (j, _) -> j = i) state with
-        | Some (_, l) -> l
-        | None -> assert false)
-    in
-    let _, glit =
-      Bmc.eval_cycle b nl
-        ~source:(source_of !good)
-        ~inject_stem:id_stem ~inject_operand:id_op
-    in
-    let _, flit =
-      Bmc.eval_cycle b nl
-        ~source:(source_of !bad)
-        ~inject_stem:id_stem ~inject_operand:id_op
-    in
-    let observe outs sink =
-      List.iter
-        (fun o ->
-          let d = (Netlist.fanin nl o).(0) in
-          let x = CB.mk_xor2 b (glit d) (flit d) in
-          if not (CB.is_false b x) then sink := x :: !sink)
-        outs
-    in
-    observe func_outs func_diffs;
-    observe alarm_outs alarm_diffs;
-    good := Bmc.next_state b nl glit ~inject_operand:id_op;
-    bad := Bmc.next_state b nl flit ~inject_operand:id_op
-  done;
+  Bmc.unroll2 b nl ~frames ~good:init ~bad:(Bmc.flip init ff)
+    ~observe:(fun glit flit ->
+      let observe outs sink =
+        List.iter
+          (fun o ->
+            let d = (Netlist.fanin nl o).(0) in
+            let x = CB.mk_xor2 b (glit d) (flit d) in
+            if not (CB.is_false b x) then sink := x :: !sink)
+          outs
+      in
+      observe func_outs func_diffs;
+      observe alarm_outs alarm_diffs);
   match !func_diffs with
   | [] -> Taxonomy.Seu_masked
   | ds -> (
@@ -184,8 +124,13 @@ let encode ~window ~conflict_limit ~invariants nl ~ff ~func_outs ~alarm_outs
         | S.Unsat -> Taxonomy.Seu_masked
         | S.Unknown -> Taxonomy.Seu_unknown))
 
-let classify_ff ?(window = 4) ?(conflict_limit = 50_000)
-    ?(observable_output = fun _ -> true) ?alarm ?(invariants = []) nl ff =
+let check_window fn window =
+  if window < 1 then
+    invalid_arg (Printf.sprintf "Seu.%s: window %d < 1" fn window)
+
+let classify_ff ?(window = 4) ?(observable_output = fun _ -> true) ?alarm
+    ?(invariants = []) nl ff =
+  check_window "classify_ff" window;
   if not (Cell.is_seq (Netlist.kind nl ff)) then
     invalid_arg "Seu.classify_ff: not a sequential node";
   let alarm = match alarm with Some f -> f | None -> default_alarm nl in
@@ -200,10 +145,7 @@ let classify_ff ?(window = 4) ?(conflict_limit = 50_000)
   if not (reaches_observation nl ~window ~func_outs ff) then
     { ff; cls = Taxonomy.Seu_masked; structural = true }
   else
-    let cls =
-      encode ~window ~conflict_limit ~invariants nl ~ff ~func_outs
-        ~alarm_outs
-    in
+    let cls = encode ~window ~invariants nl ~ff ~func_outs ~alarm_outs in
     { ff; cls; structural = false }
 
 let sample_ffs ~limit seqs =
@@ -211,9 +153,9 @@ let sample_ffs ~limit seqs =
   if limit <= 0 || limit >= total then Array.copy seqs
   else Array.init limit (fun k -> seqs.(k * total / limit))
 
-let run ?(window = 4) ?(conflict_limit = 50_000) ?(limit = 0) ?jobs
-    ?(trace = Trace.null) ?(observable_output = fun _ -> true) ?alarm
-    ?(invariants = []) nl =
+let run ?(window = 4) ?(limit = 0) ?jobs ?(trace = Trace.null)
+    ?(observable_output = fun _ -> true) ?alarm ?(invariants = []) nl =
+  check_window "run" window;
   let jobs = match jobs with Some j -> j | None -> Pool.default_jobs () in
   let seqs = Netlist.seq_nodes nl in
   let sample = sample_ffs ~limit seqs in
@@ -233,8 +175,8 @@ let run ?(window = 4) ?(conflict_limit = 50_000) ?(limit = 0) ?jobs
             (fun ~worker:_ ~lo ~hi ->
               for k = lo to hi - 1 do
                 results.(k) <-
-                  classify_ff ~window ~conflict_limit ~observable_output
-                    ?alarm ~invariants nl sample.(k)
+                  classify_ff ~window ~observable_output ?alarm ~invariants
+                    nl sample.(k)
               done)));
   let count c =
     Array.fold_left

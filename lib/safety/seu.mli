@@ -4,10 +4,12 @@ open Olfu_netlist
     (OpenSEA-style, arXiv 1712.04291).
 
     Two copies of the mission machine are unrolled over a bounded
-    latching window with shared inputs (reset held inactive, resettable
-    flops starting at 0, plain flops at a solver-chosen but equal
-    power-up value), except that the target flop starts {e inverted} in
-    the second copy — a single-event upset latched just before cycle 0.
+    latching window through the {!Olfu_atpg.Bmc} mission frame — shared
+    inputs with reset held inactive, resettable flops starting at 0,
+    plain flops at a solver-chosen but equal power-up value; mission
+    constants are the netlist's ties — except that the target flop
+    starts {e inverted} in the second copy: a single-event upset latched
+    just before cycle 0.
     Three outcomes:
     {ul
     {- no input sequence makes a functional output diverge within the
@@ -46,7 +48,6 @@ val default_alarm : Netlist.t -> int -> bool
 
 val classify_ff :
   ?window:int ->
-  ?conflict_limit:int ->
   ?observable_output:(int -> bool) ->
   ?alarm:(int -> bool) ->
   ?invariants:Olfu_invar.Invar.invariant list ->
@@ -54,18 +55,19 @@ val classify_ff :
   int ->
   ff_result
 (** Classify one flop.  [window] (default 4) is the latching window in
-    cycles; [conflict_limit] (default 50,000) bounds each SAT query.
+    cycles; each SAT query stops after 50,000 conflicts (an
+    {!Taxonomy.Seu_unknown} verdict).
     [observable_output] selects the outputs the field can check;
     [alarm] (default {!default_alarm}) splits them into functional and
     alarm outputs.  [invariants] (proved on this machine — see
     {!Olfu_invar}) constrain the pre-upset cycle-0 state to the proved
     reachable over-approximation: a sound strengthening that prunes
     upset states no mission run can reach and typically speeds the
-    queries up.  Raises [Invalid_argument] on a non-sequential node. *)
+    queries up.  Raises [Invalid_argument] on a non-sequential node or a
+    [window] below 1. *)
 
 val run :
   ?window:int ->
-  ?conflict_limit:int ->
   ?limit:int ->
   ?jobs:int ->
   ?trace:Olfu_obs.Trace.sink ->
@@ -77,7 +79,8 @@ val run :
 (** Classify a deterministic, evenly strided sample of [limit] flops,
     sharded one flop per chunk over a {!Olfu_pool.Pool} of [jobs]
     workers; each flop's verdict is independent, so the report is
-    identical for any [jobs].
+    identical for any [jobs].  Raises [Invalid_argument] on a [window]
+    below 1.
 
     Sampling: [limit <= 0] (or [limit >= total]) checks {e every} flop;
     otherwise flop [k] of the sample is sequential node

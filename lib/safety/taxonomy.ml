@@ -34,17 +34,3 @@ let of_status = function
     Unclassified
 
 type seu_class = Seu_masked | Seu_protected | Seu_vulnerable | Seu_unknown
-
-let seu_classes = [| Seu_masked; Seu_protected; Seu_vulnerable; Seu_unknown |]
-
-let seu_name = function
-  | Seu_masked -> "SEU masked"
-  | Seu_protected -> "SEU protected"
-  | Seu_vulnerable -> "SEU vulnerable"
-  | Seu_unknown -> "SEU unknown"
-
-let seu_code = function
-  | Seu_masked -> "masked"
-  | Seu_protected -> "protected"
-  | Seu_vulnerable -> "vulnerable"
-  | Seu_unknown -> "unknown"

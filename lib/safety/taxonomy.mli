@@ -54,8 +54,3 @@ type seu_class =
   | Seu_vulnerable
       (** some trace diverges functionally with every alarm silent *)
   | Seu_unknown  (** solver budget exhausted — no claim *)
-
-val seu_classes : seu_class array
-val seu_name : seu_class -> string
-val seu_code : seu_class -> string
-(** ["masked"], ["protected"], ["vulnerable"], ["unknown"]. *)

@@ -246,6 +246,20 @@ let op_of_json name params =
     Ok (Coverage { sample = get_int ~default:1000 "sample" params })
   | other -> Error (Printf.sprintf "unknown op %S" other)
 
+(* A depth below one cycle makes a vacuous verdict: a 0-cycle SEU
+   window calls every flop masked, a depth-0 induction proves
+   nothing. *)
+let check op =
+  let at_least_1 field v =
+    if v < 1 then
+      Error (Printf.sprintf "field %S must be at least 1 (got %d)" field v)
+    else Ok op
+  in
+  match op with
+  | Invar { k; _ } -> at_least_1 "k" k
+  | Safety { window; _ } -> at_least_1 "window" window
+  | _ -> Ok op
+
 let of_json j =
   match j with
   | J.Obj _ -> (
@@ -263,7 +277,7 @@ let of_json j =
           | Some (J.Obj _ as p) -> p
           | Some _ -> badf "field \"params\" must be an object"
         in
-        match op_of_json name params with
+        match Result.bind (op_of_json name params) check with
         | Error _ as e -> e
         | Ok op ->
           let target =

@@ -73,6 +73,12 @@ val default_run : run
 val run : ?id:int -> ?fmt:fmt -> ?jobs:int -> ?ff_mode:Olfu_atpg.Ternary.ff_mode -> ?implic:bool -> target -> op -> t
 (** Convenience constructor over {!default_run}. *)
 
+val check : op -> (op, string) result
+(** Range check of the op's parameters: [Error] naming the field when
+    [Invar]'s [k] or [Safety]'s [window] is below 1 (a vacuous
+    verdict).  {!of_json} applies it, and so does {!Service.execute} for
+    requests built without decoding. *)
+
 val to_json : t -> Olfu_obs.Json.t
 val of_json : Olfu_obs.Json.t -> (t, string) result
 

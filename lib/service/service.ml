@@ -301,18 +301,19 @@ let exec_lint _session _sink (_r : Req.run) (l : Session.loaded) ~waivers
   let inv =
     if not invariants then None
     else
+      (* the on-line machine: debug controls and the scan interface tied
+         to 0, as [Classify.bmc_machine] ties them; ties keep node ids,
+         so the facts apply to [nl] *)
+      let b = Netlist.Builder.of_netlist nl in
+      List.concat_map
+        (fun role -> Array.to_list (Netlist.nodes_with_role nl role))
+        [ Netlist.Debug_control; Netlist.Scan_enable; Netlist.Scan_in ]
+      |> List.filter (fun i -> Cell.equal_kind (Netlist.kind nl i) Cell.Input)
+      |> List.sort_uniq Int.compare
+      |> List.iter (fun i ->
+             Olfu_manip.Tie.Batch.input b i Olfu_logic.Logic4.L0);
       let module Inv = Olfu_invar.Invar in
-      let hold =
-        List.concat_map
-          (fun role ->
-            Netlist.nodes_with_role nl role
-            |> Array.to_list
-            |> List.filter (fun i ->
-                   Cell.equal_kind (Netlist.kind nl i) Cell.Input)
-            |> List.map (fun i -> (i, false)))
-          [ Netlist.Debug_control; Netlist.Scan_enable; Netlist.Scan_in ]
-      in
-      Some (Inv.lint_facts (Inv.run ~hold nl))
+      Some (Inv.lint_facts (Inv.run (Netlist.Builder.freeze_exn b)))
   in
   let o = L.Lint.run ~config ?software:sw ?invariants:inv nl in
   let fail =
@@ -990,6 +991,7 @@ let render (fmt : Req.fmt) (o : Session.outcome) =
   | Req.Summary -> o.Session.summary
 
 let run_op session sink id (r : Req.run) =
+  (match Req.check r.op with Ok _ -> () | Error m -> badf "%s" m);
   let l = load session r in
   let key = l.Session.digest ^ "/" ^ Req.fingerprint r ^ outcome_salt r in
   let meta_ref = ref empty_meta in

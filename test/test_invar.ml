@@ -160,6 +160,14 @@ let test_report_partition () =
   Alcotest.(check int) "class table covers every candidate"
     (List.length r.Invar.mined) total
 
+(* An induction of depth 0 checks no cycle and would prove anything. *)
+let test_zero_depth_rejected () =
+  let nl, st = one_hot_fsm () in
+  Alcotest.check_raises "prove k 0" (Invalid_argument "Invar.prove: k 0 < 1")
+    (fun () -> ignore (Invar.prove ~k:0 nl [ Invar.At_most_one st ]));
+  Alcotest.check_raises "run k -1" (Invalid_argument "Invar.run: k -1 < 1")
+    (fun () -> ignore (Invar.run ~k:(-1) nl))
+
 (* --- qcheck: proved invariants hold on long random traces --- *)
 
 let build_rand seed =
@@ -310,6 +318,8 @@ let () =
           Alcotest.test_case "sim filter kills false const" `Quick
             test_sim_filter_kills_false_const;
           Alcotest.test_case "report partition" `Quick test_report_partition;
+          Alcotest.test_case "zero depth rejected" `Quick
+            test_zero_depth_rejected;
         ] );
       ("soundness", [ qt prop_proved_hold_on_traces ]);
       ("slicing", [ qt prop_sliced_prove_identical ]);

@@ -93,6 +93,17 @@ let test_seu_non_seq_rejected () =
     (Invalid_argument "Seu.classify_ff: not a sequential node") (fun () ->
       ignore (Seu.classify_ff nl inp))
 
+(* A window of no cycles observes nothing: every flop would read
+   "masked".  Rejected instead. *)
+let test_seu_empty_window_rejected () =
+  let nl, ff = vulnerable_ff () in
+  Alcotest.check_raises "window 0"
+    (Invalid_argument "Seu.classify_ff: window 0 < 1") (fun () ->
+      ignore (Seu.classify_ff ~window:0 nl ff));
+  Alcotest.check_raises "run window -1"
+    (Invalid_argument "Seu.run: window -1 < 1") (fun () ->
+      ignore (Seu.run ~window:(-1) nl))
+
 let test_run_counts () =
   let nl, _ = protected_ff () in
   let r = Seu.run ~window:2 nl in
@@ -364,6 +375,8 @@ let () =
           Alcotest.test_case "protected" `Quick test_seu_protected;
           Alcotest.test_case "non-seq rejected" `Quick
             test_seu_non_seq_rejected;
+          Alcotest.test_case "empty window rejected" `Quick
+            test_seu_empty_window_rejected;
           Alcotest.test_case "run counts" `Quick test_run_counts;
           qt prop_seu_sound_vs_replay;
         ] );

@@ -55,10 +55,10 @@ let gen_op =
       (let* programs = list_size (int_bound 3) (oneofl [ "memcpy"; "crc" ]) in
        let* asm = opt (oneofl [ "p.asm" ]) in
        return (Req.Absint { programs; asm }));
-      (let* k = small in
+      (let* k = int_range 1 64 in
        let* no_prove = bool in
        return (Req.Invar { k; no_prove }));
-      (let* window = small in
+      (let* window = int_range 1 64 in
        let* seu_limit = small in
        return (Req.Safety { window; seu_limit }));
       map (fun dot -> Req.Slice { dot }) bool;
@@ -151,6 +151,8 @@ let malformed_lines =
     "{\"op\": \"analyze\", \"id\": \"twelve\"}";
     "{\"op\": \"analyze\"";
     "{\"op\": \"lint\", \"params\": {\"fail_on\": \"fatal\"}}";
+    "{\"op\": \"invar\", \"params\": {\"k\": 0}}";
+    "{\"op\": \"safety\", \"params\": {\"window\": -1}}";
   ]
 
 let test_malformed_decode () =
@@ -180,7 +182,33 @@ let run_req ?(id = 1) ?(fmt = Req.Json) ?(target = Req.Config "tcore16") op =
 
 let exec session req = fst (S.Service.execute session req)
 
+(* A netlist whose [scan_en] is a wire, not an input: tying it for the
+   on-line machine raises inside the engine. *)
+let scan_en_wire_v =
+  {|module scanwire (a, b, o);
+  input a; input b; output o; wire scan_en;
+  AND2 u1 (.Y(scan_en), .A(a), .B(b));
+  BUF u2 (.Y(o), .A(scan_en));
+endmodule
+|}
+
+let with_verilog text f =
+  let path = Filename.temp_file "olfu_svc" ".v" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc text);
+      f path)
+
+let error_of (resp : Resp.t) = Option.value ~default:"" resp.Resp.error
+
+let contains s sub =
+  let ls = String.length s and lb = String.length sub in
+  let rec go i = i + lb <= ls && (String.sub s i lb = sub || go (i + 1)) in
+  go 0
+
 let test_bad_requests_are_responses () =
+  with_verilog scan_en_wire_v @@ fun scan_en_wire ->
   let session = S.Session.create () in
   let cases =
     [
@@ -190,19 +218,69 @@ let test_bad_requests_are_responses () =
       ("unknown program", run_req (Req.Absint { programs = [ "no_such_prog" ]; asm = None }));
       ("missing waivers", run_req (Req.Lint { waivers = Some "/nonexistent/w.json"; baseline = None; disabled = []; software = false; invariants = false; fail_on = Req.Never }));
       (* the engine raises Invalid_argument: answered, not raised *)
-      ("invar k = -1", run_req (Req.Invar { k = -1; no_prove = false }));
+      ( "invar on a wire scan_en",
+        run_req ~target:(Req.File scan_en_wire)
+          (Req.Invar { k = 1; no_prove = false }) );
+      (* vacuous depths: rejected before any engine runs *)
+      ("invar k = 0", run_req (Req.Invar { k = 0; no_prove = false }));
+      ("invar k = -1", run_req (Req.Invar { k = -1; no_prove = true }));
+      ("safety window = 0", run_req (Req.Safety { window = 0; seu_limit = 8 }));
     ]
   in
+  let resps = List.map (fun (what, req) -> (what, exec session req)) cases in
   List.iter
-    (fun (what, req) ->
-      let resp = exec session req in
+    (fun (what, resp) ->
       Alcotest.(check bool)
         (what ^ ": bad input") true
         (resp.Resp.status = Resp.Bad_input);
       Alcotest.(check bool)
         (what ^ ": has diagnostic") true
         (resp.Resp.error <> None))
-    cases
+    resps;
+  let err what = error_of (List.assoc what resps) in
+  Alcotest.(check bool) "engine exception is an internal error" true
+    (String.starts_with ~prefix:"internal error: "
+       (err "invar on a wire scan_en"));
+  List.iter
+    (fun (what, field) ->
+      Alcotest.(check bool) (what ^ ": names the field") true
+        (contains (err what) (Printf.sprintf "field %S" field));
+      Alcotest.(check bool) (what ^ ": not an internal error") false
+        (String.starts_with ~prefix:"internal error" (err what)))
+    [ ("invar k = 0", "k"); ("invar k = -1", "k"); ("safety window = 0", "window") ]
+
+(* The INV-* lint path: invariants proved on the machine with the debug
+   controls and the scan interface tied to 0. *)
+let test_lint_invariants () =
+  let session = S.Session.create () in
+  let resp =
+    exec session
+      (run_req ~fmt:Req.Text
+         (Req.Lint
+            {
+              waivers = None;
+              baseline = None;
+              disabled = [];
+              software = false;
+              invariants = true;
+              fail_on = Req.Fail_on Olfu_lint.Rule.Error;
+            }))
+  in
+  Alcotest.(check bool) "no error finding" true
+    (resp.Resp.status = Resp.Success);
+  let lines = String.split_on_char '\n' resp.Resp.output in
+  Alcotest.(check bool) "9 findings" true
+    (List.mem "9 findings (0 errors, 0 warnings, 9 info)" lines);
+  let inv = List.filter (fun l -> contains l "INV-001") lines in
+  Alcotest.(check int) "three INV-001 findings" 3 (List.length inv);
+  List.iter
+    (fun frag ->
+      Alcotest.(check bool) frag true (List.exists (fun l -> contains l frag) inv))
+    [
+      "2-bit register at dbg/tap[0] reaches 1 of 4 codes";
+      "16-bit register at dbg/dr[0] reaches 1 of 65536 codes";
+      "2-bit register at st[0] reaches 3 of 4 codes";
+    ]
 
 let test_cache_hit_identity () =
   let session = S.Session.create () in
@@ -336,8 +414,11 @@ let test_daemon_protocol () =
       (* an engine exception: an internal-error answer, then the same
          connection still answers *)
       (match
-         S.Client.rpc_line conn
-           {|{"op":"invar","target":"tcore16","params":{"k":-1}}|}
+         with_verilog scan_en_wire_v (fun path ->
+             S.Client.rpc_line conn
+               (Req.to_line
+                  (run_req ~target:(Req.File path)
+                     (Req.Invar { k = 1; no_prove = false }))))
        with
       | Ok line -> (
         match Resp.of_string line with
@@ -394,6 +475,8 @@ let () =
         [
           Alcotest.test_case "bad requests are responses" `Quick
             test_bad_requests_are_responses;
+          Alcotest.test_case "lint with invariants" `Quick
+            test_lint_invariants;
           Alcotest.test_case "cache hit identity" `Quick
             test_cache_hit_identity;
           Alcotest.test_case "stats and ping" `Quick test_stats_and_ping;

@@ -2,8 +2,8 @@
 # Tier-1 gate: build, run the unit tests, then require the tcore32
 # generator to come out of the lint registry with no errors, the
 # abstract interpreter to analyse the SBST suite cleanly (including
-# the cross-check against the memory map), and the software-aware
-# lint pass to stay error-free on every core.
+# the cross-check against the memory map), and the software-aware and
+# invariant-aware lint passes to stay error-free on every core.
 #
 # Each gate is timed so slow ones are visible: `gate <name> <cmd...>`
 # prints the wall seconds after the command finishes (and still fails
@@ -67,6 +67,7 @@ gate absint dune exec bin/olfu_cli.exe -- absint -c tcore32 --suite
 for core in tcore32 tcore32_dft tcore16; do
   gate "lint-$core" dune exec bin/olfu_cli.exe -- lint -c "$core" --fail-on error
   gate "lint-sw-$core" dune exec bin/olfu_cli.exe -- lint -c "$core" --software --fail-on error
+  gate "lint-inv-$core" dune exec bin/olfu_cli.exe -- lint -c "$core" --invariants --fail-on error
 done
 
 # Fault-simulation smoke gate: the cone-limited engine at --jobs 2 must
@@ -184,16 +185,27 @@ serve_gate() {
   cmp -s "$OBS_TMP/lint-daemon.txt" "$OBS_TMP/lint-oneshot.txt" || {
     echo "serve: daemon and one-shot lint output differ"; return 1; }
 
-  # invar with k = -1 raises inside the engine; the daemon must answer
-  # it and keep the connection (a hang shows as timeout's exit 124)
+  # invar on a netlist whose scan_en is a wire raises inside the engine
+  # (the on-line machine cannot tie it); the daemon must answer it and
+  # keep the connection (a hang shows as timeout's exit 124)
+  cat > "$OBS_TMP/scanwire.v" <<'VERILOG'
+module scanwire (a, b, o);
+  input a; input b; output o; wire scan_en;
+  AND2 u1 (.Y(scan_en), .A(a), .B(b));
+  BUF u2 (.Y(o), .A(scan_en));
+endmodule
+VERILOG
   _rc=0
   timeout 60 "$_CLI" client --socket "$_sock" --raw \
-    '{"op":"invar","target":"tcore16","params":{"k":-1}}' '{"op":"ping"}' \
+    "{\"op\":\"invar\",\"target\":{\"file\":\"$OBS_TMP/scanwire.v\"}}" \
+    '{"op":"ping"}' \
     > "$OBS_TMP/exc.raw" || _rc=$?
   [ "$_rc" -eq 2 ] || {
     echo "serve: engine exception: client exit $_rc, want 2"; return 1; }
   sed -n 1p "$OBS_TMP/exc.raw" | grep -q '"status":2' || {
     echo "serve: engine exception not answered with status 2"; return 1; }
+  sed -n 1p "$OBS_TMP/exc.raw" | grep -q '"error":"internal error: ' || {
+    echo "serve: engine exception not an internal error"; return 1; }
   sed -n 2p "$OBS_TMP/exc.raw" | grep -q '"output":"pong\\n"' || {
     echo "serve: no ping answer after the engine exception"; return 1; }
 
