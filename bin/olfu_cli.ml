@@ -7,26 +7,24 @@
 open Cmdliner
 open Olfu_netlist
 
-let config_of_name = function
-  | "tcore32" -> Ok Olfu_soc.Soc.tcore32
-  | "tcore32_dft" -> Ok Olfu_soc.Soc.tcore32_dft
-  | "tcore16" -> Ok Olfu_soc.Soc.tcore16
-  | s ->
-    Error
-      (`Msg
-        (Printf.sprintf "unknown config %S (tcore32|tcore32_dft|tcore16)" s))
-
 let config_conv =
-  Arg.conv
-    ( (fun s -> config_of_name s),
-      fun ppf c -> Format.pp_print_string ppf c.Olfu_soc.Soc.name )
+  let parse s =
+    match Olfu_service.Service.soc_of_name s with
+    | Some cfg -> Ok cfg
+    | None ->
+      Error
+        (`Msg
+          (Printf.sprintf "unknown config %S (tcore32|tcore32_dft|tcore16)"
+             s))
+  in
+  Arg.conv (parse, fun ppf c -> Format.pp_print_string ppf c.Olfu_soc.Soc.name)
 
 let config_arg =
   Arg.(
     value
     & opt config_conv Olfu_soc.Soc.tcore32
     & info [ "c"; "config" ] ~docv:"CONFIG"
-        ~doc:"SoC configuration: tcore32 or tcore16.")
+        ~doc:"SoC configuration: tcore32, tcore32_dft or tcore16.")
 
 let file_arg =
   Arg.(
@@ -127,7 +125,7 @@ let target_of cfg file =
 let analyze cfg file ff_mode paper jobs format trace manifest connect =
   C.run_request ~connect ~trace ~manifest
     (S.Request.run
-       ~fmt:(C.fmt_of format) ~jobs:(jobs_of jobs) ~ff_mode
+       ~fmt:format ~jobs:(jobs_of jobs) ~ff_mode
        (target_of cfg file)
        (S.Request.Analyze { paper }))
 
@@ -142,7 +140,7 @@ let analyze_cmd =
        ~doc:"Run the on-line untestable fault identification flow (Table I).")
     Term.(
       ret (const analyze $ config_arg $ file_arg $ ff_mode_arg $ paper
-           $ jobs_arg $ C.format_arg () $ C.trace_arg $ C.manifest_arg
+           $ jobs_arg $ C.format_arg $ C.trace_arg $ C.manifest_arg
            $ C.connect_arg))
 
 (* --- tdf --- *)
@@ -261,7 +259,7 @@ let categories_cmd =
 let coverage cfg sample jobs format trace manifest connect =
   C.run_request ~connect ~trace ~manifest
     (S.Request.run
-       ~fmt:(C.fmt_of format) ~jobs:(jobs_of jobs)
+       ~fmt:format ~jobs:(jobs_of jobs)
        (S.Request.Config cfg.Olfu_soc.Soc.name)
        (S.Request.Coverage { sample }))
 
@@ -276,7 +274,7 @@ let coverage_cmd =
        ~doc:"Grade the SBST suite before/after pruning (tcore16 advised).")
     Term.(
       ret
-        (const coverage $ config_arg $ sample $ jobs_arg $ C.format_arg ()
+        (const coverage $ config_arg $ sample $ jobs_arg $ C.format_arg
        $ C.trace_arg $ C.manifest_arg $ C.connect_arg))
 
 (* --- report --- *)
@@ -372,7 +370,7 @@ let lint cfg file format rules_only waivers_path baseline_path
     C.run_request ~on_meta ~force_ok:update_baseline ~connect ~trace
       ~manifest
       (S.Request.run
-         ~fmt:(C.fmt_of format) ~jobs:(jobs_of jobs)
+         ~fmt:format ~jobs:(jobs_of jobs)
          (target_of cfg file)
          (S.Request.Lint
             {
@@ -397,7 +395,6 @@ let lint_cmd =
             "Structural-Verilog netlist to lint instead of a generated \
              configuration (roles read from //@role annotations).")
   in
-  let format = C.format_arg ~summary:true () in
   let rules_only =
     Arg.(
       value & flag
@@ -481,17 +478,17 @@ let lint_cmd =
           preconditions, dead logic, structural metrics, SCOAP.")
     Term.(
       ret
-        (const lint $ config_arg $ lint_file $ format $ rules_only $ waivers
-       $ baseline $ update_baseline $ fail_on $ disabled $ software
-       $ lint_invariants $ jobs_arg $ C.trace_arg $ C.manifest_arg
-       $ C.connect_arg))
+        (const lint $ config_arg $ lint_file $ C.format_arg $ rules_only
+       $ waivers $ baseline $ update_baseline $ fail_on $ disabled
+       $ software $ lint_invariants $ jobs_arg $ C.trace_arg
+       $ C.manifest_arg $ C.connect_arg))
 
 (* --- invar --- *)
 
 let invar cfg file format jobs k no_prove trace manifest connect =
   C.run_request ~connect ~trace ~manifest
     (S.Request.run
-       ~fmt:(C.fmt_of format) ~jobs:(jobs_of jobs)
+       ~fmt:format ~jobs:(jobs_of jobs)
        (target_of cfg file)
        (S.Request.Invar { k; no_prove }))
 
@@ -519,7 +516,7 @@ let invar_cmd =
     Term.(
       ret
         (const invar $ config_arg $ file_arg
-       $ C.format_arg ~summary:true () $ jobs_arg $ k $ no_prove
+       $ C.format_arg $ jobs_arg $ k $ no_prove
        $ C.trace_arg $ C.manifest_arg $ C.connect_arg))
 
 (* --- equiv --- *)
@@ -657,7 +654,7 @@ let absint cfg progs whole_suite asm_file format jobs trace manifest connect
   let programs = if whole_suite then [] else progs in
   C.run_request ~connect ~trace ~manifest
     (S.Request.run
-       ~fmt:(C.fmt_of format) ~jobs:(jobs_of jobs)
+       ~fmt:format ~jobs:(jobs_of jobs)
        (S.Request.Config cfg.Olfu_soc.Soc.name)
        (S.Request.Absint { programs; asm = asm_file }))
 
@@ -692,7 +689,7 @@ let absint_cmd =
     Term.(
       ret
         (const absint $ config_arg $ progs $ whole_suite $ asm
-       $ C.format_arg ~summary:true () $ jobs_arg $ C.trace_arg
+       $ C.format_arg $ jobs_arg $ C.trace_arg
        $ C.manifest_arg $ C.connect_arg))
 
 (* --- atpg --- *)
@@ -748,7 +745,7 @@ let implic cfg file ff_mode format learn_depth learn_budget jobs invariants
     trace manifest connect =
   C.run_request ~connect ~trace ~manifest
     (S.Request.run
-       ~fmt:(C.fmt_of format) ~jobs:(jobs_of jobs) ~ff_mode
+       ~fmt:format ~jobs:(jobs_of jobs) ~ff_mode
        (target_of cfg file)
        (S.Request.Implic { learn_depth; learn_budget; invariants }))
 
@@ -784,7 +781,7 @@ let implic_cmd =
     Term.(
       ret
         (const implic $ config_arg $ file_arg $ ff_mode_arg
-       $ C.format_arg ~summary:true () $ learn_depth $ learn_budget
+       $ C.format_arg $ learn_depth $ learn_budget
        $ jobs_arg $ implic_invariants $ C.trace_arg $ C.manifest_arg
        $ C.connect_arg))
 
@@ -814,7 +811,7 @@ let slice cfg file format dot jobs trace manifest connect =
   in
   C.run_request ~on_meta ~connect ~trace ~manifest
     (S.Request.run
-       ~fmt:(C.fmt_of format) ~jobs:(jobs_of jobs)
+       ~fmt:format ~jobs:(jobs_of jobs)
        (target_of cfg file)
        (S.Request.Slice { dot = dot <> None }))
 
@@ -838,7 +835,7 @@ let slice_cmd =
     Term.(
       ret
         (const slice $ config_arg $ file_arg
-       $ C.format_arg ~summary:true () $ dot $ jobs_arg $ C.trace_arg
+       $ C.format_arg $ dot $ jobs_arg $ C.trace_arg
        $ C.manifest_arg $ C.connect_arg))
 
 (* --- safety --- *)
@@ -846,7 +843,7 @@ let slice_cmd =
 let safety cfg window seu_limit jobs format trace manifest connect =
   C.run_request ~connect ~trace ~manifest
     (S.Request.run
-       ~fmt:(C.fmt_of format) ~jobs:(jobs_of jobs)
+       ~fmt:format ~jobs:(jobs_of jobs)
        (S.Request.Config cfg.Olfu_soc.Soc.name)
        (S.Request.Safety { window; seu_limit }))
 
@@ -879,7 +876,7 @@ let safety_cmd =
     Term.(
       ret
         (const safety $ config_arg $ window $ seu_limit $ jobs_arg
-       $ C.format_arg ~summary:true () $ C.trace_arg $ C.manifest_arg
+       $ C.format_arg $ C.trace_arg $ C.manifest_arg
        $ C.connect_arg))
 
 (* --- serve: the analysis daemon --- *)

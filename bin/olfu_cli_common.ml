@@ -12,25 +12,21 @@ module Export = Olfu_obs.Export
 module Manifest = Olfu_obs.Manifest
 module S = Olfu_service
 
-type fmt = Text | Json | Summary
-
-let format_arg ?(summary = true) () =
-  let variants =
-    [ ("text", Text); ("json", Json) ]
-    @ if summary then [ ("summary", Summary) ] else []
-  in
-  let doc =
-    if summary then
-      "Output format: $(b,text), $(b,json) (deterministic machine form), \
-       or $(b,summary) (key/value table)."
-    else "Output format: $(b,text) or $(b,json)."
-  in
-  Arg.(value & opt (enum variants) Text & info [ "format" ] ~docv:"FMT" ~doc)
-
-let fmt_of = function
-  | Text -> S.Request.Text
-  | Json -> S.Request.Json
-  | Summary -> S.Request.Summary
+let format_arg =
+  Arg.(
+    value
+    & opt
+        (enum
+           [
+             ("text", S.Request.Text);
+             ("json", S.Request.Json);
+             ("summary", S.Request.Summary);
+           ])
+        S.Request.Text
+    & info [ "format" ] ~docv:"FMT"
+        ~doc:
+          "Output format: $(b,text), $(b,json) (deterministic machine \
+           form), or $(b,summary) (key/value table).")
 
 (* The one exit-code convention, documented once and attached to every
    analysis subcommand: 0 = clean, 1 = the analysis ran and reported

@@ -315,15 +315,6 @@ let reg_at t ~pc r =
       | None -> Aval.bot t.xlen
       | Some st -> st.(r))
 
-let reg_join t r =
-  match t.degraded with
-  | Some _ -> Aval.top t.xlen
-  | None ->
-    Array.fold_left
-      (fun acc st ->
-        match st with None -> acc | Some st -> Aval.join acc st.(r))
-      (Aval.bot t.xlen) t.pre
-
 let may_write t ~addr =
   match t.degraded with
   | Some _ -> true

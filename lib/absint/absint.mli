@@ -50,9 +50,6 @@ val reg_at : t -> pc:int -> int -> Aval.t
 (** Abstract value of a register just before the instruction at [pc]
     executes (bottom if unreachable, top if degraded). *)
 
-val reg_join : t -> int -> Aval.t
-(** Join of a register over every reachable program point. *)
-
 val may_write : t -> addr:int -> bool
 val store_value : t -> addr:int -> Aval.t
 (** Join of everything that may be stored to [addr] (bottom if nothing). *)
@@ -81,10 +78,6 @@ val constant_addr_bits : width:int -> t list -> (int * bool) list
 (** Bits of [0..width-1] with a proven constant value, ascending — the
     program-side counterpart of {!Olfu_manip.Memmap.constant_bits}. *)
 
-val touched_regions :
-  t list -> Olfu_manip.Memmap.region list -> Olfu_manip.Memmap.region list
-(** Regions some access may fall into (all of them when degraded). *)
-
 val region_constant_bits :
   width:int -> t list -> Olfu_manip.Memmap.region list -> (int * bool) list
 (** [Memmap.constant_bits] restricted to the touched regions: the Sec. 4
@@ -104,11 +97,6 @@ val never_written : t list -> Olfu_manip.Memmap.region -> (int * int) list
     to, ascending (empty when degraded). *)
 
 (** {1 Data-bus queries} *)
-
-val rdata_bit : t list -> bit:int -> Logic4.t
-(** Toggle-join over everything the bus can return: the idle 0, fetched
-    instruction words, and load results.  [X] on an empty list — with no
-    analysed program there is no basis for claiming any bit constant. *)
 
 val rdata_constant_bits : width:int -> t list -> (int * bool) list
 

@@ -10,7 +10,6 @@ type t
 
 val width : t -> int
 val bot : int -> t
-val is_bot : t -> bool
 val top : int -> t
 val exact : int -> int -> t
 val of_values : int -> int list -> t

@@ -20,7 +20,6 @@ let top w = make w ~known:0 ~value:0
 let width t = t.width
 let is_exact t = t.known = full t.width
 let to_exact t = if is_exact t then Some t.value else None
-let is_top t = t.known = 0
 
 let equal a b = a.width = b.width && a.known = b.known && a.value = b.value
 

@@ -14,9 +14,7 @@ val make : int -> known:int -> value:int -> t
 val exact : int -> int -> t
 val top : int -> t
 val width : t -> int
-val is_exact : t -> bool
 val to_exact : t -> int option
-val is_top : t -> bool
 val equal : t -> t -> bool
 
 val bit : t -> int -> Logic4.t

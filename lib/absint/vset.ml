@@ -41,7 +41,6 @@ let join a b =
     Range (min lo1 lo2, max hi1 hi2)
 
 let equal (a : t) b = a = b
-let leq a b = equal (join a b) b
 
 let widen old n =
   let j = join old n in

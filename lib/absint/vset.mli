@@ -23,7 +23,6 @@ val to_list : t -> int list option
 
 val join : t -> t -> t
 val equal : t -> t -> bool
-val leq : t -> t -> bool
 
 val widen : t -> t -> t
 (** [widen old new]: like [join] but an interval that grows again after

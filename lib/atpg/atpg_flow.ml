@@ -3,30 +3,16 @@ open Olfu_netlist
 open Olfu_fault
 module Trace = Olfu_obs.Trace
 
-type config = {
-  seed : int;
-  random_batch : int;
-  max_random_batches : int;
-  backtrack_limit : int;
-  use_sat : bool;
-  sat_conflict_limit : int;
-  observable_output : int -> bool;
-  observe_captures : bool;
-  trace : Trace.sink;
-}
+type config = { seed : int; backtrack_limit : int; trace : Trace.sink }
 
-let default =
-  {
-    seed = 1;
-    random_batch = 64;
-    max_random_batches = 32;
-    backtrack_limit = 2_000;
-    use_sat = true;
-    sat_conflict_limit = 50_000;
-    observable_output = (fun _ -> true);
-    observe_captures = true;
-    trace = Trace.null;
-  }
+let default = { seed = 1; backtrack_limit = 2_000; trace = Trace.null }
+
+(* phase 1 draws batches of [random_batch] patterns, at most
+   [max_random_batches] of them; phase 3 gives the SAT prover
+   [sat_conflict_limit] conflicts per PODEM abort *)
+let random_batch = 64
+let max_random_batches = 32
+let sat_conflict_limit = 50_000
 
 type result = {
   patterns : Olfu_fsim.Comb_fsim.pattern list;
@@ -44,20 +30,7 @@ let active st =
   | Status.Not_analyzed | Status.Not_detected -> true
   | _ -> false
 
-let run cfg nl fl =
-  let {
-    seed;
-    random_batch;
-    max_random_batches;
-    backtrack_limit;
-    use_sat;
-    sat_conflict_limit;
-    observable_output;
-    observe_captures;
-    trace;
-  } =
-    cfg
-  in
+let run { seed; backtrack_limit; trace } nl fl =
   let t0 = Unix.gettimeofday () in
   let guide = Trace.span trace ~cat:"engine" "scoap" (fun () -> Scoap.run nl) in
   let rng = Random.State.make [| seed |] in
@@ -67,24 +40,21 @@ let run cfg nl fl =
   (* phase 0: static untestability proofs (ternary + implication engine)
      so the search phases never target a provably dead fault.  [Cut]
      ff_mode matches the per-frame combinational model the pattern
-     engines use; captures must be observed for the walker's through-FF
-     credit to be sound, so the prune is skipped otherwise *)
+     engines use; every phase observes every output and every capture,
+     which the walker's through-FF credit needs to be sound *)
   let static_pruned = ref 0 in
-  if observe_captures then
-    Trace.span trace ~cat:"step" "static prune" (fun () ->
-        let t =
-          Untestable.analyze ~ff_mode:Ternary.Cut ~observable_output ~trace nl
-        in
-        Trace.span trace ~cat:"engine" "classify" @@ fun () ->
-        Flist.iteri
-          (fun i f st ->
-            if active st then
-              match Untestable.fault_verdict t f with
-              | Some v ->
-                incr static_pruned;
-                Flist.set_status fl i v
-              | None -> ())
-          fl);
+  Trace.span trace ~cat:"step" "static prune" (fun () ->
+      let t = Untestable.analyze ~ff_mode:Ternary.Cut ~trace nl in
+      Trace.span trace ~cat:"engine" "classify" @@ fun () ->
+      Flist.iteri
+        (fun i f st ->
+          if active st then
+            match Untestable.fault_verdict t f with
+            | Some v ->
+              incr static_pruned;
+              Flist.set_status fl i v
+            | None -> ())
+        fl);
   (* phase 1: random patterns with fault dropping *)
   Trace.span trace ~cat:"step" "random patterns" (fun () ->
       let exhausted = ref false in
@@ -97,10 +67,7 @@ let run cfg nl fl =
                 (fun _ -> Logic4.of_bool (Random.State.bool rng))
                 srcs)
         in
-        let r =
-          Olfu_fsim.Comb_fsim.run ~observe_captures ~observable_output ~trace
-            nl fl batch
-        in
+        let r = Olfu_fsim.Comb_fsim.run ~trace nl fl batch in
         if r.Olfu_fsim.Comb_fsim.detected = 0 then exhausted := true
         else begin
           (* keep the batch: simple (non-minimal) pattern retention *)
@@ -118,10 +85,7 @@ let run cfg nl fl =
         (fun i f st ->
           if active st && f.Fault.site.Fault.pin <> Cell.Pin.Clk then begin
             let ts = Trace.now trace in
-            let outcome =
-              Podem.run ~backtrack_limit ~observable_output ~observe_captures
-                ~guide nl f
-            in
+            let outcome = Podem.run ~backtrack_limit ~guide nl f in
             podem_s := !podem_s +. (Trace.now trace -. ts);
             incr podem_runs;
             match outcome with
@@ -137,14 +101,12 @@ let run cfg nl fl =
               (* fault-simulate the new pattern: it may catch several *)
               let sub = Flist.create nl [| f |] in
               ignore
-                (Olfu_fsim.Comb_fsim.run ~observe_captures ~observable_output
-                   ~trace nl sub [| p |]
+                (Olfu_fsim.Comb_fsim.run ~trace nl sub [| p |]
                   : Olfu_fsim.Comb_fsim.report);
               if Status.equal (Flist.status sub 0) Status.Detected then begin
                 patterns := p :: !patterns;
                 ignore
-                  (Olfu_fsim.Comb_fsim.run ~observe_captures
-                     ~observable_output ~trace nl fl [| p |]
+                  (Olfu_fsim.Comb_fsim.run ~trace nl fl [| p |]
                     : Olfu_fsim.Comb_fsim.report);
                 (* ensure the target itself is marked even if PT-shadowed *)
                 Flist.set_status fl i Status.Detected
@@ -170,44 +132,41 @@ let run cfg nl fl =
   (* phase 3: complete SAT prover for the aborts *)
   let sat_settled = ref 0 in
   let sat_s = ref 0. and sat_runs = ref 0 in
-  if use_sat then
-    Trace.span trace ~cat:"step" "sat" (fun () ->
-        Flist.iteri
-          (fun i f st ->
-            if Status.equal st Status.Atpg_untestable then begin
-              let ts = Trace.now trace in
-              let outcome =
-                Sat_atpg.run ~conflict_limit:sat_conflict_limit
-                  ~observable_output ~observe_captures nl f
+  Trace.span trace ~cat:"step" "sat" (fun () ->
+      Flist.iteri
+        (fun i f st ->
+          if Status.equal st Status.Atpg_untestable then begin
+            let ts = Trace.now trace in
+            let outcome =
+              Sat_atpg.run ~conflict_limit:sat_conflict_limit nl f
+            in
+            sat_s := !sat_s +. (Trace.now trace -. ts);
+            incr sat_runs;
+            match outcome with
+            | Sat_atpg.Test assignment ->
+              incr sat_settled;
+              decr aborted;
+              let p =
+                Array.map
+                  (fun s ->
+                    match List.assoc_opt s assignment with
+                    | Some b -> Logic4.of_bool b
+                    | None -> Logic4.of_bool (Random.State.bool rng))
+                  srcs
               in
-              sat_s := !sat_s +. (Trace.now trace -. ts);
-              incr sat_runs;
-              match outcome with
-              | Sat_atpg.Test assignment ->
-                incr sat_settled;
-                decr aborted;
-                let p =
-                  Array.map
-                    (fun s ->
-                      match List.assoc_opt s assignment with
-                      | Some b -> Logic4.of_bool b
-                      | None -> Logic4.of_bool (Random.State.bool rng))
-                    srcs
-                in
-                patterns := p :: !patterns;
-                Flist.set_status fl i Status.Detected;
-                ignore
-                  (Olfu_fsim.Comb_fsim.run ~observe_captures
-                     ~observable_output ~trace nl fl [| p |]
-                    : Olfu_fsim.Comb_fsim.report)
-              | Sat_atpg.Untestable ->
-                incr sat_settled;
-                decr aborted;
-                incr proved;
-                Flist.set_status fl i (Status.Undetectable Status.Redundant)
-              | Sat_atpg.Unknown -> ()
-            end)
-          fl);
+              patterns := p :: !patterns;
+              Flist.set_status fl i Status.Detected;
+              ignore
+                (Olfu_fsim.Comb_fsim.run ~trace nl fl [| p |]
+                  : Olfu_fsim.Comb_fsim.report)
+            | Sat_atpg.Untestable ->
+              incr sat_settled;
+              decr aborted;
+              incr proved;
+              Flist.set_status fl i (Status.Undetectable Status.Redundant)
+            | Sat_atpg.Unknown -> ()
+          end)
+        fl);
   if Trace.enabled trace && !sat_runs > 0 then begin
     Trace.record trace ~cat:"engine" ~dur:!sat_s "sat";
     Trace.add trace "sat.targets" !sat_runs
@@ -229,16 +188,12 @@ let run cfg nl fl =
     seconds = Unix.gettimeofday () -. t0;
   }
 
-let compact ?observable_output ?(observe_captures = true)
-    ?(trace = Trace.null) nl patterns =
+let compact nl patterns =
   let fl = Flist.full nl in
   let kept = ref [] in
   List.iter
     (fun p ->
-      let r =
-        Olfu_fsim.Comb_fsim.run ~observe_captures ?observable_output ~trace nl
-          fl [| p |]
-      in
+      let r = Olfu_fsim.Comb_fsim.run nl fl [| p |] in
       if r.Olfu_fsim.Comb_fsim.detected > 0 then kept := p :: !kept)
     (List.rev patterns);
   !kept

@@ -11,25 +11,14 @@ open Olfu_fault
 
 type config = {
   seed : int;  (** RNG seed for random patterns and X fill *)
-  random_batch : int;  (** patterns per phase-1 batch *)
-  max_random_batches : int;
   backtrack_limit : int;  (** PODEM backtrack budget per target *)
-  use_sat : bool;  (** run the complete SAT prover on PODEM aborts *)
-  sat_conflict_limit : int;
-  observable_output : int -> bool;
-      (** observation model for all phases; default full access, pass the
-          mission observation to generate {e functional} tests *)
-  observe_captures : bool;
   trace : Olfu_obs.Trace.sink;
       (** observability sink; {!Olfu_obs.Trace.null} records nothing *)
 }
 
 val default : config
-(** [seed = 1], [random_batch = 64], [max_random_batches = 32],
-    [backtrack_limit = 2000], [use_sat = true],
-    [sat_conflict_limit = 50_000], full observation, captures observed,
-    null trace.  Override with record update syntax:
-    [{ Atpg_flow.default with use_sat = false }]. *)
+(** [seed = 1], [backtrack_limit = 2000], null trace.  Override with
+    record update syntax: [{ Atpg_flow.default with seed = 5 }]. *)
 
 type result = {
   patterns : Olfu_fsim.Comb_fsim.pattern list;  (** final compacted test set *)
@@ -48,16 +37,15 @@ val run : config -> Netlist.t -> Flist.t -> result
 (** A static phase 0 lets {!Untestable} (ternary constants, X-path
     blocking, and the {!Implic} conflict engine, under the per-frame
     [Cut] ff_mode matching the combinational pattern model) prune
-    provably untestable faults before any search; it is skipped when
-    [observe_captures] is off (the static walker credits FF captures).
-    Then three search phases: random patterns with fault dropping,
-    targeted PODEM, and (when [use_sat], the default) the complete SAT
-    prover for whatever PODEM aborted on.  Updates the fault list in
-    place ([Detected] / [Undetectable _] / [Atpg_untestable]); faults
-    already classified are skipped, so running the OLFU flow first
-    shrinks the ATPG effort (see the bench).  Phase 1 stops after a
-    batch of [config.random_batch] patterns detects nothing new, or
-    after [config.max_random_batches].
+    provably untestable faults before any search.  Then three search
+    phases: random patterns with fault dropping, targeted PODEM, and the
+    complete SAT prover (50,000 conflicts per target) for whatever PODEM
+    aborted on.  Every phase observes every output and every flip-flop
+    capture (full scan access).  Updates the fault list in place
+    ([Detected] / [Undetectable _] / [Atpg_untestable]); faults already
+    classified are skipped, so running the OLFU flow first shrinks the
+    ATPG effort (see the bench).  Phase 1 stops after a batch of 64
+    patterns detects nothing new, or after 32 batches.
 
     With a recording [config.trace], each phase gets a ["step"]-category
     span and engine time is attributed to ["scoap"], ["ternary"] /
@@ -68,9 +56,6 @@ val run : config -> Netlist.t -> Flist.t -> result
 val pp : Format.formatter -> result -> unit
 
 val compact :
-  ?observable_output:(int -> bool) ->
-  ?observe_captures:bool ->
-  ?trace:Olfu_obs.Trace.sink ->
   Netlist.t ->
   Olfu_fsim.Comb_fsim.pattern list ->
   Olfu_fsim.Comb_fsim.pattern list

@@ -4,11 +4,8 @@ open Olfu_netlist
     {!Sat_atpg} miter and the {!Equiv} checker).  Operands and outputs are
     signed DIMACS-style literals. *)
 
-val and_gate : Olfu_sat.Solver.t -> int -> int list -> unit
-val or_gate : Olfu_sat.Solver.t -> int -> int list -> unit
 val xor2_gate : Olfu_sat.Solver.t -> int -> int -> int -> unit
 val equal_gate : Olfu_sat.Solver.t -> int -> int -> unit
-val mux_gate : Olfu_sat.Solver.t -> int -> int -> int -> int -> unit
 
 val encode_cell :
   Olfu_sat.Solver.t -> (unit -> int) -> Cell.kind -> int -> int list -> unit
@@ -37,9 +34,6 @@ module Builder : sig
   val mk_and : t -> int list -> int
   val mk_or : t -> int list -> int
   val mk_xor2 : t -> int -> int -> int
-  val mk_xor : t -> int list -> int
-  val mk_mux : t -> int -> int -> int -> int
-  (** [mk_mux b sel a b']: [a] when [sel] false. *)
 
   val cell : t -> Cell.kind -> int list -> int
   val capture : t -> Cell.kind -> int list -> int

@@ -165,8 +165,6 @@ let implied s net =
   else if s.mark.(lit net true) = s.gen then Logic4.L1
   else Logic4.X
 
-let derived_count s = s.derived
-
 (* ---------------------------------------------------------------- *)
 (* Direct implications from gate semantics                           *)
 (* ---------------------------------------------------------------- *)

@@ -91,8 +91,6 @@ end
 val lit : int -> bool -> int
 (** [lit net v] — the literal index [2*net + (if v then 1 else 0)]. *)
 
-val lit_net : int -> int
-
 val lit_value : int -> bool
 
 val assume : ?budget:int -> t -> Scratch.t -> int list -> bool
@@ -134,11 +132,6 @@ val implied : Scratch.t -> int -> Logic4.t
 (** After {!assume}/{!extend}: the value the closure implies for a net
     ([X] when unconstrained).  Only meaningful when the last
     [assume]/[extend] returned [true]. *)
-
-val derived_count : Scratch.t -> int
-(** Literals the last closure derived (seeds excluded) on nets that the
-    ternary constants leave unknown — 0 means the closure adds no
-    blocking power beyond the seeds themselves. *)
 
 val impossible : t -> Scratch.t -> int -> bool -> bool
 (** [impossible t s net v]: the literal provably holds in no test frame.

@@ -103,6 +103,3 @@ let run ?(observable_output = fun _ -> true) nl ~consts =
 
 let net t i = t.net_obs.(i)
 let branch t node pin = t.branch_obs.(node).(pin)
-
-let num_unobservable t =
-  Array.fold_left (fun acc b -> if b then acc else acc + 1) 0 t.net_obs

@@ -59,5 +59,3 @@ val pin_allowed_gen :
     frame under analysis"), so [value] may be stronger than an all-frames
     constant vector — the implication engine passes the closure of the
     fault's necessary assignments to block propagation conditionally. *)
-
-val num_unobservable : t -> int

@@ -121,10 +121,3 @@ let pp_census ppf c =
     c.untestable_paths
     (100. *. float_of_int c.untestable_paths
     /. float_of_int (max 1 c.enumerated))
-
-let pp_path nl ppf p =
-  let name i =
-    match Netlist.name nl i with Some s -> s | None -> Printf.sprintf "n%d" i
-  in
-  Format.fprintf ppf "%s" (name p.launch);
-  List.iter (fun (sink, pin) -> Format.fprintf ppf " ->%d %s" pin (name sink)) p.hops

@@ -34,4 +34,3 @@ type census = {
 
 val classify : ?max_paths:int -> ?max_len:int -> Untestable.t -> Netlist.t -> census
 val pp_census : Format.formatter -> census -> unit
-val pp_path : Netlist.t -> Format.formatter -> path -> unit

@@ -149,8 +149,6 @@ let stem_observable_w t w d =
     Hashtbl.replace w.cache d hit;
     hit
 
-let stem_possibly_observable t d = stem_observable_w t t.walker d
-
 let stuck_value (f : Fault.t) = if f.Fault.stuck then Logic4.L1 else Logic4.L0
 
 (* Value a flip-flop would capture in mission steady state, as a ternary
@@ -499,6 +497,3 @@ let untestable_breakdown ?software ?invariant t nl =
     (Status.Software, !sw);
     (Status.Invariant, !inv);
   ]
-
-let untestable_count t nl =
-  List.fold_left (fun acc (_, n) -> acc + n) 0 (untestable_breakdown t nl)

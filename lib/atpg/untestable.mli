@@ -39,15 +39,6 @@ type t = {
   walker : walker;
 }
 
-val stem_possibly_observable : t -> int -> bool
-(** Sound per-stem check behind UB verdicts on output pins and clock
-    pins: propagates a hypothetical change on the stem forward through
-    its fanout-cone schedule ({!Olfu_netlist.Analysis}), refusing to
-    trust blocking constants on side inputs that lie inside the stem's
-    own fanout cone (reconvergence makes them fault-correlated).  The
-    cheap global analysis is only a filter; a stem is classified blocked
-    only when this confirms it. *)
-
 val analyze :
   ?ff_mode:Ternary.ff_mode ->
   ?observable_output:(int -> bool) ->
@@ -100,17 +91,14 @@ val classify : ?jobs:int -> ?trace:Olfu_obs.Trace.sink -> t -> Flist.t -> int
     and the jobs-invariant counters ["classify.faults"],
     ["classify.examined"] and ["classify.classified"]. *)
 
-val untestable_count : t -> Netlist.t -> int
-(** Number of untestable faults over the full universe of the netlist
-    (faults on tie cells excluded, as in {!Fault.universe}). *)
-
 val untestable_breakdown :
   ?software:t ->
   ?invariant:t ->
   t ->
   Netlist.t ->
   (Status.undetectable * int) list
-(** {!untestable_count} split by verdict class —
+(** Untestable faults over the full universe of the netlist (faults on
+    tie cells excluded, as in {!Fault.universe}), split by verdict class —
     [[Tied, n; Blocked, n; Conflict, n; Software, n; Invariant, n]] in
     that order — so Table-I-style reports can attribute the proofs to
     the engine that made them.  [software], when given, must be an

@@ -24,30 +24,6 @@ let ff_mode_name = function
   | Ternary.Reset_join -> "reset_join"
   | Ternary.Steady_state -> "steady_state"
 
-let of_env () =
-  let jobs =
-    match Sys.getenv_opt "OLFU_JOBS" with
-    | None -> default.jobs
-    | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some j -> max 1 (min 64 j)
-      | None -> default.jobs)
-  in
-  let ff_mode =
-    match Sys.getenv_opt "OLFU_FF_MODE" with
-    | None -> default.ff_mode
-    | Some s -> Option.value ~default:default.ff_mode (ff_mode_of_string s)
-  in
-  let implic =
-    match Sys.getenv_opt "OLFU_IMPLIC" with
-    | None -> default.implic
-    | Some s -> (
-      match String.lowercase_ascii (String.trim s) with
-      | "0" | "false" | "no" | "off" -> false
-      | _ -> true)
-  in
-  { default with ff_mode; jobs; implic }
-
 let to_json c =
   Json.Obj
     [

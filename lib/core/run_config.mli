@@ -21,12 +21,6 @@ type t = {
 val default : t
 (** [Steady_state], [jobs = 1], [implic = true], null trace. *)
 
-val of_env : unit -> t
-(** {!default} overridden by the environment: [OLFU_JOBS] (int, clamped
-    to 1–64), [OLFU_FF_MODE] ([cut] | [reset_join] | [steady_state]),
-    [OLFU_IMPLIC] ([0]/[false] to disable).  Unset or unparsable
-    variables keep the default. *)
-
 val ff_mode_of_string : string -> Olfu_atpg.Ternary.ff_mode option
 val ff_mode_name : Olfu_atpg.Ternary.ff_mode -> string
 

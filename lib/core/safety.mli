@@ -25,5 +25,4 @@ type verdict = {
 }
 
 val assess : asil -> Olfu_fault.Flist.t -> verdict
-val pp_asil : Format.formatter -> asil -> unit
 val pp_verdict : Format.formatter -> verdict -> unit

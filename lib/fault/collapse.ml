@@ -67,7 +67,6 @@ let compute fl =
     nl;
   uf
 
-let representative = find
 let same_class t a b = find t a = find t b
 let num_classes t = t.classes
 

@@ -15,9 +15,6 @@ type t
 
 val compute : Flist.t -> t
 
-val representative : t -> int -> int
-(** Canonical fault index of the class containing fault [i]. *)
-
 val same_class : t -> int -> int -> bool
 val num_classes : t -> int
 val class_members : t -> int -> int list

@@ -80,9 +80,6 @@ let testable_coverage t =
   let ud = count t ~f:Status.is_undetectable in
   ratio (count_status t Status.Detected) (size t - ud)
 
-let undetectable_fraction t =
-  ratio (count t ~f:Status.is_undetectable) (size t)
-
 let prune_undetectable t =
   let kept = ref [] in
   iteri

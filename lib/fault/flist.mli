@@ -68,8 +68,6 @@ val testable_coverage : t -> float
 (** DT / (total − undetectable) — the figure after pruning, the number the
     ISO 26262 targets apply to. *)
 
-val undetectable_fraction : t -> float
-
 val prune_undetectable : t -> t
 (** Fresh list containing only the faults not classified undetectable. *)
 

@@ -177,8 +177,8 @@ let run ?(observe_captures = true) ?(observable_output = fun _ -> true)
       let stride = 8 in
       let wdet = Array.make (nw * stride) 0
       and wposs = Array.make (nw * stride) 0 in
-      (* heavy cones first: the pool's shrinking tail claims and work
-         stealing absorb the skew instead of serializing it *)
+      (* heavy cones first: the pool's shrinking tail claims absorb the
+         skew instead of serializing it *)
       let order =
         Analysis.order_by_cost an
           ~site:(fun k -> (Flist.fault fl k).Fault.site.Fault.node)

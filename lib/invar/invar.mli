@@ -13,7 +13,7 @@ open Olfu_netlist
 
     {b Soundness rule}: only {e proved} invariants — those carrying an
     induction {!certificate} — are ever exported to downstream consumers
-    ({!const_facts}, {!assume_facts}, {!edges}, {!state_literals}).
+    ({!assume_facts}, {!edges}, {!state_literals}).
     Sim-surviving but unproved candidates are reported for inspection and
     nothing else.
 
@@ -151,13 +151,10 @@ val run :
 
 (** {2 Consumption — proved invariants only} *)
 
-val const_facts : report -> (int * bool) list
-(** Proved constant flops, plus per-bit constants implied by proved
-    [Range] invariants whose reachable values all agree on a bit.
-    Sorted, deduplicated. *)
-
 val assume_facts : report -> (int * Logic4.t) list
-(** {!const_facts} as a [Ternary.run ~assume] / [Implic] constant list. *)
+(** Proved constant flops, plus per-bit constants implied by proved
+    [Range] invariants whose reachable values all agree on a bit, as a
+    sorted, deduplicated [Ternary.run ~assume] / [Implic] constant list. *)
 
 val edges : report -> (int * int) list
 (** Proved pairwise facts as {!Olfu_atpg.Implic.lit} implication edges

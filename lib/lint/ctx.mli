@@ -88,8 +88,9 @@ val software : t -> software option
 val invariants : t -> invariants option
 
 val assumptions : t -> (int * Logic4.t) list
-(** Everything {!mission_ternary} assumes: {!mission_assume} plus the
-    software [sw_assume] facts when present. *)
+(** Everything {!mission_ternary} assumes: the §3.2 tie script (every
+    [Debug_control] input still present as a free input, tied to 0) plus
+    the software [sw_assume] facts when present. *)
 
 val node_label : Netlist.t -> int -> string
 (** Hierarchical name of the net, or ["n<id>"]. *)
@@ -107,10 +108,6 @@ val reset_roots : Netlist.t -> int -> int list
 
 val ternary : t -> Olfu_atpg.Ternary.t
 (** Steady-state ternary implication on the netlist as given. *)
-
-val mission_assume : Netlist.t -> (int * Logic4.t) list
-(** The §3.2 tie script as implication assumptions: every
-    [Debug_control] input still present as a free input, tied to 0. *)
 
 val mission_ternary : t -> Olfu_atpg.Ternary.t
 (** Ternary implication with {!assumptions} applied. *)

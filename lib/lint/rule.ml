@@ -37,15 +37,6 @@ let category_name = function
   | Software -> "software"
   | Invariant -> "invariant"
 
-let all_categories =
-  [
-    Scan; Reset; Clock; Net; Observability; Debug; Structure; Testability;
-    Software; Invariant;
-  ]
-
-let category_of_name s =
-  List.find_opt (fun c -> category_name c = s) all_categories
-
 type finding = {
   code : string;
   severity : severity;

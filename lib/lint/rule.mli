@@ -27,8 +27,6 @@ type category =
       (** facts proven about the reachable state space (INV rules) *)
 
 val category_name : category -> string
-val category_of_name : string -> category option
-val all_categories : category list
 
 (** A finding as reported to the user. *)
 type finding = {

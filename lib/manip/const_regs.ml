@@ -10,13 +10,6 @@ let constant_flops ?(ff_mode = Ternary.Steady_state) nl =
          let v = Ternary.const_of t i in
          if Logic4.is_binary v then Some (i, v) else None)
 
-let constant_flops_by_toggle tog nl =
-  Netlist.seq_nodes nl |> Array.to_list
-  |> List.filter_map (fun i ->
-         match Olfu_sim.Toggle.verdict tog i with
-         | Olfu_sim.Toggle.Constant v -> Some (i, v)
-         | Olfu_sim.Toggle.Never_driven | Olfu_sim.Toggle.Toggled -> None)
-
 let tie_flop b ff v =
   Tie.Batch.pin b ~node:ff ~pin:0 v;
   Tie.Batch.net b ff v

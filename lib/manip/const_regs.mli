@@ -10,12 +10,6 @@ val constant_flops :
 (** Flip-flops provably constant in mission mode, with their value
     (default mode: {!Olfu_atpg.Ternary.Steady_state}). *)
 
-val constant_flops_by_toggle : Olfu_sim.Toggle.t -> Netlist.t -> (int * Logic4.t) list
-(** Empirical variant of the same screening, from recorded activity: flops
-    that never left one value over the observed workload (the paper's
-    code-coverage-based suspect selection; unlike {!constant_flops} this
-    is evidence, not proof). *)
-
 val tie_flop : Netlist.Builder.t -> int -> Logic4.t -> unit
 (** Tie both the D input and the output of a flip-flop to the value —
     tying the output too lets tools that stop at flip-flop boundaries

@@ -21,4 +21,3 @@ val apply : Netlist.t -> t -> Netlist.t
 (** Raises [Invalid_argument] on unknown names or role mismatches. *)
 
 val pp : Format.formatter -> t -> unit
-val pp_op : Format.formatter -> op -> unit

@@ -307,8 +307,9 @@ let cone_cost t =
    by descending cone cost of [site k], ascending index on ties.  The
    stable tiebreak keeps same-site runs contiguous, preserving the
    one-entry cone/dominator caches of the walkers; drawing the heaviest
-   cones first lets the pool's shrinking tail claims and work stealing
-   even out the imbalance instead of serializing it behind one worker. *)
+   cones first puts them in the pool's large early claims, and the
+   shrinking tail claims even out what is left instead of serializing it
+   behind one worker. *)
 let order_by_cost t ~site n =
   let est = cone_cost t in
   (* materialize the keys first: [site] may fetch a record per call, and

@@ -96,20 +96,18 @@ val cone : t -> Scratch.t -> int -> cone
     scratch's one-entry cache, the shared memo, or built on the fly
     (memoized while the entry budget lasts). *)
 
-val cone_cost : t -> int array
-(** Per-node fanout-cone cost estimate: [1 +] the summed estimates of
-    all combinational fanout sinks (sequential sinks count 1), saturated
-    at [2^20], in one reverse-topological pass memoized on the analysis.
-    Reconvergent fanout double-counts, which only exaggerates genuinely
-    large cones — an ordering heuristic, not a node count. *)
-
 val order_by_cost : t -> site:(int -> int) -> int -> int array
 (** [order_by_cost t ~site n]: a permutation of [0, n) sorted by
-    descending {!cone_cost} of [site k], ascending index on ties.  The
+    descending fanout-cone cost estimate of [site k], ascending index on
+    ties.  The estimate of a node is [1 +] the summed estimates of its
+    combinational fanout sinks (sequential sinks count 1), saturated at
+    [2^20] and memoized on the analysis; reconvergent fanout
+    double-counts, which only exaggerates genuinely large cones.  The
     stable tiebreak keeps same-site runs contiguous (preserving the
-    engines' one-entry cone/dominator caches); heavy-first draw lets the
-    pool's shrinking tail claims and work stealing balance skewed cone
-    sizes instead of serializing them behind one worker. *)
+    engines' one-entry cone/dominator caches); heavy-first draw puts the
+    big cones in the pool's large early claims, so the shrinking tail
+    claims balance skewed cone sizes instead of serializing them behind
+    one worker. *)
 
 val stem_dominators : t -> Scratch.t -> int -> int array
 (** [stem_dominators t scratch d]: the cone nodes every path from stem

@@ -95,5 +95,3 @@ let pins k ~fanin_count =
   let ins = List.init fanin_count (fun i -> Pin.In i) in
   let clk = if has_clock k then [ Pin.Clk ] else [] in
   (Pin.Out :: clk) @ ins
-
-let pp_kind ppf k = Format.pp_print_string ppf (kind_name k)

@@ -38,9 +38,6 @@ val min_arity : kind -> int
 val is_seq : kind -> bool
 val is_tie : kind -> bool
 
-val has_clock : kind -> bool
-(** True for the [Dff] family. *)
-
 val input_pin_name : kind -> int -> string
 (** Conventional pin name, e.g. [Sdff] pins 0..2 are "D", "SI", "SE". *)
 
@@ -59,5 +56,3 @@ end
 
 val pins : kind -> fanin_count:int -> Pin.t list
 (** All fault-site pins of a cell of this kind, output first. *)
-
-val pp_kind : Format.formatter -> kind -> unit

@@ -19,17 +19,6 @@ type role =
 
 let equal_role (a : role) b = a = b
 
-let pp_role ppf = function
-  | Clock -> Format.pp_print_string ppf "clock"
-  | Reset -> Format.pp_print_string ppf "reset"
-  | Scan_enable -> Format.pp_print_string ppf "scan-enable"
-  | Scan_in -> Format.pp_print_string ppf "scan-in"
-  | Scan_out -> Format.pp_print_string ppf "scan-out"
-  | Debug_control -> Format.pp_print_string ppf "debug-control"
-  | Debug_observe -> Format.pp_print_string ppf "debug-observe"
-  | Address_reg i -> Format.fprintf ppf "address-reg[%d]" i
-  | Address_port i -> Format.fprintf ppf "address-port[%d]" i
-
 type t = {
   nodes : node array;
   fanouts : (int * int) array array;
@@ -213,18 +202,6 @@ let create ?(roles = []) nodes =
           levels;
         })
 
-let create_exn ?roles nodes =
-  match create ?roles nodes with
-  | Ok t -> t
-  | Error errs ->
-    invalid_arg
-      (Format.asprintf "Netlist.create_exn: %a"
-         Format.(
-           pp_print_list
-             ~pp_sep:(fun ppf () -> pp_print_string ppf "; ")
-             pp_error)
-         errs)
-
 let length t = Array.length t.nodes
 let node t i = t.nodes.(i)
 let kind t i = t.nodes.(i).kind
@@ -348,7 +325,6 @@ module Builder = struct
     if not (List.exists (equal_role r) nd.broles) then
       nd.broles <- r :: nd.broles
 
-  let set_name b i s = (Vec.get b.v i).bname <- Some s
   let length b = Vec.length b.v
   let node_kind b i = (Vec.get b.v i).bkind
   let node_fanin b i = Array.copy (Vec.get b.v i).bfanin

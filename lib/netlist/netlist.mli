@@ -28,9 +28,6 @@ type role =
   | Address_reg of int  (** flip-flop storing address bit [i] *)
   | Address_port of int  (** port carrying address bit [i] *)
 
-val equal_role : role -> role -> bool
-val pp_role : Format.formatter -> role -> unit
-
 type t
 
 type error =
@@ -45,8 +42,6 @@ val create :
   ?roles:(int * role) list -> node array -> (t, error list) result
 (** Validates arities and references, resolves a topological order and
     detects combinational loops. *)
-
-val create_exn : ?roles:(int * role) list -> node array -> t
 
 (** {1 Accessors} *)
 
@@ -133,7 +128,6 @@ module Builder : sig
     int
 
   val add_role : t -> int -> role -> unit
-  val set_name : t -> int -> string -> unit
   val length : t -> int
 
   val node_kind : t -> int -> Cell.kind

@@ -28,7 +28,6 @@ let push v x =
   v.len - 1
 
 let to_array v = Array.sub v.data 0 v.len
-let of_array a = { data = Array.copy a; len = Array.length a }
 
 let iteri f v =
   for i = 0 to v.len - 1 do

@@ -11,5 +11,4 @@ val push : 'a t -> 'a -> int
 (** Appends and returns the index of the new element. *)
 
 val to_array : 'a t -> 'a array
-val of_array : 'a array -> 'a t
 val iteri : (int -> 'a -> unit) -> 'a t -> unit

@@ -34,22 +34,15 @@ let effective ~oversubscribe jobs =
   if oversubscribe then j else min j (hardware_jobs ())
 
 (* ------------------------------------------------------------------ *)
-(* Per-worker ranges with half-range stealing                          *)
+(* One shared cursor with guided claims                                *)
 (* ------------------------------------------------------------------ *)
 
-(* A worker's unclaimed items form one contiguous range packed into a
-   single OCaml int: [(lo lsl 31) lor hi], both fields < 2^31.  The
-   owner claims quantum-capped chunks off [lo] with a CAS on its own
-   cell; a worker whose range ran dry steals the top half of the fullest
-   sibling range with a CAS on the victim's cell.  One atomic per worker
-   replaces the single shared cursor every domain used to hammer. *)
-
-let field_bits = 31
-let field_mask = (1 lsl field_bits) - 1
-let max_items = field_mask
-let pack ~lo ~hi = (lo lsl field_bits) lor hi
-let range_lo x = x lsr field_bits
-let range_hi x = x land field_mask
+(* Every worker claims its next chunk off one shared atomic cursor.  A
+   claim takes [remaining / (2 * jobs)] items, capped by the quantum and
+   at least 1: early claims are big and cheap, tail claims shrink
+   towards one item.  No item is assigned before a worker asks for it,
+   so an item with a pathological cost (a huge fanout cone, say) holds
+   up only the worker running it while its siblings drain the rest. *)
 
 (* One cache line of floats per worker: adjacent slots of the busy array
    would otherwise false-share when every worker stamps its own time. *)
@@ -57,10 +50,10 @@ let busy_stride = 8
 
 type job = {
   f : worker:int -> lo:int -> hi:int -> unit;
+  n : int;
   quantum : int;  (* max items per claim *)
-  ranges : int Atomic.t array;  (* packed per-worker [lo, hi) *)
-  unclaimed : int Atomic.t;  (* items sitting in some range *)
-  steals : int Atomic.t;
+  share : int;  (* 2 * jobs: a claim takes 1/share of what remains *)
+  cursor : int Atomic.t;  (* first unclaimed index *)
   abort : bool Atomic.t;
   trace : Trace.sink;
   label : string;
@@ -79,101 +72,45 @@ type t = {
   mutable shut : bool;
   mutable domains : unit Domain.t array;
   mutable leased : bool;  (* held by a [with_pool] caller (registry) *)
-  mutable last_steals : int;  (* previous dispatch, scheduling-dependent *)
   njobs : int;
 }
 
 let jobs t = t.njobs
-let last_steals t = t.last_steals
 
 let record t e bt =
   Mutex.lock t.m;
   if t.exn = None then t.exn <- Some (e, bt);
   Mutex.unlock t.m
 
-(* Claim a chunk off the worker's own range.  The claim halves what is
-   left (capped by the quantum), so early claims are big and cheap while
-   tail claims shrink towards 1 and stay stealable — dropped faults and
-   skewed cone sizes cannot strand a long tail behind one worker. *)
-let rec claim j ~worker =
-  let r = j.ranges.(worker) in
-  let cur = Atomic.get r in
-  let lo = range_lo cur and hi = range_hi cur in
-  if lo >= hi then None
+let rec claim j =
+  let lo = Atomic.get j.cursor in
+  if lo >= j.n then None
   else begin
-    let take = min j.quantum (max 1 ((hi - lo + 1) / 2)) in
-    if Atomic.compare_and_set r cur (pack ~lo:(lo + take) ~hi) then begin
-      ignore (Atomic.fetch_and_add j.unclaimed (-take) : int);
-      Some (lo, lo + take)
-    end
-    else claim j ~worker
+    let take = min j.quantum (max 1 ((j.n - lo) / j.share)) in
+    if Atomic.compare_and_set j.cursor lo (lo + take) then Some (lo, lo + take)
+    else claim j
   end
 
-(* Move the top half of the fullest sibling range into our own (empty)
-   cell.  Only the owner ever grows its cell back from empty, so the
-   publish is a plain store; thieves only shrink via CAS. *)
-let try_steal j ~worker nw =
-  let best = ref (-1) and best_avail = ref 0 in
-  for v = 0 to nw - 1 do
-    if v <> worker then begin
-      let cur = Atomic.get j.ranges.(v) in
-      let avail = range_hi cur - range_lo cur in
-      if avail > !best_avail then begin
-        best := v;
-        best_avail := avail
-      end
-    end
-  done;
-  if !best < 0 then false
-  else begin
-    let r = j.ranges.(!best) in
-    let cur = Atomic.get r in
-    let lo = range_lo cur and hi = range_hi cur in
-    let avail = hi - lo in
-    if avail <= 0 then false
-    else begin
-      let stolen = max 1 (avail / 2) in
-      if Atomic.compare_and_set r cur (pack ~lo ~hi:(hi - stolen)) then begin
-        Atomic.set j.ranges.(worker) (pack ~lo:(hi - stolen) ~hi);
-        ignore (Atomic.fetch_and_add j.steals 1 : int);
-        true
-      end
-      else false (* raced with the owner or another thief; rescan *)
-    end
-  end
-
-(* Work until every item is claimed (or a sibling failed).  A worker
-   exits only once [unclaimed] hits zero, i.e. never while any sibling
-   still holds stealable work. *)
-let consume t j ~worker ~nw =
-  let rec loop spins =
-    if not (Atomic.get j.abort) then begin
-      match claim j ~worker with
-      | Some (lo, hi) ->
-        (try j.f ~worker ~lo ~hi
-         with e ->
-           let bt = Printexc.get_raw_backtrace () in
-           Atomic.set j.abort true;
-           record t e bt);
-        loop 0
-      | None ->
-        if nw > 1 && try_steal j ~worker nw then loop 0
-        else if Atomic.get j.unclaimed > 0 && nw > 1 then begin
-          (* work exists but a steal is mid-flight; back off briefly *)
-          if spins < 64 then Domain.cpu_relax () else Unix.sleepf 5e-5;
-          loop (spins + 1)
-        end
-    end
-  in
-  loop 0
+(* Work until every item is claimed (or a sibling failed). *)
+let rec consume t j ~worker =
+  if not (Atomic.get j.abort) then
+    match claim j with
+    | None -> ()
+    | Some (lo, hi) ->
+      (try j.f ~worker ~lo ~hi
+       with e ->
+         let bt = Printexc.get_raw_backtrace () in
+         Atomic.set j.abort true;
+         record t e bt);
+      consume t j ~worker
 
 (* Busy time is scheduling-dependent, so it goes in spans and gauges
    (one "worker" span per worker per dispatch), never in counters. *)
-let consume_traced t j ~worker ~nw =
-  if not (Trace.enabled j.trace) then consume t j ~worker ~nw
+let consume_traced t j ~worker =
+  if not (Trace.enabled j.trace) then consume t j ~worker
   else begin
     let t0 = Trace.now j.trace in
-    consume t j ~worker ~nw;
+    consume t j ~worker;
     let dur = Trace.now j.trace -. t0 in
     j.busy.(worker * busy_stride) <- dur;
     Trace.record j.trace ~cat:"worker" ~tid:worker ~t0 ~dur j.label
@@ -190,7 +127,7 @@ let worker_loop t ~worker =
       let gen = t.generation in
       let j = Option.get t.job in
       Mutex.unlock t.m;
-      consume_traced t j ~worker ~nw:t.njobs;
+      consume_traced t j ~worker;
       Mutex.lock t.m;
       t.running <- t.running - 1;
       if t.running = 0 then Condition.broadcast t.idle;
@@ -215,7 +152,6 @@ let create ?(oversubscribe = false) ~jobs () =
       shut = false;
       domains = [||];
       leased = false;
-      last_steals = 0;
       njobs;
     }
   in
@@ -235,13 +171,8 @@ let shutdown t =
     Array.iter Domain.join t.domains
   end
 
-let reraise = function
-  | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-  | None -> ()
-
 let parallel_chunks t ~n ?chunk ?(trace = Trace.null) ?(label = "pool") f =
   if n > 0 then begin
-    if n > max_items then invalid_arg "Pool.parallel_chunks: n too large";
     let nw = t.njobs in
     let quantum =
       match chunk with
@@ -251,12 +182,10 @@ let parallel_chunks t ~n ?chunk ?(trace = Trace.null) ?(label = "pool") f =
     let j =
       {
         f;
+        n;
         quantum;
-        ranges =
-          Array.init nw (fun w ->
-              Atomic.make (pack ~lo:(w * n / nw) ~hi:((w + 1) * n / nw)));
-        unclaimed = Atomic.make n;
-        steals = Atomic.make 0;
+        share = 2 * nw;
+        cursor = Atomic.make 0;
         abort = Atomic.make false;
         trace;
         label;
@@ -266,61 +195,47 @@ let parallel_chunks t ~n ?chunk ?(trace = Trace.null) ?(label = "pool") f =
     Trace.add trace "pool.dispatches" 1;
     Trace.add trace "pool.items" n;
     let t_start = if Trace.enabled trace then Trace.now trace else 0. in
-    let finish_trace () =
-      if Trace.enabled trace then begin
-        let region = Trace.now trace -. t_start in
-        let busy_total = ref 0. and idle = ref 0. in
-        for w = 0 to nw - 1 do
-          let b = j.busy.(w * busy_stride) in
-          busy_total := !busy_total +. b;
-          idle := !idle +. Float.max 0. (region -. b)
-        done;
-        Trace.record trace ~cat:"pool" ~t0:t_start ~dur:region
-          (label ^ " dispatch");
-        Trace.gauge trace "pool.last_idle_seconds" !idle;
-        Trace.gauge trace "pool.last_steals"
-          (float_of_int (Atomic.get j.steals));
-        if region > 0. then
-          Trace.gauge trace "pool.last_utilization"
-            (!busy_total /. (float_of_int nw *. region))
-      end
-    in
-    if nw = 1 then begin
-      (* no worker domains: same claim loop, inline *)
-      consume_traced t j ~worker:0 ~nw;
-      t.last_steals <- 0;
-      finish_trace ();
-      Mutex.lock t.m;
-      let e = t.exn in
-      t.exn <- None;
+    Mutex.lock t.m;
+    if t.shut then begin
       Mutex.unlock t.m;
-      reraise e
-    end
-    else begin
-      Mutex.lock t.m;
-      if t.shut then begin
-        Mutex.unlock t.m;
-        invalid_arg "Pool.parallel_chunks: pool is shut down"
-      end;
+      invalid_arg "Pool.parallel_chunks: pool is shut down"
+    end;
+    t.exn <- None;
+    if nw > 1 then begin
       t.job <- Some j;
-      t.exn <- None;
       t.running <- nw - 1;
       t.generation <- t.generation + 1;
-      Condition.broadcast t.work;
-      Mutex.unlock t.m;
-      consume_traced t j ~worker:0 ~nw;
-      Mutex.lock t.m;
-      while t.running > 0 do
-        Condition.wait t.idle t.m
+      Condition.broadcast t.work
+    end;
+    Mutex.unlock t.m;
+    (* the caller is worker 0; with no worker domains it runs alone *)
+    consume_traced t j ~worker:0;
+    Mutex.lock t.m;
+    while t.running > 0 do
+      Condition.wait t.idle t.m
+    done;
+    t.job <- None;
+    let e = t.exn in
+    t.exn <- None;
+    Mutex.unlock t.m;
+    if Trace.enabled trace then begin
+      let region = Trace.now trace -. t_start in
+      let busy_total = ref 0. and idle = ref 0. in
+      for w = 0 to nw - 1 do
+        let b = j.busy.(w * busy_stride) in
+        busy_total := !busy_total +. b;
+        idle := !idle +. Float.max 0. (region -. b)
       done;
-      t.job <- None;
-      let e = t.exn in
-      t.exn <- None;
-      Mutex.unlock t.m;
-      t.last_steals <- Atomic.get j.steals;
-      finish_trace ();
-      reraise e
-    end
+      Trace.record trace ~cat:"pool" ~t0:t_start ~dur:region
+        (label ^ " dispatch");
+      Trace.gauge trace "pool.last_idle_seconds" !idle;
+      if region > 0. then
+        Trace.gauge trace "pool.last_utilization"
+          (!busy_total /. (float_of_int nw *. region))
+    end;
+    match e with
+    | Some (e, bt) -> Printexc.raise_with_backtrace e bt
+    | None -> ()
   end
 
 (* ------------------------------------------------------------------ *)

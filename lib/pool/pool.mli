@@ -1,5 +1,5 @@
-(** Small stdlib-only domain pool ([Domain] + [Mutex]/[Condition]) with
-    per-worker work ranges and half-range stealing.
+(** Small stdlib-only domain pool ([Domain] + [Mutex]/[Condition]) whose
+    workers claim guided chunks off one shared atomic cursor.
 
     A pool owns [effective - 1] worker domains (the caller is the
     remaining worker), where [effective] is the requested [jobs] clamped
@@ -10,14 +10,12 @@
     contract, so the clamp changes timing only, never results.  Tests
     that need more domains than cores pass [~oversubscribe:true].
 
-    Work is submitted as an index range [0, n) that is pre-split into one
-    contiguous range per worker.  Each worker claims chunks off its own
-    range (a private atomic, so the hot path has no cross-domain cache
-    traffic), halving what remains per claim up to a quantum cap: early
-    claims are large and cheap, tail claims shrink towards one item.  A
-    worker whose range runs dry steals the top half of the fullest
-    sibling range, so an item with a pathological cost (a huge fanout
-    cone, say) cannot serialize the tail behind one worker.
+    Work is submitted as an index range [0, n).  Every worker claims its
+    next chunk off one shared cursor, taking [remaining / (2 * jobs)]
+    items capped by a quantum: early claims are large and cheap, tail
+    claims shrink towards one item.  No item is assigned before a worker
+    asks for it, so an item with a pathological cost (a huge fanout
+    cone, say) holds up only the worker running it.
 
     Determinism contract: {!parallel_chunks} guarantees every index in
     [0, n) is processed by exactly one worker, but the assignment of
@@ -50,11 +48,6 @@ val create : ?oversubscribe:bool -> jobs:int -> unit -> t
 val jobs : t -> int
 (** Effective worker count (after the hardware clamp). *)
 
-val last_steals : t -> int
-(** Number of successful steals during the most recent
-    {!parallel_chunks} dispatch.  Scheduling-dependent; exposed for
-    tests and diagnostics. *)
-
 val parallel_chunks :
   t ->
   n:int ->
@@ -68,20 +61,18 @@ val parallel_chunks :
     every index has been processed (a barrier).  [worker] is a stable id
     in [0, jobs t), usable to index per-worker scratch.  [chunk] caps the
     number of items per claim (the quantum; default
-    [min 1024 (n / (16 * jobs))], at least 1) — actual claim sizes halve
-    as a worker's range drains, and ranges rebalance by stealing, so the
-    chunk schedule is scheduling-dependent.  No worker returns while a
-    sibling still holds unclaimed items.  The first exception raised by
-    any worker is re-raised in the caller after the barrier; remaining
-    items are abandoned.
+    [min 1024 (n / (16 * jobs))], at least 1); a claim takes
+    [remaining / (2 * jobs)] items within that cap, at least one, so the
+    chunk schedule is scheduling-dependent.  The first exception raised
+    by any worker is re-raised in the caller after the barrier;
+    remaining items are abandoned.
 
     With a recording [trace], every dispatch bumps the
     ["pool.dispatches"]/["pool.items"] counters (jobs-invariant totals;
-    per-claim counts are scheduling-dependent under stealing and are
-    deliberately not counted), each worker records one
-    ["worker"]-category span named [label], and the dispatch records a
-    ["pool"]-category span plus ["pool.last_idle_seconds"],
-    ["pool.last_steals"] and ["pool.last_utilization"] gauges
+    per-claim counts are scheduling-dependent and are deliberately not
+    counted), each worker records one ["worker"]-category span named
+    [label], and the dispatch records a ["pool"]-category span plus
+    ["pool.last_idle_seconds"] and ["pool.last_utilization"] gauges
     (scheduling-dependent, so gauges rather than counters;
     utilization is [sum busy / (jobs * region)]). *)
 

@@ -167,10 +167,10 @@ let run ?(window = 4) ?(limit = 0) ?jobs ?(trace = Trace.null)
       Pool.with_pool ~jobs (fun pool ->
           (* one flop per chunk: each index writes its own slot, so the
              report is identical for any [jobs].  A chunk here is an
-             entire bounded model-check, so the pool's halving claims
-             plus work stealing (rather than a fixed pre-split) is what
-             keeps the skewed per-flop costs from serializing behind
-             one worker *)
+             entire bounded model-check, and the pool hands the next
+             flop to whichever worker asks first (no fixed pre-split),
+             so the skewed per-flop costs cannot serialize behind one
+             worker *)
           Pool.parallel_chunks pool ~n ~chunk:1 ~trace ~label:"seu"
             (fun ~worker:_ ~lo ~hi ->
               for k = lo to hi - 1 do

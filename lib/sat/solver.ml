@@ -390,6 +390,3 @@ let solve ?(assumptions = []) ?(conflict_limit = max_int) t =
       end
     end
   end
-
-let num_vars t = t.nvars
-let num_clauses t = t.nclauses

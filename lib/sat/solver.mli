@@ -29,6 +29,3 @@ val solve : ?assumptions:int list -> ?conflict_limit:int -> t -> result
     [conflict_limit] (default unlimited) bounds the search.  The solver
     can be re-solved with different assumptions; learned clauses are
     kept. *)
-
-val num_vars : t -> int
-val num_clauses : t -> int

@@ -86,8 +86,6 @@ let label_addresses items =
         None)
     items
 
-let disassemble words = Array.to_list (Array.map Isa.decode words)
-
 (* ---- textual assembly ---- *)
 
 exception Parse_error of { line : int; message : string }

@@ -38,5 +38,3 @@ val parse_file : string -> item list
 
 val pp_items : Format.formatter -> item list -> unit
 (** Round-trip printer for {!parse}. *)
-
-val disassemble : int array -> Isa.instr list

@@ -16,22 +16,9 @@ val register_march : Soc.config -> t
 val alu_patterns : Soc.config -> t
 (** ALU ops over checkerboard/walking operands, accumulated signatures. *)
 
-val shifter_walk : Soc.config -> t
-(** Walking-1/walking-0 through both shift directions. *)
-
 val branch_exerciser : Soc.config -> t
 (** Taken/not-taken branches and loops, revisiting branches so the BTB
     hit path is used. *)
-
-val memory_walk : Soc.config -> t
-(** Load/store address toggling over the RAM window. *)
-
-val muldiv_patterns : Soc.config -> t
-(** Multiplier/divider patterns, including full-width operands and a
-    divide-by-zero. *)
-
-val muldiv_sweep : Soc.config -> t
-(** Looped operand sweep through the multiplier and divider. *)
 
 val suite : Soc.config -> t list
 val assemble : t -> int array

@@ -15,7 +15,6 @@
 type status = Success | Findings | Bad_input
 
 val exit_code : status -> int
-val status_of_code : int -> status option
 
 type t = {
   id : int;  (** echoed from the request *)

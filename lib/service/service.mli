@@ -29,8 +29,6 @@ type meta = {
       (** side artifacts from the outcome: ["dot"], ["baseline"], ... *)
 }
 
-val empty_meta : meta
-
 val soc_of_name : string -> Olfu_soc.Soc.config option
 (** ["tcore32"], ["tcore32_dft"], ["tcore16"]. *)
 

@@ -56,11 +56,5 @@ let run ?override t n =
 let value t i = t.env.(i)
 let value_name t s = value t (Netlist.find_exn t.nl s)
 
-let output_values t =
-  Netlist.outputs t.nl |> Array.to_list
-  |> List.map (fun i ->
-         let n = Option.value ~default:(string_of_int i) (Netlist.name t.nl i) in
-         (n, t.env.(i)))
-
 let state t =
   Array.map (fun i -> (i, t.env.(i))) (Netlist.seq_nodes t.nl)

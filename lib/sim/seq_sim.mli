@@ -36,5 +36,4 @@ val value : t -> int -> Logic4.t
 (** Net value after the last settle. *)
 
 val value_name : t -> string -> Logic4.t
-val output_values : t -> (string * Logic4.t) list
 val state : t -> (int * Logic4.t) array

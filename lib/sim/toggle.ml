@@ -14,15 +14,6 @@ let create nl =
 let mark b i = Bytes.set b i '\001'
 let seen b i = Bytes.get b i = '\001'
 
-let record_env t env =
-  Array.iteri
-    (fun i v ->
-      match (v : Logic4.t) with
-      | L0 -> mark t.seen0 i
-      | L1 -> mark t.seen1 i
-      | X | Z -> ())
-    env
-
 let record t sim =
   for i = 0 to Netlist.length t.nl - 1 do
     match Seq_sim.value sim i with
@@ -39,15 +30,6 @@ let verdict t i =
   | true, false -> Constant Logic4.L0
   | false, true -> Constant Logic4.L1
   | false, false -> Never_driven
-
-let untoggled t =
-  let acc = ref [] in
-  for i = Netlist.length t.nl - 1 downto 0 do
-    match verdict t i with
-    | Toggled -> ()
-    | v -> acc := (i, v) :: !acc
-  done;
-  !acc
 
 let suspects t =
   Netlist.inputs t.nl |> Array.to_list

@@ -16,17 +16,12 @@ val create : Netlist.t -> t
 val record : t -> Seq_sim.t -> unit
 (** Sample every net of a settled simulator. *)
 
-val record_env : t -> Logic4.t array -> unit
-
 type verdict =
   | Constant of Logic4.t  (** only ever this binary value *)
   | Never_driven  (** only ever X/Z *)
   | Toggled
 
 val verdict : t -> int -> verdict
-
-val untoggled : t -> (int * verdict) list
-(** Nodes that never toggled, in id order (excludes [Toggled]). *)
 
 val suspects : t -> int list
 (** Primary inputs that never toggled — the paper's candidate set of tied

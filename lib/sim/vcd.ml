@@ -30,9 +30,6 @@ let sample t sim =
   t.samples :=
     Array.map (fun i -> Seq_sim.value sim i) t.nets :: !(t.samples)
 
-let sample_env t env =
-  t.samples := Array.map (fun i -> env.(i)) t.nets :: !(t.samples)
-
 (* VCD identifier codes: printable characters 33..126, base-94. *)
 let code k =
   let b = Buffer.create 4 in

@@ -15,7 +15,5 @@ val create : ?nets:int list -> Netlist.t -> t
 val sample : t -> Seq_sim.t -> unit
 (** Record the current settled values as the next timestep. *)
 
-val sample_env : t -> Olfu_logic.Logic4.t array -> unit
-
 val to_string : ?timescale:string -> ?modname:string -> t -> string
 val to_file : ?timescale:string -> ?modname:string -> t -> string -> unit

@@ -129,12 +129,6 @@ let decode w =
   else if op = Op.jr then Jr rd
   else Halt
 
-let is_branch = function
-  | Beqz _ | Bnez _ | Jr _ -> true
-  | Nop | Mul _ | Mulh _ | Div _ | Rem _ | Li _ | Addi _ | Add _ | Sub _
-  | And_ _ | Or_ _ | Xor_ _ | Sll _ | Srl _ | Lw _ | Sw _ | Halt ->
-    false
-
 let pp ppf = function
   | Nop -> Format.pp_print_string ppf "nop"
   | Mul (rd, rs) -> Format.fprintf ppf "mul r%d, r%d" rd rs

@@ -36,7 +36,6 @@ val encode : instr -> int
 val decode : int -> instr
 (** Total: every 16-bit word decodes (unused encodings normalize). *)
 
-val is_branch : instr -> bool
 val pp : Format.formatter -> instr -> unit
 
 (** Opcode numbers used by the gate-level decoder. *)

@@ -145,10 +145,6 @@ let adder ?name b ?cin x y =
   in
   (sum, carry)
 
-let subtractor b x y =
-  let ny = not_ b y in
-  adder b ~cin:(B.tie b Logic4.L1) x ny
-
 let increment b v =
   let one = const b ~width:(width v) 1 in
   fst (adder b v one)

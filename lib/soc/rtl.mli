@@ -49,7 +49,6 @@ val mux_tree : b -> sel:bus -> bus list -> bus
     [2^(width sel)]. *)
 
 val reduce_or : b -> bus -> int
-val reduce_and : b -> bus -> int
 
 val eq_const : b -> bus -> int -> int
 (** Single net: bus equals the constant. *)
@@ -58,9 +57,6 @@ val eq : b -> bus -> bus -> int
 
 val adder : ?name:string -> b -> ?cin:int -> bus -> bus -> bus * int
 (** Ripple-carry sum and carry-out. *)
-
-val subtractor : b -> bus -> bus -> bus * int
-(** [a - b]; carry-out = no-borrow. *)
 
 val increment : b -> bus -> bus
 
@@ -76,9 +72,6 @@ val divider : b -> dividend:bus -> divisor:bus -> bus * bus
     width.  A zero divisor yields an all-ones quotient and the shifted-out
     dividend as remainder — exactly what the restoring array computes
     (mirrored bit-for-bit by the behavioural simulator). *)
-
-val shift_const : b -> bus -> int -> [ `Left | `Right ] -> bus
-(** Shift by a constant amount (zero fill). *)
 
 val barrel_shift : b -> bus -> shamt:bus -> [ `Left | `Right ] -> bus
 (** Logical shift by a variable amount (zero fill). *)

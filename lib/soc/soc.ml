@@ -1,4 +1,3 @@
-open Olfu_logic
 open Olfu_netlist
 open Olfu_manip
 module B = Netlist.Builder
@@ -118,17 +117,6 @@ let debug_observe_outputs _cfg nl =
   Netlist.outputs nl |> Array.to_list
   |> List.filter (fun o -> Netlist.has_role nl o Netlist.Debug_observe)
   |> List.filter_map (fun o -> Netlist.name nl o)
-
-let mission_debug_script cfg nl =
-  let ties =
-    List.map
-      (fun s -> Script.Tie_input (s, Logic4.L0))
-      (debug_control_inputs cfg)
-  in
-  let floats =
-    List.map (fun s -> Script.Float_output s) (debug_observe_outputs cfg nl)
-  in
-  ties @ floats
 
 let pp_config ppf cfg =
   Format.fprintf ppf

@@ -43,8 +43,4 @@ val debug_control_inputs : config -> string list
 
 val debug_observe_outputs : config -> Netlist.t -> string list
 
-val mission_debug_script : config -> Netlist.t -> Script.t
-(** The Sec. 3.2 manipulation: tie every debug control input to its
-    inactive value and float both observation buses. *)
-
 val pp_config : Format.formatter -> config -> unit

@@ -148,10 +148,3 @@ let design_of_string src =
     in
     mods []
   with Lexer.Error { line; message } -> raise (Error { line; message })
-
-let design_of_file path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let src = really_input_string ic len in
-  close_in ic;
-  design_of_string src

@@ -3,4 +3,3 @@
 exception Error of { line : int; message : string }
 
 val design_of_string : string -> Ast.design
-val design_of_file : string -> Ast.design

@@ -185,24 +185,6 @@ let test_cell_names () =
   | _ -> Alcotest.fail "kind_of_name");
   Alcotest.(check bool) "unknown kind" true (Cell.kind_of_name "frob" = None)
 
-let test_dot_export () =
-  let nl = Test_support.full_adder () in
-  let s = Dot.to_string ~highlight:[ 0 ] nl in
-  let contains needle =
-    let nh = String.length s and nn = String.length needle in
-    let rec go i = i + nn <= nh && (String.sub s i nn = needle || go (i + 1)) in
-    go 0
-  in
-  Alcotest.(check bool) "digraph" true (contains "digraph netlist");
-  Alcotest.(check bool) "edge labels" true (contains "fontsize=7");
-  Alcotest.(check bool) "highlight" true (contains "fillcolor=red");
-  Alcotest.(check bool) "sum node" true (contains "sum_net");
-  (* neighbourhood is bounded and contains the center *)
-  let nb = Dot.neighbourhood nl 3 ~radius:1 in
-  Alcotest.(check bool) "center included" true (List.mem 3 nb);
-  Alcotest.(check bool) "bounded" true
-    (List.length nb < Netlist.length nl)
-
 let prop_random_netlists_valid =
   QCheck2.Test.make ~count:50 ~name:"random netlists freeze cleanly"
     QCheck2.Gen.(int_bound 1_000_000)
@@ -256,5 +238,4 @@ let () =
           Alcotest.test_case "names" `Quick test_cell_names;
         ] );
       ("vec", [ Alcotest.test_case "vec ops" `Quick test_vec ]);
-      ("dot", [ Alcotest.test_case "export" `Quick test_dot_export ]);
     ]

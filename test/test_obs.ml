@@ -297,24 +297,8 @@ let test_chrome_trace_valid () =
 
 (* --- Run_config --- *)
 
-let test_run_config_env () =
+let test_ff_mode_names () =
   let module R = Olfu.Run_config in
-  Unix.putenv "OLFU_JOBS" "3";
-  Unix.putenv "OLFU_FF_MODE" "cut";
-  Unix.putenv "OLFU_IMPLIC" "0";
-  let c = R.of_env () in
-  Alcotest.(check int) "jobs from env" 3 c.R.jobs;
-  Alcotest.(check bool)
-    "ff_mode from env" true
-    (c.R.ff_mode = Olfu_atpg.Ternary.Cut);
-  Alcotest.(check bool) "implic off" false c.R.implic;
-  Alcotest.(check bool) "trace stays null" false (Trace.enabled c.R.trace);
-  Unix.putenv "OLFU_JOBS" "9999";
-  Alcotest.(check int) "jobs clamped" 64 (R.of_env ()).R.jobs;
-  Unix.putenv "OLFU_JOBS" "";
-  Unix.putenv "OLFU_FF_MODE" "";
-  Unix.putenv "OLFU_IMPLIC" "";
-  Alcotest.(check bool) "empty env = default" true (R.of_env () = R.default);
   List.iter
     (fun m ->
       Alcotest.(check (option string))
@@ -350,5 +334,5 @@ let () =
           Alcotest.test_case "chrome trace" `Quick test_chrome_trace_valid;
         ] );
       ( "run_config",
-        [ Alcotest.test_case "of_env" `Quick test_run_config_env ] );
+        [ Alcotest.test_case "ff_mode names" `Quick test_ff_mode_names ] );
     ]

@@ -219,3 +219,27 @@ gate serve serve_gate
 # Tracked size, informational (no threshold): source lines of
 # lib/ + bin/ + bench/.
 echo "[lines lib+bin+bench (.ml/.mli): $(find lib bin bench \( -name '*.ml' -o -name '*.mli' \) -exec cat {} + | wc -l)]"
+
+# Uncalled exports, informational (no threshold): `val`s in a lib/
+# interface whose name no file outside that module mentions, searching
+# lib/, bin/, bench/, benchmark/, examples/ and test/.  A word match, so
+# a name that only a comment elsewhere mentions counts as called.
+uncalled_exports() {
+  {
+    find lib -name '*.mli' -exec grep -H '^ *val ' {} + \
+      | sed -n "s/^\(.*\)\.mli: *val \([a-z_][A-Za-z0-9_']*\).*/V \1 \2/p"
+    grep -rHow "[A-Za-z_][A-Za-z0-9_']*" lib bin bench benchmark examples test \
+      --include='*.ml' --include='*.mli' \
+      | sed 's/^\(.*\)\.mli\{0,1\}:/W \1 /' | sort -u
+  } | awk '
+    $1 == "V" { vmod[++nv] = $2; vname[nv] = $3; next }
+    # word -> the one module naming it, or "*" once two modules do
+    !($3 in by) { by[$3] = $2; next }
+    by[$3] != $2 { by[$3] = "*" }
+    END {
+      for (i = 1; i <= nv; i++)
+        if (!(vname[i] in by) || by[vname[i]] == vmod[i]) n++
+      print n + 0
+    }'
+}
+echo "[uncalled exports in lib/ interfaces: $(uncalled_exports)]"
