@@ -54,6 +54,7 @@ let count t ~f =
 
 let count_status t s = count t ~f:(Status.equal s)
 
+(* Counts per status code, descending. *)
 let by_class t =
   let tbl = Hashtbl.create 11 in
   Array.iter

@@ -52,9 +52,6 @@ val iteri : (int -> Fault.t -> Status.t -> unit) -> t -> unit
 val count : t -> f:(Status.t -> bool) -> int
 val count_status : t -> Status.t -> int
 
-val by_class : t -> (string * int) list
-(** Counts per status code, descending. *)
-
 val indices : t -> f:(Status.t -> bool) -> int list
 
 (** {1 Coverage figures}

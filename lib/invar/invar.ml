@@ -37,6 +37,8 @@ let class_name = function
   | At_most_one _ -> "at-most-one"
   | Range _ -> "range"
 
+(* The flop nodes the candidate reads (with duplicates for [Implies]
+   on one flop etc.) — the seeds of its cone-of-influence slice. *)
 let support = function
   | Const { ff; _ } -> [ ff ]
   | Implies { a; b; _ } -> [ a; b ]

@@ -63,10 +63,6 @@ type report = {
 val class_name : candidate -> string
 (** ["const"], ["implies"], ["mutex"], ["at-most-one"] or ["range"]. *)
 
-val support : candidate -> int list
-(** The flop nodes the candidate reads (with duplicates for [Implies]
-    on one flop etc.) — the seeds of its cone-of-influence slice. *)
-
 val is_const : candidate -> bool
 
 val pp_candidate : Netlist.t -> Format.formatter -> candidate -> unit

@@ -1,48 +1,5 @@
 open Olfu_netlist
-
-(* ---------------------------------------------------------------- *)
-(* Minimal JSON emitter (no JSON library in the toolchain)          *)
-(* ---------------------------------------------------------------- *)
-
-type json =
-  | Obj of (string * json) list
-  | Arr of json list
-  | Str of string
-  | Int of int
-
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let rec emit ppf = function
-  | Str s -> Format.fprintf ppf "\"%s\"" (escape s)
-  | Int i -> Format.fprintf ppf "%d" i
-  | Arr [] -> Format.fprintf ppf "[]"
-  | Arr l ->
-    Format.fprintf ppf "@[<v 2>[@,%a@]@,]"
-      (Format.pp_print_list
-         ~pp_sep:(fun ppf () -> Format.fprintf ppf ",@,")
-         emit)
-      l
-  | Obj [] -> Format.fprintf ppf "{}"
-  | Obj fields ->
-    Format.fprintf ppf "@[<v 2>{@,%a@]@,}"
-      (Format.pp_print_list
-         ~pp_sep:(fun ppf () -> Format.fprintf ppf ",@,")
-         (fun ppf (k, v) -> Format.fprintf ppf "\"%s\": %a" (escape k) emit v))
-      fields
+module J = Olfu_obs.Json
 
 (* ---------------------------------------------------------------- *)
 (* Text                                                             *)
@@ -136,98 +93,88 @@ let sarif_level = function
   | Rule.Info -> "note"
 
 let location nl i =
-  Obj
+  J.Obj
     [
       ( "logicalLocations",
-        Arr
+        J.List
           [
-            Obj
+            J.Obj
               [
-                ("name", Str (Ctx.node_label nl i));
-                ("index", Int i);
-                ("kind", Str "net");
+                ("name", J.Str (Ctx.node_label nl i));
+                ("index", J.Int i);
+                ("kind", J.Str "net");
               ];
           ] );
     ]
 
-let json ppf (o : Lint.outcome) =
+let json (o : Lint.outcome) =
   let nl = o.Lint.netlist in
-  let rules =
-    List.map
-      (fun (r : Rule.t) ->
-        Obj
-          [
-            ("id", Str r.Rule.code);
-            ("shortDescription", Obj [ ("text", Str r.Rule.title) ]);
-            ("fullDescription", Obj [ ("text", Str r.Rule.doc) ]);
-            ( "defaultConfiguration",
-              Obj [ ("level", Str (sarif_level r.Rule.severity)) ] );
-            ( "properties",
-              Obj [ ("category", Str (Rule.category_name r.Rule.category)) ]
-            );
-          ])
-      o.Lint.rules
+  let text s = J.Obj [ ("text", J.Str s) ] in
+  let rule (r : Rule.t) =
+    J.Obj
+      [
+        ("id", J.Str r.Rule.code);
+        ("shortDescription", text r.Rule.title);
+        ("fullDescription", text r.Rule.doc);
+        ( "defaultConfiguration",
+          J.Obj [ ("level", J.Str (sarif_level r.Rule.severity)) ] );
+        ( "properties",
+          J.Obj [ ("category", J.Str (Rule.category_name r.Rule.category)) ] );
+      ]
   in
   let result (f : Rule.finding) =
-    Obj
+    J.Obj
       ([
-         ("ruleId", Str f.Rule.code);
-         ("level", Str (sarif_level f.Rule.severity));
-         ("message", Obj [ ("text", Str f.Rule.message) ]);
+         ("ruleId", J.Str f.Rule.code);
+         ("level", J.Str (sarif_level f.Rule.severity));
+         ("message", text f.Rule.message);
        ]
       @ (match f.Rule.node with
-        | Some i -> [ ("locations", Arr [ location nl i ]) ]
+        | Some i -> [ ("locations", J.List [ location nl i ]) ]
         | None -> [])
       @
       match f.Rule.path with
       | [] -> []
-      | path -> [ ("relatedLocations", Arr (List.map (location nl) path)) ])
+      | path -> [ ("relatedLocations", J.List (List.map (location nl) path)) ])
   in
-  let doc =
-    Obj
+  let driver =
+    J.Obj
       [
-        ("$schema", Str "https://json.schemastore.org/sarif-2.1.0.json");
-        ("version", Str "2.1.0");
-        ( "runs",
-          Arr
-            [
-              Obj
-                [
-                  ( "tool",
-                    Obj
-                      [
-                        ( "driver",
-                          Obj
-                            [
-                              ("name", Str "olfu_lint");
-                              ("version", Str "1.0.0");
-                              ( "informationUri",
-                                Str
-                                  "https://example.invalid/olfu (DATE 2013 \
-                                   reproduction)" );
-                              ("rules", Arr rules);
-                            ] );
-                      ] );
-                  ("results", Arr (List.map result o.Lint.findings));
-                  ( "properties",
-                    Obj
-                      [
-                        ("netlistNodes", Int (Netlist.length nl));
-                        ("waived", Int (List.length o.Lint.waived));
-                        ("baselined", Int (List.length o.Lint.baselined));
-                        ( "unusedWaivers",
-                          Arr
-                            (List.map
-                               (fun w ->
-                                 Str
-                                   (Format.asprintf "%a" Config.pp_waiver w))
-                               o.Lint.unused_waivers) );
-                      ] );
-                ];
-            ] );
+        ("name", J.Str "olfu_lint");
+        ("version", J.Str "1.0.0");
+        ( "informationUri",
+          J.Str "https://example.invalid/olfu (DATE 2013 reproduction)" );
+        ("rules", J.List (List.map rule o.Lint.rules));
       ]
   in
-  Format.fprintf ppf "%a@." emit doc
+  let properties =
+    J.Obj
+      [
+        ("netlistNodes", J.Int (Netlist.length nl));
+        ("waived", J.Int (List.length o.Lint.waived));
+        ("baselined", J.Int (List.length o.Lint.baselined));
+        ( "unusedWaivers",
+          J.List
+            (List.map
+               (fun w -> J.Str (Format.asprintf "%a" Config.pp_waiver w))
+               o.Lint.unused_waivers) );
+      ]
+  in
+  J.Obj
+    [
+      ("$schema", J.Str "https://json.schemastore.org/sarif-2.1.0.json");
+      ("version", J.Str "2.1.0");
+      ( "runs",
+        J.List
+          [
+            J.Obj
+              [
+                ("tool", J.Obj [ ("driver", driver) ]);
+                ("results", J.List (List.map result o.Lint.findings));
+                ("properties", properties);
+              ];
+          ] );
+    ]
 
 let rules_catalogue ppf rules =
   Format.fprintf ppf "@[<v>";

@@ -186,13 +186,46 @@ let parse s =
     done;
     !d
   in
+  (* A literal is runs of plain characters, each copied in one piece,
+     with every escape decoded where it stands; a literal without
+     escapes is one [String.sub].  The plain characters are those the
+     printer copies unescaped, found by the same table.  Escaped
+     literals decode into one buffer, made at the first escape as large
+     as the rest of the input: no literal decodes to more bytes than its
+     source, so it never grows. *)
+  let scratch = ref None in
   let parse_string () =
     expect '"';
-    let buf = Buffer.create 16 in
-    let rec loop () =
+    let rec run start escaped =
+      (* a local index, kept in a register *)
+      let i = ref start in
+      while
+        !i < n
+        && not (Array.unsafe_get must_escape (Char.code (String.unsafe_get s !i)))
+      do
+        incr i
+      done;
+      pos := !i;
+      let len = !i - start in
       match next () with
-      | '"' -> Buffer.contents buf
+      | '"' -> (
+        match !scratch with
+        | Some buf when escaped ->
+          Buffer.add_substring buf s start len;
+          Buffer.contents buf
+        | _ -> String.sub s start len)
       | '\\' ->
+        let buf =
+          match !scratch with
+          | Some buf ->
+            if not escaped then Buffer.clear buf;
+            buf
+          | None ->
+            let buf = Buffer.create (n - start) in
+            scratch := Some buf;
+            buf
+        in
+        Buffer.add_substring buf s start len;
         (match next () with
         | '"' -> Buffer.add_char buf '"'
         | '\\' -> Buffer.add_char buf '\\'
@@ -217,30 +250,12 @@ let parse s =
               fail "unpaired surrogate"
             else cp
           in
-          if cp < 0x80 then Buffer.add_char buf (Char.chr cp)
-          else if cp < 0x800 then begin
-            Buffer.add_char buf (Char.chr (0xC0 lor (cp lsr 6)));
-            Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3F)))
-          end
-          else if cp < 0x10000 then begin
-            Buffer.add_char buf (Char.chr (0xE0 lor (cp lsr 12)));
-            Buffer.add_char buf (Char.chr (0x80 lor ((cp lsr 6) land 0x3F)));
-            Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3F)))
-          end
-          else begin
-            Buffer.add_char buf (Char.chr (0xF0 lor (cp lsr 18)));
-            Buffer.add_char buf (Char.chr (0x80 lor ((cp lsr 12) land 0x3F)));
-            Buffer.add_char buf (Char.chr (0x80 lor ((cp lsr 6) land 0x3F)));
-            Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3F)))
-          end
+          Buffer.add_utf_8_uchar buf (Uchar.of_int cp)
         | c -> fail (Printf.sprintf "bad escape \\%C" c));
-        loop ()
-      | c when Char.code c < 0x20 -> fail "raw control character in string"
-      | c ->
-        Buffer.add_char buf c;
-        loop ()
+        run !pos true
+      | _ -> fail "raw control character in string"
     in
-    loop ()
+    run !pos false
   in
   let parse_number () =
     let start = !pos in

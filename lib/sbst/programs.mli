@@ -16,9 +16,5 @@ val register_march : Soc.config -> t
 val alu_patterns : Soc.config -> t
 (** ALU ops over checkerboard/walking operands, accumulated signatures. *)
 
-val branch_exerciser : Soc.config -> t
-(** Taken/not-taken branches and loops, revisiting branches so the BTB
-    hit path is used. *)
-
 val suite : Soc.config -> t list
 val assemble : t -> int array

@@ -323,7 +323,7 @@ let exec_lint _session _sink (_r : Req.run) (l : Session.loaded) ~waivers
   in
   let baseline_lines = L.Config.baseline_of_findings nl o.L.Lint.findings in
   ( {
-      Session.json = Format.asprintf "%a" L.Render.json o;
+      Session.json = json_line (L.Render.json o);
       text = Format.asprintf "%a@." L.Render.text o;
       summary = Format.asprintf "%a@." L.Render.summary o;
       status = (if fail then Resp.Findings else Resp.Success);

@@ -41,25 +41,6 @@ module Op = struct
   let halt = 15
 end
 
-let opcode = function
-  | Nop -> Op.nop
-  | Mul _ | Mulh _ | Div _ | Rem _ -> Op.nop
-  | Li _ -> Op.li
-  | Addi _ -> Op.addi
-  | Add _ -> Op.add
-  | Sub _ -> Op.sub
-  | And_ _ -> Op.and_
-  | Or_ _ -> Op.or_
-  | Xor_ _ -> Op.xor
-  | Sll _ -> Op.sll
-  | Srl _ -> Op.srl
-  | Lw _ -> Op.lw
-  | Sw _ -> Op.sw
-  | Beqz _ -> Op.beqz
-  | Bnez _ -> Op.bnez
-  | Jr _ -> Op.jr
-  | Halt -> Op.halt
-
 let check_reg r = if r < 0 || r > 15 then invalid_arg "Isa: register 0..15"
 let check_imm8 v = if v < -128 || v > 255 then invalid_arg "Isa: imm8 range"
 let check_imm4 v = if v < 0 || v > 15 then invalid_arg "Isa: imm4 range"

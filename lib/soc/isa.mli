@@ -30,7 +30,6 @@ type instr =
   | Jr of reg  (** pc := rs *)
   | Halt
 
-val opcode : instr -> int
 val encode : instr -> int
 
 val decode : int -> instr

@@ -753,167 +753,90 @@ let test_baseline () =
     (Lint.fails ~fail_on:Rule.Info o)
 
 (* ---------------------------------------------------------------- *)
-(* JSON renderer: strict syntax check without a JSON library        *)
+(* JSON renderer: read back by the strict parser, value by value     *)
 (* ---------------------------------------------------------------- *)
 
-exception Bad_json of string
-
-(* Minimal strict JSON validator (RFC 8259 grammar, no extensions). *)
-let validate_json s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let fail m = raise (Bad_json (Printf.sprintf "%s at offset %d" m !pos)) in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\n' | '\t' | '\r') ->
-      advance ();
-      skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    if peek () = Some c then advance ()
-    else fail (Printf.sprintf "expected '%c'" c)
-  in
-  let literal word =
-    String.iter (fun c -> expect c) word
-  in
-  let string_ () =
-    expect '"';
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' -> (
-        advance ();
-        match peek () with
-        | Some ('"' | '\\' | '/' | 'b' | 'f' | 'n' | 'r' | 't') ->
-          advance ();
-          go ()
-        | Some 'u' ->
-          advance ();
-          for _ = 1 to 4 do
-            match peek () with
-            | Some ('0' .. '9' | 'a' .. 'f' | 'A' .. 'F') -> advance ()
-            | _ -> fail "bad \\u escape"
-          done;
-          go ()
-        | _ -> fail "bad escape")
-      | Some c when Char.code c < 0x20 -> fail "control char in string"
-      | Some _ ->
-        advance ();
-        go ()
-    in
-    go ()
-  in
-  let number () =
-    if peek () = Some '-' then advance ();
-    let digits () =
-      let saw = ref false in
-      let rec go () =
-        match peek () with
-        | Some '0' .. '9' ->
-          saw := true;
-          advance ();
-          go ()
-        | _ -> ()
-      in
-      go ();
-      if not !saw then fail "expected digit"
-    in
-    digits ();
-    if peek () = Some '.' then (advance (); digits ());
-    match peek () with
-    | Some ('e' | 'E') ->
-      advance ();
-      (match peek () with Some ('+' | '-') -> advance () | _ -> ());
-      digits ()
-    | _ -> ()
-  in
-  let rec value () =
-    skip_ws ();
-    match peek () with
-    | Some '{' -> obj ()
-    | Some '[' -> arr ()
-    | Some '"' -> string_ ()
-    | Some ('-' | '0' .. '9') -> number ()
-    | Some 't' -> literal "true"
-    | Some 'f' -> literal "false"
-    | Some 'n' -> literal "null"
-    | _ -> fail "expected a value"
-  and obj () =
-    expect '{';
-    skip_ws ();
-    if peek () = Some '}' then advance ()
-    else
-      let rec members () =
-        skip_ws ();
-        string_ ();
-        skip_ws ();
-        expect ':';
-        value ();
-        skip_ws ();
-        match peek () with
-        | Some ',' ->
-          advance ();
-          members ()
-        | Some '}' -> advance ()
-        | _ -> fail "expected ',' or '}'"
-      in
-      members ()
-  and arr () =
-    expect '[';
-    skip_ws ();
-    if peek () = Some ']' then advance ()
-    else
-      let rec elements () =
-        value ();
-        skip_ws ();
-        match peek () with
-        | Some ',' ->
-          advance ();
-          elements ()
-        | Some ']' -> advance ()
-        | _ -> fail "expected ',' or ']'"
-      in
-      elements ()
-  in
-  value ();
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage"
+module J = Olfu_obs.Json
 
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
   go 0
 
-let test_json_valid () =
-  let check_doc nl =
-    let doc = Format.asprintf "%a" Render.json (Lint.run nl) in
-    (try validate_json doc with Bad_json m -> Alcotest.fail m);
-    doc
+let list_at key j = Option.value ~default:[] (Option.bind (J.member key j) J.to_list_opt)
+let str_at key j = Option.bind (J.member key j) J.to_string_opt
+
+(* [nl]'s outcome, printed as the service prints it and parsed back:
+   a SARIF 2.1.0 document with one run, one result per finding, in
+   order, whose locations name the finding's nodes as [Ctx.node_label]
+   does, and one rule entry per rule run.  Returns the run object. *)
+let check_json nl =
+  let o = Lint.run nl in
+  let doc =
+    match J.parse (J.to_string ~indent:true (Render.json o)) with
+    | Error m -> Alcotest.fail m
+    | Ok doc -> doc
   in
-  let doc = check_doc (messy_netlist ()) in
-  List.iter
-    (fun needle ->
-      Alcotest.(check bool) (needle ^ " present") true (contains doc needle))
-    [
-      "\"olfu_lint\"";
-      "sarif";
-      "\"SCAN-001\"";
-      "\"results\"";
-      "\"rules\"";
-      "logicalLocations";
-      "deadgate";
-    ];
-  (* escaping: a netlist whose node names carry JSON-hostile chars *)
+  Alcotest.(check (option string)) "$schema"
+    (Some "https://json.schemastore.org/sarif-2.1.0.json") (str_at "$schema" doc);
+  Alcotest.(check (option string)) "version" (Some "2.1.0") (str_at "version" doc);
+  let run =
+    match list_at "runs" doc with
+    | [ run ] -> run
+    | _ -> Alcotest.fail "want one run"
+  in
+  let driver = Option.bind (J.member "tool" run) (J.member "driver") in
+  Alcotest.(check (option string)) "driver name" (Some "olfu_lint")
+    (Option.bind driver (str_at "name"));
+  Alcotest.(check int) "one rule entry per rule run" (List.length o.Lint.rules)
+    (List.length (Option.fold ~none:[] ~some:(list_at "rules") driver));
+  let results = list_at "results" run in
+  Alcotest.(check int) "one result per finding" (List.length o.Lint.findings)
+    (List.length results);
+  let names key r =
+    List.map
+      (fun loc ->
+        match list_at "logicalLocations" loc with
+        | [ l ] -> str_at "name" l
+        | _ -> Alcotest.fail "want one logical location")
+      (list_at key r)
+  in
+  let labels = List.map (fun i -> Some (Ctx.node_label nl i)) in
+  List.iter2
+    (fun (f : Rule.finding) r ->
+      Alcotest.(check (option string)) "ruleId" (Some f.Rule.code) (str_at "ruleId" r);
+      Alcotest.(check (list (option string))) "location names"
+        (labels (Option.to_list f.Rule.node)) (names "locations" r);
+      Alcotest.(check (list (option string))) "related location names"
+        (labels f.Rule.path) (names "relatedLocations" r))
+    o.Lint.findings results;
+  run
+
+(* Every logical-location name of a run's results. *)
+let location_names run =
+  List.concat_map
+    (fun r ->
+      List.concat_map
+        (fun loc -> List.filter_map (str_at "name") (list_at "logicalLocations" loc))
+        (list_at "locations" r @ list_at "relatedLocations" r))
+    (list_at "results" run)
+
+let test_json_valid () =
+  let run = check_json (messy_netlist ()) in
+  let ids = List.filter_map (str_at "ruleId") (list_at "results" run) in
+  Alcotest.(check bool) "SCAN-001 reported" true (List.mem "SCAN-001" ids);
+  Alcotest.(check bool) "deadgate located" true
+    (List.mem "deadgate" (location_names run));
+  (* escaping: a netlist whose node names carry JSON-hostile chars; the
+     location checks compare the parsed names with the labels *)
   let b = B.create () in
   let x = B.input b "x" in
   let g = B.not_ b ~name:"we\\ird\"name\n" x in
   let _g2 = B.buf b ~name:"dead \"cone\"" g in
   let _ = B.output b "o" g in
-  ignore (check_doc (B.freeze_exn b))
+  let names = location_names (check_json (B.freeze_exn b)) in
+  Alcotest.(check bool) "hostile names are located" true
+    (List.mem "dead \"cone\"" names && List.mem "we\\ird\"name\n" names)
 
 let test_render_text_and_summary () =
   let o = Lint.run (messy_netlist ()) in

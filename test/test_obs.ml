@@ -64,6 +64,173 @@ let prop_json_escape =
     QCheck2.Gen.(string_size ~gen:char (int_range 0 200))
     (fun s -> J.to_string (J.Str s) = reference_escape s)
 
+(* Any byte string survives print-then-parse, as a value, a key, and
+   nested in objects and lists, compact and indented. *)
+let prop_json_roundtrip_bytes =
+  QCheck2.Test.make ~count:300 ~name:"byte strings round-trip, bare and nested"
+    QCheck2.Gen.(string_size ~gen:char (int_range 0 4096))
+    (fun s ->
+      List.for_all
+        (fun v ->
+          List.for_all (fun indent -> J.parse (J.to_string ~indent v) = Ok v) [ false; true ])
+        [
+          J.Str s;
+          J.Obj [ (s, J.List [ J.Str s; J.Int 1 ]); ("k", J.Obj [ (s, J.Str s) ]) ];
+          J.List [ J.Str s; J.List [ J.Str s ]; J.Null ];
+        ])
+
+exception Bad_literal of string * int
+
+(* The per-character decoder the parser had before it copied runs, for
+   a document that is one string literal: the reference for every
+   result and every error, message and offset included. *)
+let reference_literal s =
+  let n = String.length s in
+  let pos = ref 0 in
+  let fail m = raise (Bad_literal (m, !pos)) in
+  let next () =
+    if !pos >= n then fail "unexpected end of input"
+    else begin
+      let c = s.[!pos] in
+      incr pos;
+      c
+    end
+  in
+  let expect c =
+    let g = next () in
+    if g <> c then fail (Printf.sprintf "expected %C, got %C" c g)
+  in
+  let hex4 () =
+    let d = ref 0 in
+    for _ = 1 to 4 do
+      let c = next () in
+      let v =
+        match c with
+        | '0' .. '9' -> Char.code c - Char.code '0'
+        | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
+        | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
+        | _ -> fail "bad \\u escape"
+      in
+      d := (!d * 16) + v
+    done;
+    !d
+  in
+  let buf = Buffer.create 16 in
+  let add_code k = Buffer.add_char buf (Char.chr k) in
+  let rec loop () =
+    match next () with
+    | '"' -> Buffer.contents buf
+    | '\\' ->
+      (match next () with
+      | '"' -> Buffer.add_char buf '"'
+      | '\\' -> Buffer.add_char buf '\\'
+      | '/' -> Buffer.add_char buf '/'
+      | 'b' -> Buffer.add_char buf '\b'
+      | 'f' -> Buffer.add_char buf '\012'
+      | 'n' -> Buffer.add_char buf '\n'
+      | 'r' -> Buffer.add_char buf '\r'
+      | 't' -> Buffer.add_char buf '\t'
+      | 'u' ->
+        let cp = hex4 () in
+        let cp =
+          if cp >= 0xD800 && cp <= 0xDBFF then begin
+            expect '\\';
+            expect 'u';
+            let lo = hex4 () in
+            if lo < 0xDC00 || lo > 0xDFFF then fail "unpaired surrogate";
+            0x10000 + ((cp - 0xD800) lsl 10) + (lo - 0xDC00)
+          end
+          else if cp >= 0xDC00 && cp <= 0xDFFF then fail "unpaired surrogate"
+          else cp
+        in
+        if cp < 0x80 then add_code cp
+        else if cp < 0x800 then begin
+          add_code (0xC0 lor (cp lsr 6));
+          add_code (0x80 lor (cp land 0x3F))
+        end
+        else if cp < 0x10000 then begin
+          add_code (0xE0 lor (cp lsr 12));
+          add_code (0x80 lor ((cp lsr 6) land 0x3F));
+          add_code (0x80 lor (cp land 0x3F))
+        end
+        else begin
+          add_code (0xF0 lor (cp lsr 18));
+          add_code (0x80 lor ((cp lsr 12) land 0x3F));
+          add_code (0x80 lor ((cp lsr 6) land 0x3F));
+          add_code (0x80 lor (cp land 0x3F))
+        end
+      | c -> fail (Printf.sprintf "bad escape \\%C" c));
+      loop ()
+    | c when Char.code c < 0x20 -> fail "raw control character in string"
+    | c ->
+      Buffer.add_char buf c;
+      loop ()
+  in
+  match
+    expect '"';
+    let v = loop () in
+    while
+      !pos < n && match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false
+    do
+      incr pos
+    done;
+    if !pos <> n then fail "trailing garbage";
+    J.Str v
+  with
+  | v -> Ok v
+  | exception Bad_literal (m, p) -> Error (Printf.sprintf "%s at offset %d" m p)
+
+(* Literals that mix plain runs with every escape form, then end well or
+   in a malformed tail: an unknown escape, a lone surrogate, bad hex, a
+   raw control byte, a missing closing quote or trailing garbage. *)
+let gen_literal =
+  let open QCheck2.Gen in
+  let u k upper = Printf.sprintf (if upper then "\\u%04X" else "\\u%04x") k in
+  let plain_char =
+    map Char.chr
+      (oneof [ int_range 0x20 0x21; int_range 0x23 0x5B; int_range 0x5D 0xFF ])
+  in
+  let segment =
+    oneof
+      [
+        string_size ~gen:plain_char (int_range 1 40);
+        oneofl [ {|\"|}; {|\\|}; {|\/|}; {|\b|}; {|\f|}; {|\n|}; {|\r|}; {|\t|} ];
+        map2 u (oneof [ int_range 0 0xD7FF; int_range 0xE000 0xFFFF ]) bool;
+        map3
+          (fun hi lo upper -> u hi upper ^ u lo upper)
+          (int_range 0xD800 0xDBFF) (int_range 0xDC00 0xDFFF) bool;
+      ]
+  in
+  let tail =
+    oneof
+      [
+        return {|"|};
+        return {|"|};
+        map
+          (fun c -> Printf.sprintf "\\%c\"" c)
+          (oneofl [ 'q'; 'x'; 'U'; '\''; 'a'; '0'; ' '; '\n'; '\000'; '\255' ]);
+        map2 (fun hi rest -> u hi false ^ rest) (int_range 0xD800 0xDBFF)
+          (oneofl [ {|"|}; {|x"|}; {|\n"|}; {|\u0041"|}; {|\uD800"|}; {|\uE000"|} ]);
+        map (fun lo -> u lo true ^ {|"|}) (int_range 0xDC00 0xDFFF);
+        map2
+          (fun k bad -> "\\u" ^ String.sub (Printf.sprintf "%04x" k) 0 (k mod 4) ^ bad)
+          (int_range 0 0xFFFF)
+          (oneofl [ {|g"|}; {|G"|}; {| "|}; {|"|}; {|\"|}; {|-1"|} ]);
+        map (fun k -> String.make 1 (Char.chr k) ^ {|"|}) (int_range 0 0x1F);
+        oneofl [ ""; {|\|}; {|\u|}; {|\u12|}; {|\uD800|}; {|\uD800\|}; {|\uD800\u|} ];
+        oneofl [ {|" x|}; "\"  \n"; {|""|}; {|",|} ];
+      ]
+  in
+  map2
+    (fun segs tail -> {|"|} ^ String.concat "" segs ^ tail)
+    (list_size (int_range 0 12) segment)
+    tail
+
+let prop_json_literal_reference =
+  QCheck2.Test.make ~count:2000 ~name:"string literal decode = per-char decoder"
+    ~print:(Printf.sprintf "%S") gen_literal
+    (fun lit -> J.parse lit = reference_literal lit)
+
 (* [to_channel] spills in chunks: a document several chunks long, with
    escapes on both sides of every chunk boundary, must come out as the
    bytes of [to_string]. *)
@@ -318,6 +485,8 @@ let () =
           Alcotest.test_case "round-trip" `Quick test_json_roundtrip;
           Alcotest.test_case "strictness" `Quick test_json_strict;
           QCheck_alcotest.to_alcotest prop_json_escape;
+          QCheck_alcotest.to_alcotest prop_json_roundtrip_bytes;
+          QCheck_alcotest.to_alcotest prop_json_literal_reference;
           Alcotest.test_case "channel = string" `Quick test_json_channel;
         ] );
       ( "trace",

@@ -115,12 +115,42 @@ gate invar dune exec bench/main.exe -- invar
 # counts; refreshes BENCH_slice.json.
 gate slice dune exec bench/main.exe -- slice
 
+# Send request $1 to the daemon twice, into $OBS_TMP/$2-cold.raw and
+# $2-warm.raw: the first must miss the cache, the repeat must hit it
+# with the same bytes, envelope aside.  The wall clocks before, between
+# and after the two calls are left in _w0, _w1 and _w2 (`gate` keeps
+# its own integer start time in _t0).
+cold_warm() {
+  _w0=$(date +%s.%N 2>/dev/null || date +%s)
+  "$_CLI" client --socket "$_sock" --raw "$1" > "$OBS_TMP/$2-cold.raw"
+  _w1=$(date +%s.%N 2>/dev/null || date +%s)
+  "$_CLI" client --socket "$_sock" --raw "$1" > "$OBS_TMP/$2-warm.raw"
+  _w2=$(date +%s.%N 2>/dev/null || date +%s)
+
+  grep -q '"cache_hit":false' "$OBS_TMP/$2-cold.raw" || {
+    echo "serve: cold $2 request unexpectedly hit the cache"; return 1; }
+  grep -q '"cache_hit":true' "$OBS_TMP/$2-warm.raw" || {
+    echo "serve: warm $2 repeat was not a cache hit"; return 1; }
+
+  # identity modulo the envelope: neutralize the wall-clock and
+  # cache-hit fields of the raw one-line responses before comparing —
+  # everything else, including the full rendered output, must match
+  _strip='s/"seconds":[0-9.eE+-]*/"seconds":0/; s/"cache_hit":[a-z]*/"cache_hit":x/'
+  sed "$_strip" "$OBS_TMP/$2-cold.raw" > "$OBS_TMP/$2-cold.strip"
+  sed "$_strip" "$OBS_TMP/$2-warm.raw" > "$OBS_TMP/$2-warm.strip"
+  cmp -s "$OBS_TMP/$2-cold.strip" "$OBS_TMP/$2-warm.strip" || {
+    echo "serve: warm $2 bytes differ from cold bytes"; return 1; }
+}
+
 # Daemon gate, the only one: it drives the real binary.  Start
 # `olfu serve` in the background, then require
 #   - a warm repeat of the same analyze request to be a cache hit,
 #   - in < 0.5x the cold wall time,
 #   - with the same bytes as the cold response (envelope aside),
-#   - analyze and lint through the daemon to match the one-shot CLI,
+#   - analyze and lint (text and JSON) through the daemon to match the
+#     one-shot CLI,
+#   - a warm repeat of a lint JSON request to be a cache hit with the
+#     cold response's bytes (envelope aside),
 #   - an engine exception to be answered with status 2, and the same
 #     connection to answer a ping after it,
 #   - a clean shutdown (the daemon exits 0 and removes its socket).
@@ -137,28 +167,7 @@ serve_gate() {
     > /dev/null
 
   _req='{"op": "analyze", "target": {"config": "tcore32"}, "jobs": 2, "format": "json"}'
-  # wall clocks in _w*: `gate` keeps its own integer start time in _t0
-  _w0=$(date +%s.%N 2>/dev/null || date +%s)
-  "$_CLI" client --socket "$_sock" --raw "$_req" \
-    > "$OBS_TMP/cold.raw"
-  _w1=$(date +%s.%N 2>/dev/null || date +%s)
-  "$_CLI" client --socket "$_sock" --raw "$_req" \
-    > "$OBS_TMP/warm.raw"
-  _w2=$(date +%s.%N 2>/dev/null || date +%s)
-
-  grep -q '"cache_hit":false' "$OBS_TMP/cold.raw" || {
-    echo "serve: cold request unexpectedly hit the cache"; return 1; }
-  grep -q '"cache_hit":true' "$OBS_TMP/warm.raw" || {
-    echo "serve: warm repeat was not a cache hit"; return 1; }
-
-  # identity modulo the envelope: neutralize the wall-clock and
-  # cache-hit fields of the raw one-line responses before comparing —
-  # everything else, including the full rendered output, must match
-  _strip='s/"seconds":[0-9.eE+-]*/"seconds":0/; s/"cache_hit":[a-z]*/"cache_hit":x/'
-  sed "$_strip" "$OBS_TMP/cold.raw" > "$OBS_TMP/cold.strip"
-  sed "$_strip" "$OBS_TMP/warm.raw" > "$OBS_TMP/warm.strip"
-  cmp -s "$OBS_TMP/cold.strip" "$OBS_TMP/warm.strip" || {
-    echo "serve: warm bytes differ from cold bytes"; return 1; }
+  cold_warm "$_req" analyze
   "$_CLI" analyze -c tcore32 -j 2 --format json \
     --connect "$_sock" > "$OBS_TMP/daemon.json"
   "$_CLI" analyze -c tcore32 -j 2 --format json \
@@ -184,6 +193,15 @@ serve_gate() {
     > "$OBS_TMP/lint-oneshot.txt"
   cmp -s "$OBS_TMP/lint-daemon.txt" "$OBS_TMP/lint-oneshot.txt" || {
     echo "serve: daemon and one-shot lint output differ"; return 1; }
+  "$_CLI" lint -c tcore16 --format json --connect "$_sock" \
+    > "$OBS_TMP/lint-daemon.json"
+  "$_CLI" lint -c tcore16 --format json \
+    > "$OBS_TMP/lint-oneshot.json"
+  cmp -s "$OBS_TMP/lint-daemon.json" "$OBS_TMP/lint-oneshot.json" || {
+    echo "serve: daemon and one-shot lint JSON differ"; return 1; }
+
+  # the SARIF answer, the largest a warm daemon serves
+  cold_warm '{"op": "lint", "target": {"config": "tcore32"}, "format": "json"}' lint
 
   # invar on a netlist whose scan_en is a wire raises inside the engine
   # (the on-line machine cannot tie it); the daemon must answer it and
@@ -221,16 +239,53 @@ gate serve serve_gate
 echo "[lines lib+bin+bench (.ml/.mli): $(find lib bin bench \( -name '*.ml' -o -name '*.mli' \) -exec cat {} + | wc -l)]"
 
 # Uncalled exports, informational (no threshold): `val`s in a lib/
-# interface whose name no file outside that module mentions, searching
-# lib/, bin/, bench/, benchmark/, examples/ and test/.  A word match, so
-# a name that only a comment elsewhere mentions counts as called.
+# interface whose name no file outside that module mentions in code,
+# searching lib/, bin/, bench/, benchmark/, examples/ and test/.
+# `code_words` blanks out nested (* *) comments, "..." strings and
+# {id|...|id} quoted strings (inside comments too, as OCaml lexes them;
+# a char literal such as '"' opens nothing), then prints
+# `W <file without extension> <word>` for each word left.
+code_words() {
+  find lib bin bench benchmark examples test -name '*.ml' -o -name '*.mli' \
+    | LC_ALL=C xargs awk '
+    FNR == 1 { st = "code"; depth = 0; mod = FILENAME; sub(/\.mli?$/, "", mod) }
+    {
+      n = length($0); out = ""; i = 1
+      while (i <= n) {
+        c = substr($0, i, 1); w = 1  # w: the characters consumed
+        if (st == "str") {
+          if (c == "\\") w = 2
+          else if (c == "\"") st = ret
+        } else if (st == "quoted") {
+          if (substr($0, i, qlen) == qend) { st = ret; w = qlen }
+        } else if (substr($0, i, 2) == "(*") { depth++; st = "comment"; w = 2 }
+        else if (st == "comment" && substr($0, i, 2) == "*)") {
+          if (--depth == 0) st = "code"
+          w = 2
+        } else if (c == "\"") { ret = st; st = "str" }
+        else if (c == "{" && match(substr($0, i), /^\{[a-z_]*\|/)) {
+          ret = st; st = "quoted"; w = RLENGTH
+          qend = "|" substr($0, i + 1, RLENGTH - 2) "}"; qlen = length(qend)
+        }
+        # char literals: an escape up to its closing quote, or one character
+        else if (c == "\047" && substr($0, i + 1, 1) == "\\" \
+                 && (j = index(substr($0, i + 3), "\047")) > 0) w = 3 + j
+        else if (c == "\047" && substr($0, i + 2, 1) == "\047") w = 3
+        else if (st == "code") { out = out c; i++; continue }
+        out = out " "; i += w
+      }
+      while (match(out, /[A-Za-z0-9_\047]+/)) {
+        w = substr(out, RSTART, RLENGTH)
+        if (w ~ /^[A-Za-z_]/) print "W", mod, w
+        out = substr(out, RSTART + RLENGTH)
+      }
+    }'
+}
 uncalled_exports() {
   {
     find lib -name '*.mli' -exec grep -H '^ *val ' {} + \
       | sed -n "s/^\(.*\)\.mli: *val \([a-z_][A-Za-z0-9_']*\).*/V \1 \2/p"
-    grep -rHow "[A-Za-z_][A-Za-z0-9_']*" lib bin bench benchmark examples test \
-      --include='*.ml' --include='*.mli' \
-      | sed 's/^\(.*\)\.mli\{0,1\}:/W \1 /' | sort -u
+    code_words | sort -u
   } | awk '
     $1 == "V" { vmod[++nv] = $2; vname[nv] = $3; next }
     # word -> the one module naming it, or "*" once two modules do
