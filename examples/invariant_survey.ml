@@ -1,7 +1,7 @@
 (* Invariant survey: mine, filter and prove state invariants on the
-   tcore32 mission machine (debug controls tied by the flow, scan
-   interface held functional), then show what the proofs buy the
-   conflict-untestability engine. *)
+   tcore32 mission machine (debug controls and forced address bits
+   tied, scan interface held functional), then show what the proofs buy
+   the conflict-untestability engine. *)
 
 open Olfu_netlist
 module Soc = Olfu_soc.Soc
@@ -13,8 +13,7 @@ let () =
   let cfg = Soc.tcore32 in
   let nl = Soc.generate cfg in
   let mission = Olfu.Mission.of_soc cfg nl in
-  let flow = Olfu.Flow.run Olfu.Run_config.default nl mission in
-  let mnl = flow.Olfu.Flow.mission_netlist in
+  let mnl = Olfu.Flow.mission_netlist nl mission in
   let machine = Olfu_safety.Classify.bmc_machine mnl in
   Format.printf "tcore32 mission machine: %a@.@." Netlist.pp_summary machine;
 

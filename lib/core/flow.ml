@@ -109,17 +109,35 @@ let analyze (cfg : Run_config.t) c =
     ~implic:cfg.Run_config.implic ~extra_edges:c.edges
     ~trace:cfg.Run_config.trace c.netlist
 
+(* The two manipulations that make the on-line mission circuit, each
+   under its engine spans: the mission-constant debug controls tied
+   (Sec. 3.2), then the address registers and ports the memory map
+   forces (Sec. 3.3). *)
+let tie_controls trace nl mission =
+  Trace.span trace ~cat:"engine" "manip" (fun () ->
+      Script.apply nl (Mission.tie_controls_script mission))
+
+let force_addresses trace mission tied =
+  let forced =
+    Trace.span trace ~cat:"engine" "mission" (fun () ->
+        Mission.address_forcing mission)
+  in
+  Trace.span trace ~cat:"engine" "manip" (fun () ->
+      Const_regs.tie_address_ports
+        (Const_regs.tie_address_registers tied ~forced)
+        ~forced)
+
+let mission_netlist nl mission =
+  force_addresses Trace.null mission (tie_controls Trace.null nl mission)
+
 (* The circuits of the four engine steps, each manipulation timed as a
    [prep] entry under its own engine span.  Debug control and Debug
    observation analyze the same tied netlist, so its ternary fixpoint is
    computed once, here, and neither step's seconds double-count it. *)
 let stages (cfg : Run_config.t) nl mission =
-  let engine name f = Trace.span cfg.Run_config.trace ~cat:"engine" name f in
-  let tied, tied_t =
-    timed (fun () ->
-        engine "manip" (fun () ->
-            Script.apply nl (Mission.tie_controls_script mission)))
-  in
+  let trace = cfg.Run_config.trace in
+  let engine name f = Trace.span trace ~cat:"engine" name f in
+  let tied, tied_t = timed (fun () -> tie_controls trace nl mission) in
   let consts, consts_t =
     timed (fun () ->
         engine "ternary" (fun () ->
@@ -132,14 +150,7 @@ let stages (cfg : Run_config.t) nl mission =
   in
   (* memory map: tie forced address registers and ports *)
   let mission_nl, mission_nl_t =
-    timed (fun () ->
-        let forced =
-          engine "mission" (fun () -> Mission.address_forcing mission)
-        in
-        engine "manip" (fun () ->
-            Const_regs.tie_address_ports
-              (Const_regs.tie_address_registers tied ~forced)
-              ~forced))
+    timed (fun () -> force_addresses trace mission tied)
   in
   let circuit ?consts ?observable netlist =
     { netlist; consts; observable; edges = [] }

@@ -58,7 +58,9 @@ type report = {
   total_olfu : int;
   fraction : float;  (** [total_olfu / universe] *)
   flist : Flist.t;  (** final classification over the original universe *)
-  mission_netlist : Netlist.t;  (** fully manipulated circuit *)
+  mission_netlist : Netlist.t;
+      (** fully manipulated circuit, equal to {!mission_netlist} of the
+          flow's inputs *)
   seconds : float;
 }
 
@@ -75,6 +77,14 @@ val run : Run_config.t -> Netlist.t -> Mission.t -> report
     (named by {!source_name}) with the engine attribution
     (["graph"] / ["ternary"] / ["observe"] / ["implic"] / ["classify"]
     spans) nested inside. *)
+
+val mission_netlist : Netlist.t -> Mission.t -> Netlist.t
+(** The fully manipulated (on-line mission) circuit alone: the
+    mission's tie-controls script, then the address registers and ports
+    its memory map forces.  {!stages} builds its {!Memory} netlist with
+    the same code, so this equals a {!run}'s [mission_netlist], digest
+    for digest, without building a fault universe or classifying a
+    fault. *)
 
 val manifest_steps : report -> Olfu_obs.Manifest.step list
 (** The report's steps as manifest entries (name, seconds, classified,
@@ -105,10 +115,11 @@ val stages :
     (the netlist as is), {!Debug_control} (debug controls tied),
     {!Debug_observe} (the same tied netlist, debug buses and scan-outs
     unobserved) and {!Memory} (forced address registers and ports tied
-    on top).  The two Debug steps share one ternary fixpoint, computed
-    here.  The second component times the manipulations: ["tied
-    netlist"], ["shared ternary fixpoint"], ["mission observability"]
-    and ["mission netlist"]. *)
+    on top: the circuit of {!mission_netlist}, built by the same code
+    under engine spans).  The two Debug steps share one ternary
+    fixpoint, computed here.  The second component times the
+    manipulations: ["tied netlist"], ["shared ternary fixpoint"],
+    ["mission observability"] and ["mission netlist"]. *)
 
 val analyze : Run_config.t -> circuit -> Olfu_atpg.Untestable.t
 (** The one mapping of [cfg] onto {!Olfu_atpg.Untestable.analyze}. *)

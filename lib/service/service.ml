@@ -111,20 +111,29 @@ let require_cfg (l : Session.loaded) op =
     badf "%s requires a generated configuration (tcore32|tcore32_dft|tcore16)"
       op
 
-(* The shared flow artifact: analyze, invar, slice and coverage all
-   start from the same report, so a warm session runs it once. *)
+let flow_key (r : Req.run) (l : Session.loaded) =
+  Printf.sprintf "%s/flow/%s/%s" l.Session.digest
+    (Olfu.Run_config.ff_mode_name r.ff_mode)
+    (if r.implic then "implic" else "noimplic")
+
+(* The shared flow artifact: analyze and coverage read its verdicts, so
+   a warm session runs it once for both. *)
 let flow_of session sink (r : Req.run) (l : Session.loaded) =
-  let key =
-    Printf.sprintf "%s/flow/%s/%s" l.Session.digest
-      (Olfu.Run_config.ff_mode_name r.ff_mode)
-      (if r.implic then "implic" else "noimplic")
-  in
   match
-    Session.memo session key (fun () ->
+    Session.memo session (flow_key r l) (fun () ->
         Session.Flow (Olfu.Flow.run (rc_of sink r) l.Session.nl l.Session.mission))
   with
   | Session.Flow f, hit -> (f, hit)
   | _ -> assert false
+
+(* The fully manipulated circuit, all that invar and slice read: this
+   request's flow report's copy when the session holds one (a warm
+   daemon that has answered analyze or coverage pays nothing), else
+   built alone, without the flow's classification. *)
+let mission_of session (r : Req.run) (l : Session.loaded) =
+  match Session.find session (flow_key r l) with
+  | Some (Session.Flow f) -> f.Olfu.Flow.mission_netlist
+  | _ -> Olfu.Flow.mission_netlist l.Session.nl l.Session.mission
 
 (* -- shared renderings -------------------------------------------- *)
 
@@ -137,7 +146,8 @@ let table rows =
   List.iter (fun (k, v) -> Buffer.add_string b (Printf.sprintf "%-*s  %s\n" w k v)) rows;
   Buffer.contents b
 
-let json_line j = J.to_string ~indent:true j ^ "\n"
+(* the indented form ends in its one newline *)
+let json_line j = J.to_string ~indent:true j
 
 let verdict_fields l =
   List.map
@@ -639,8 +649,7 @@ let exec_absint _session _sink (_r : Req.run) (l : Session.loaded) ~programs
 let exec_invar session sink (r : Req.run) (l : Session.loaded) ~k ~no_prove =
   let module Inv = Olfu_invar.Invar in
   let module Sc = Olfu_safety.Classify in
-  let flow, _ = flow_of session sink r l in
-  let machine = Sc.bmc_machine flow.Olfu.Flow.mission_netlist in
+  let machine = Sc.bmc_machine (mission_of session r l) in
   let res = Inv.run ~k ~jobs:r.jobs ~trace:sink ~no_prove machine in
   let cand_str c = Format.asprintf "%a" (Inv.pp_candidate machine) c in
   let payload =
@@ -694,8 +703,9 @@ let exec_invar session sink (r : Req.run) (l : Session.loaded) ~k ~no_prove =
       status = Resp.Success;
       aux = [];
     },
-    flow_meta flow [ ("invariants_proved", J.Int (List.length res.Inv.proved)) ]
-  )
+    { empty_meta with
+      extras = [ ("invariants_proved", J.Int (List.length res.Inv.proved)) ]
+    } )
 
 let exec_safety _session sink (r : Req.run) (l : Session.loaded) ~window
     ~seu_limit =
@@ -791,11 +801,10 @@ let exec_safety _session sink (r : Req.run) (l : Session.loaded) ~window
       (List.map (fun (c, n) -> (T.safe_code c, J.Int n)) res.Sc.counts
       @ List.map (fun (k, n) -> (k, J.Int n)) seu_counts) )
 
-let exec_slice session sink (r : Req.run) (l : Session.loaded) =
+let exec_slice session _sink (r : Req.run) (l : Session.loaded) =
   let module Sl = Olfu_slice.Slice in
   let module Sc = Olfu_safety.Classify in
-  let flow, _ = flow_of session sink r l in
-  let machine = Sc.bmc_machine flow.Olfu.Flow.mission_netlist in
+  let machine = Sc.bmc_machine (mission_of session r l) in
   let g = Sl.get machine in
   let edge_count (e : Sl.edges) =
     let ff = Array.fold_left (fun a s -> a + Array.length s) 0 e.Sl.supports in
@@ -877,16 +886,17 @@ let exec_slice session sink (r : Req.run) (l : Session.loaded) =
       text = Format.asprintf "%t@." (Sl.pp_stats g regimes);
       summary;
       status = Resp.Success;
-      (* the DOT condensation is cheap relative to the flow, so it is
-         always cached with the outcome; the [--dot] flag only decides
-         whether the adapter writes it out *)
+      (* the DOT condensation is always cached with the outcome; the
+         [--dot] flag only decides whether the adapter writes it out *)
       aux = [ ("dot", Sl.condensation_dot g g.Sl.mission_edges) ];
     },
-    flow_meta flow
-      [
-        ("mission_sccs", J.Int (Array.length mscc.Sl.comps));
-        ("largest_scc", J.Int largest);
-      ] )
+    { empty_meta with
+      extras =
+        [
+          ("mission_sccs", J.Int (Array.length mscc.Sl.comps));
+          ("largest_scc", J.Int largest);
+        ]
+    } )
 
 let exec_coverage session sink (r : Req.run) (l : Session.loaded) ~sample =
   let cfg = require_cfg l "coverage" in

@@ -261,6 +261,25 @@ let test_pin_prep () =
     ]
     (List.map fst (Lazy.force report16).Flow.prep)
 
+(* The one builder of the mission circuit makes the flow's own, digest
+   for digest, without classifying a fault. *)
+let check_mission_netlist nl mission (r : Flow.report) =
+  Alcotest.(check string) "digest equals the flow's mission netlist"
+    (Analysis.digest_of r.Flow.mission_netlist)
+    (Analysis.digest_of (Flow.mission_netlist nl mission))
+
+let test_mission_netlist () =
+  check_mission_netlist (Lazy.force t16) (Lazy.force mission16)
+    (Lazy.force report16)
+
+let test_mission_netlist_tcore32 () =
+  List.iter
+    (fun cfg ->
+      let nl = Soc.generate cfg in
+      let mission = Mission.of_soc cfg nl in
+      check_mission_netlist nl mission (Flow.run Run_config.default nl mission))
+    [ Soc.tcore32; Soc.tcore32_dft ]
+
 let test_table1_renders () =
   let r = Lazy.force report16 in
   let s = Format.asprintf "%a" (Flow.pp_table1 ~paper:true) r in
@@ -291,6 +310,10 @@ let () =
           Alcotest.test_case "roles mission" `Quick
             test_flow_on_roles_mission_matches;
           Alcotest.test_case "table renders" `Quick test_table1_renders;
+          Alcotest.test_case "mission netlist builder" `Quick
+            test_mission_netlist;
+          Alcotest.test_case "mission netlist tcore32/dft" `Slow
+            test_mission_netlist_tcore32;
         ] );
       ( "pins",
         [

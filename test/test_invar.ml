@@ -284,9 +284,8 @@ let test_tcore16_counts () =
   let cfg = Olfu_soc.Soc.tcore16 in
   let nl = Olfu_soc.Soc.generate cfg in
   let mission = Olfu.Mission.of_soc cfg nl in
-  let flow = Olfu.Flow.run Olfu.Run_config.default nl mission in
   let machine =
-    Olfu_safety.Classify.bmc_machine flow.Olfu.Flow.mission_netlist
+    Olfu_safety.Classify.bmc_machine (Olfu.Flow.mission_netlist nl mission)
   in
   let r = Invar.run ~jobs:2 machine in
   let by = Invar.count_by_class r in

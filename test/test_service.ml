@@ -282,18 +282,38 @@ let test_lint_invariants () =
       "2-bit register at st[0] reaches 3 of 4 codes";
     ]
 
+(* invar's text reports its own wall time, the one line two runs of the
+   same request may differ in *)
+let mask_clock s =
+  String.split_on_char '\n' s
+  |> List.map (fun l ->
+         if String.starts_with ~prefix:"mine+filter+prove time: " l then
+           "mine+filter+prove time: *"
+         else l)
+  |> String.concat "\n"
+
 let test_cache_hit_identity () =
   let session = S.Session.create () in
+  let invar = Req.Invar { k = 1; no_prove = false } in
+  let slice = Req.Slice { dot = false } in
   let ops =
     [
       ("analyze", Req.Analyze { paper = false });
-      ("slice", Req.Slice { dot = false });
+      ("invar", invar);
+      ("slice", slice);
       ("coverage", Req.Coverage { sample = 50 });
     ]
   in
+  let hits () = (S.Session.stats session).S.Session.hits in
   List.iter
     (fun (what, op) ->
+      let before = hits () in
       let cold = exec session (run_req op) in
+      (* after analyze, invar and slice find the netlist and read the
+         mission netlist of analyze's cached flow *)
+      if op = invar || op = slice then
+        Alcotest.(check int) (what ^ ": reads the cached flow") 2
+          (hits () - before);
       let warm = exec session (run_req ~id:2 op) in
       Alcotest.(check bool) (what ^ ": cold is a miss") false
         cold.Resp.cache_hit;
@@ -301,6 +321,9 @@ let test_cache_hit_identity () =
         warm.Resp.cache_hit;
       Alcotest.(check string) (what ^ ": byte-identical json")
         cold.Resp.output warm.Resp.output;
+      Alcotest.(check bool) (what ^ ": json ends in one newline") true
+        (String.ends_with ~suffix:"}\n" cold.Resp.output
+        && not (String.ends_with ~suffix:"\n\n" cold.Resp.output));
       (* a different rendering of the same outcome is also a hit *)
       let text = exec session (run_req ~id:3 ~fmt:Req.Text op) in
       Alcotest.(check bool) (what ^ ": other format hits") true
@@ -308,7 +331,25 @@ let test_cache_hit_identity () =
     ops;
   let st = S.Session.stats session in
   Alcotest.(check bool) "no eviction under default budget" true
-    (st.S.Session.evictions = 0)
+    (st.S.Session.evictions = 0);
+  (* a fresh session has no flow, so invar and slice build the mission
+     netlist alone: the same bytes in every format *)
+  List.iter
+    (fun (what, op) ->
+      List.iter
+        (fun (name, fmt) ->
+          let fresh = S.Session.create () in
+          let direct = exec fresh (run_req ~fmt op) in
+          let cached = exec session (run_req ~fmt op) in
+          Alcotest.(check string)
+            (what ^ " " ^ name ^ ": built alone = read from the flow")
+            (mask_clock cached.Resp.output)
+            (mask_clock direct.Resp.output);
+          (* the netlist and the outcome, and no flow *)
+          Alcotest.(check int) (what ^ " " ^ name ^ ": fresh session entries")
+            2 (S.Session.stats fresh).S.Session.entries)
+        [ ("json", Req.Json); ("text", Req.Text); ("summary", Req.Summary) ])
+    [ ("invar", invar); ("slice", slice) ]
 
 let test_stats_and_ping () =
   let session = S.Session.create () in
