@@ -82,17 +82,26 @@ let encode_capture s fresh (k : Cell.kind) ins =
 
 (* ---- folding, hash-consing circuit builder over solver literals ---- *)
 
+(* A hash-consing key: a gate tag followed by the gate's operand
+   literals. *)
+module Key = Hashtbl.Make (struct
+  type t = int list
+
+  let equal = List.equal Int.equal
+  let hash l = Hashtbl.hash (List.fold_left (fun h x -> (31 * h) + x) 0 l)
+end)
+
 module Builder = struct
   type t = {
     s : S.t;
     vtrue : int;
-    cons : (string, int) Hashtbl.t;
+    cons : int Key.t;
   }
 
   let create s =
     let vtrue = S.new_var s in
     S.add_clause s [ vtrue ];
-    { s; vtrue; cons = Hashtbl.create 9973 }
+    { s; vtrue; cons = Key.create 9973 }
 
   let fresh b = S.new_var b.s
   let vtrue b = b.vtrue
@@ -100,30 +109,32 @@ module Builder = struct
   let is_false b l = l = -b.vtrue
   let of_bool b v = if v then b.vtrue else -b.vtrue
 
-  let key kind lits =
-    kind ^ ":" ^ String.concat "," (List.map string_of_int lits)
+  let tag_and = 0
+  let tag_xor = 1
+  let tag_mux = 2
 
-  let hashcons b kind lits build =
-    let k = key kind lits in
-    match Hashtbl.find_opt b.cons k with
+  let hashcons b tag lits build =
+    let k = tag :: lits in
+    match Key.find_opt b.cons k with
     | Some l -> l
     | None ->
       let l = build () in
-      Hashtbl.replace b.cons k l;
+      Key.replace b.cons k l;
       l
 
   let rec mk_and b lits =
-    let lits = List.sort_uniq compare lits in
+    let lits = List.sort_uniq Int.compare lits in
     if List.exists (is_false b) lits then -b.vtrue
     else
       let lits = List.filter (fun l -> not (is_true b l)) lits in
-      if List.exists (fun l -> List.mem (-l) lits) lits then -b.vtrue
+      if List.exists (fun l -> List.exists (Int.equal (-l)) lits) lits then
+        -b.vtrue
       else
         match lits with
         | [] -> b.vtrue
         | [ l ] -> l
         | _ ->
-          hashcons b "and" lits (fun () ->
+          hashcons b tag_and lits (fun () ->
               let y = fresh b in
               and_gate b.s y lits;
               y)
@@ -142,7 +153,7 @@ module Builder = struct
       let x = abs x and y = abs y in
       let x, y = (min x y, max x y) in
       let v =
-        hashcons b "xor" [ x; y ] (fun () ->
+        hashcons b tag_xor [ x; y ] (fun () ->
             let v = fresh b in
             xor2_gate b.s v x y;
             v)
@@ -158,7 +169,7 @@ module Builder = struct
     else if is_true b sel then y
     else if x = y then x
     else
-      hashcons b "mux" [ sel; x; y ] (fun () ->
+      hashcons b tag_mux [ sel; x; y ] (fun () ->
           let v = fresh b in
           mux_gate b.s v sel x y;
           v)

@@ -98,7 +98,10 @@ let drain db s =
   while (not s.contra) && s.qhead < s.vislen do
     let l = s.vis.(s.qhead) in
     s.qhead <- s.qhead + 1;
-    Array.iter (fun m -> push db s ~seed:false m) db.succ.(l);
+    let succ = db.succ.(l) in
+    for k = 0 to Array.length succ - 1 do
+      push db s ~seed:false succ.(k)
+    done;
     match db.extra.(l) with
     | [] -> ()
     | ms -> List.iter (fun m -> push db s ~seed:false m) ms

@@ -137,7 +137,10 @@ val impossible : t -> Scratch.t -> int -> bool -> bool
 (** [impossible t s net v]: the literal provably holds in no test frame.
     Memoized in the shared byte cache; consults build-time learning
     results.  Sound, not complete (a budget-exhausted query answers
-    [false]). *)
+    [false]).  An answer [false] means {!assume} on the default budget
+    found no contradiction from that one literal; {!assume} from it on
+    any smaller budget marks a prefix of the same breadth-first closure,
+    so it answers [true]. *)
 
 val conflict_nets : ?limit:int -> t -> Scratch.t -> (int * bool) list
 (** Nets that the ternary constants leave unknown but that still have an

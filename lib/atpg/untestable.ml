@@ -291,7 +291,9 @@ let dominator_necessary t w stem acc =
   List.rev_append lits acc
 
 (* Conflicts are local: a small closure finds almost all of them, and a
-   budget-capped closure stays sound (it can only miss conflicts). *)
+   budget-capped closure stays sound (it can only miss conflicts).  It
+   stays below [Implic.impossible]'s budget, which lets an output-pin
+   fault without dominator literals skip its closure. *)
 let conflict_closure_budget = 128
 
 let conflict_verdict t w (f : Fault.t) =
@@ -359,10 +361,17 @@ let conflict_verdict t w (f : Fault.t) =
             | _ -> ())
           | _ -> ());
           let ok =
-            match w.closure_ck with
-            | None ->
+            match (w.closure_ck, pin) with
+            | None, Cell.Pin.Out ->
+              (* the one seed is the excitation literal, whose closure
+                 [Implic.impossible] just drained on a larger budget
+                 without a contradiction: a breadth-first closure from
+                 one seed on a smaller budget marks a prefix of those
+                 literals, so it cannot contradict either *)
+              true
+            | None, _ ->
               Implic.assume ~budget:conflict_closure_budget db iscr !seeds
-            | Some ck ->
+            | Some ck, _ ->
               (* extend on the budget the stem closure left over
                  (rollback restores it), so each fault at the stem sees
                  the same deterministic state *)

@@ -37,11 +37,7 @@ let compute ?ff_mode nl mission =
   let functional = verdicts (Untestable.analyze ?ff_mode quiet) in
   (* on-line: mission observability + memory map on top *)
   let forced = Mission.address_forcing mission in
-  let mission_nl =
-    Const_regs.tie_address_ports
-      (Const_regs.tie_address_registers quiet ~forced)
-      ~forced
-  in
+  let mission_nl = Const_regs.tie_addresses quiet ~forced in
   let online =
     verdicts
       (Untestable.analyze ?ff_mode

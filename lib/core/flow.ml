@@ -73,29 +73,6 @@ let timed f =
   let r = f () in
   (r, Unix.gettimeofday () -. t0)
 
-let verify_scan_rule nl =
-  match Netlist.find nl "scan_en" with
-  | None -> true
-  | Some se ->
-    let tied = Tie.input nl se Olfu_logic.Logic4.L0 in
-    let t =
-      Untestable.analyze tied
-        ~observable_output:(fun o ->
-          not (Netlist.has_role tied o Netlist.Scan_out))
-    in
-    List.for_all
-      (fun f ->
-        (* faults on the SE fanout branches now sit on a tie and are
-           excluded from the comparison (the rule keeps SE s@1 anyway) *)
-        let { Fault.node; pin } = f.Fault.site in
-        let on_se_branch =
-          match pin with
-          | Cell.Pin.In 2 -> Cell.is_seq (Netlist.kind tied node)
-          | _ -> false
-        in
-        on_se_branch || Untestable.fault_verdict t f <> None)
-      (Scan_trace.untestable_faults tied)
-
 type circuit = {
   netlist : Netlist.t;
   consts : Ternary.t option;
@@ -103,11 +80,35 @@ type circuit = {
   edges : (int * int) list;
 }
 
-let analyze (cfg : Run_config.t) c =
+let analyze ?(implic = true) (cfg : Run_config.t) c =
   Untestable.analyze ~ff_mode:cfg.Run_config.ff_mode
     ?observable_output:c.observable ?consts:c.consts
-    ~implic:cfg.Run_config.implic ~extra_edges:c.edges
+    ~implic:(implic && cfg.Run_config.implic) ~extra_edges:c.edges
     ~trace:cfg.Run_config.trace c.netlist
+
+(* A circuit whose implication database would be its predecessor's (the
+   same netlist, constants and extra edges) asks no conflict question.
+   Every fault still open when its step starts was examined by the
+   previous step and got no verdict, conflict included.  A conflict
+   verdict reads only the database, the fault's necessary literals and
+   the stem's dominators, which sit below one virtual sink above every
+   output and so ignore what is observed; it is deterministic, so it
+   would answer [None] again.  Only structural verdicts can be new. *)
+let same_database a b =
+  a.netlist == b.netlist
+  && Option.equal ( == ) a.consts b.consts
+  && a.edges == b.edges
+
+let analyses cfg circuits =
+  let rec go prev = function
+    | [] -> []
+    | (source, c) :: rest ->
+      let implic =
+        match prev with Some p -> not (same_database p c) | None -> true
+      in
+      (source, fun () -> analyze ~implic cfg c) :: go (Some c) rest
+  in
+  go None circuits
 
 (* The two manipulations that make the on-line mission circuit, each
    under its engine spans: the mission-constant debug controls tied
@@ -123,9 +124,7 @@ let force_addresses trace mission tied =
         Mission.address_forcing mission)
   in
   Trace.span trace ~cat:"engine" "manip" (fun () ->
-      Const_regs.tie_address_ports
-        (Const_regs.tie_address_registers tied ~forced)
-        ~forced)
+      Const_regs.tie_addresses tied ~forced)
 
 let mission_netlist nl mission =
   force_addresses Trace.null mission (tie_controls Trace.null nl mission)
@@ -180,13 +179,14 @@ let stepped trace fl name body =
   Trace.record trace ~cat:"engine" ~dur:(bt +. at) "tally";
   (n, v, secs, bt +. at)
 
-let classify (cfg : Run_config.t) c fl =
+let classify (cfg : Run_config.t) t fl =
   Untestable.classify ~jobs:cfg.Run_config.jobs ~trace:cfg.Run_config.trace
-    (analyze cfg c) fl
+    t fl
 
 let step (cfg : Run_config.t) name c fl =
   let n, v, _, _ =
-    stepped cfg.Run_config.trace fl name (fun () -> classify cfg c fl)
+    stepped cfg.Run_config.trace fl name (fun () ->
+        classify cfg (analyze cfg c) fl)
   in
   (n, v)
 
@@ -224,8 +224,10 @@ let run (cfg : Run_config.t) nl mission =
   let circuits, stage_prep = stages cfg nl mission in
   let steps =
     scan
-    :: List.map (fun (source, c) -> report source (fun () -> classify cfg c fl))
-         circuits
+    :: List.map
+         (fun (source, analysis) ->
+           report source (fun () -> classify cfg (analysis ()) fl))
+         (analyses cfg circuits)
   in
   let total = List.fold_left (fun acc s -> acc + s.classified) 0 steps in
   {

@@ -121,8 +121,18 @@ val stages :
     manipulations: ["tied netlist"], ["shared ternary fixpoint"],
     ["mission observability"] and ["mission netlist"]. *)
 
-val analyze : Run_config.t -> circuit -> Olfu_atpg.Untestable.t
-(** The one mapping of [cfg] onto {!Olfu_atpg.Untestable.analyze}. *)
+val analyses :
+  Run_config.t ->
+  (source * circuit) list ->
+  (source * (unit -> Olfu_atpg.Untestable.t)) list
+(** The one mapping of [cfg] onto {!Olfu_atpg.Untestable.analyze}, for
+    a sequence of steps each classifying the faults its predecessors
+    left open: every circuit with a thunk that builds its analysis (call
+    it inside the step's span).  A circuit whose netlist, constants and
+    extra edges are its predecessor's builds no implication database
+    and so gives structural verdicts only: the predecessor already asked
+    every fault still open the same conflict question, and got no
+    verdict.  In the paper's {!stages} that is {!Debug_observe}. *)
 
 val step :
   Run_config.t ->
@@ -139,11 +149,6 @@ val step :
 val paper_total : report -> int
 (** Sum over the paper's three sources (scan + debug + memory), excluding
     the {!Baseline} extension row. *)
-
-val verify_scan_rule : Netlist.t -> bool
-(** The paper's Tetramax cross-check: tie SE to 0, run the structural
-    engine, and confirm every rule-pruned fault is independently
-    classified untestable. *)
 
 val step_count : report -> source -> int
 val pp_table1 : ?paper:bool -> Format.formatter -> report -> unit

@@ -75,9 +75,9 @@ let run (cfg : Run_config.t) nl mission =
   let circuits, _ = Flow.stages cfg nl mission in
   let counts =
     List.map
-      (fun (src, c) ->
-        (src, stepped src (fun () -> classify_with (Flow.analyze cfg c))))
-      circuits
+      (fun (src, analysis) ->
+        (src, stepped src (fun () -> classify_with (analysis ()))))
+      (Flow.analyses cfg circuits)
   in
   let count src = List.assoc src counts in
   let total = List.fold_left (fun acc (_, n) -> acc + n) scan counts in

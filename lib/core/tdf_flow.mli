@@ -23,7 +23,7 @@ type report = {
 val run : Run_config.t -> Netlist.t -> Mission.t -> report
 (** [cfg.jobs] shards each classification step over a domain pool; the
     report is identical for any value.  After the scan step, each of
-    {!Flow.stages}' circuits is analyzed through {!Flow.analyze} and
+    {!Flow.stages}' circuits is analyzed through {!Flow.analyses} and
     claims the transition faults it proves.  A recording [cfg.trace]
     gets one ["step"]-category span per step (named by
     {!Flow.source_name}) with the engine spans nested inside. *)

@@ -15,7 +15,12 @@ let compare a b =
     | c -> c)
   | c -> c
 
-let hash (f : t) = Hashtbl.hash f
+(* node, pin rank and polarity folded into one int; two faults may share
+   a hash (a hash table then tells them apart with [equal]) *)
+let hash f =
+  Hashtbl.hash
+    ((((f.site.node lsl 8) + Cell.Pin.rank f.site.pin + 2) lsl 1)
+    lor Bool.to_int f.stuck)
 
 let sa0 node pin = { site = { node; pin }; stuck = false }
 let sa1 node pin = { site = { node; pin }; stuck = true }
@@ -56,19 +61,21 @@ let sites_of_node nl i =
   in
   List.map (fun pin -> { node = i; pin }) pins
 
+(* Nodes in id order, each node's sites in pin-rank order, stuck-at-0
+   before stuck-at-1: generated in the order of [compare], so never
+   sorted. *)
 let universe ?(include_ties = false) nl =
-  let acc = ref [] in
+  let v = Vec.create () in
   Netlist.iter_nodes
     (fun i nd ->
       if include_ties || not (Cell.is_tie nd.Netlist.kind) then
         List.iter
           (fun site ->
-            acc := { site; stuck = true } :: { site; stuck = false } :: !acc)
+            ignore (Vec.push v { site; stuck = false } : int);
+            ignore (Vec.push v { site; stuck = true } : int))
           (sites_of_node nl i))
     nl;
-  let a = Array.of_list !acc in
-  Array.sort compare a;
-  a
+  Vec.to_array v
 
 let universe_size ?include_ties nl =
   Array.length (universe ?include_ties nl)

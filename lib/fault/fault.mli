@@ -13,8 +13,13 @@ type site = { node : int; pin : Cell.Pin.t }
 type t = { site : site; stuck : bool }  (** [stuck = true] is stuck-at-1 *)
 
 val equal : t -> t -> bool
+
 val compare : t -> t -> int
+(** By node, then pin rank ({!Cell.Pin.compare}), then polarity
+    (stuck-at-0 first). *)
+
 val hash : t -> int
+(** A hash of node, pin and polarity, consistent with {!equal}. *)
 
 val sa0 : int -> Cell.Pin.t -> t
 val sa1 : int -> Cell.Pin.t -> t
@@ -31,6 +36,6 @@ val universe : ?include_ties:bool -> Netlist.t -> t array
 (** Every stuck-at fault of the netlist: 2 faults per output pin, input pin
     and flip-flop clock pin.  [Output]-marker cells contribute only their
     input pin (the port branch); tie cells are excluded unless
-    [include_ties]. *)
+    [include_ties].  Strictly increasing under {!compare}. *)
 
 val universe_size : ?include_ties:bool -> Netlist.t -> int

@@ -1,30 +1,34 @@
 open Olfu_netlist
 
+module Index = Hashtbl.Make (Fault)
+
 type t = {
   nl : Netlist.t;
   faults : Fault.t array;
   status : Status.t array;
-  index : (Fault.t, int) Hashtbl.t;
+  index : int Index.t;
 }
 
-let create nl faults =
-  let index = Hashtbl.create (2 * Array.length faults) in
+(* [faults] is owned by the list from here on *)
+let of_faults nl faults =
+  let index = Index.create (2 * Array.length faults) in
   Array.iteri
     (fun i f ->
-      if Hashtbl.mem index f then
+      Index.replace index f i;
+      if Index.length index <> i + 1 then
         invalid_arg
           (Printf.sprintf "Flist.create: duplicate fault %s"
-             (Fault.to_string nl f));
-      Hashtbl.add index f i)
+             (Fault.to_string nl f)))
     faults;
   {
     nl;
-    faults = Array.copy faults;
+    faults;
     status = Array.make (Array.length faults) Status.Not_analyzed;
     index;
   }
 
-let full ?include_ties nl = create nl (Fault.universe ?include_ties nl)
+let create nl faults = of_faults nl (Array.copy faults)
+let full ?include_ties nl = of_faults nl (Fault.universe ?include_ties nl)
 let copy t = { t with status = Array.copy t.status }
 
 let netlist t = t.nl
@@ -44,8 +48,8 @@ let classify_if t st ~keep p =
     t.faults;
   !changed
 
-let find t f = Hashtbl.find_opt t.index f
-let mem t f = Hashtbl.mem t.index f
+let find t f = Index.find_opt t.index f
+let mem t f = Index.mem t.index f
 
 let iteri f t = Array.iteri (fun i flt -> f i flt t.status.(i)) t.faults
 
@@ -86,7 +90,7 @@ let prune_undetectable t =
   iteri
     (fun _ f s -> if not (Status.is_undetectable s) then kept := f :: !kept)
     t;
-  create t.nl (Array.of_list (List.rev !kept))
+  of_faults t.nl (Array.of_list (List.rev !kept))
 
 let pp_summary ppf t =
   Format.fprintf ppf "@[<v>faults: %d@," (size t);

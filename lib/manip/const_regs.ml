@@ -1,54 +1,39 @@
-open Olfu_logic
 open Olfu_netlist
-open Olfu_atpg
-module B = Netlist.Builder
-
-let constant_flops ?(ff_mode = Ternary.Steady_state) nl =
-  let t = Ternary.run ~ff_mode nl in
-  Netlist.seq_nodes nl |> Array.to_list
-  |> List.filter_map (fun i ->
-         let v = Ternary.const_of t i in
-         if Logic4.is_binary v then Some (i, v) else None)
 
 let tie_flop b ff v =
   Tie.Batch.pin b ~node:ff ~pin:0 v;
   Tie.Batch.net b ff v
 
-let tie_selected nl select =
-  let b = B.of_netlist nl in
-  let todo = ref [] in
-  Netlist.iter_nodes
-    (fun i _ ->
-      match select i with Some v -> todo := (i, v) :: !todo | None -> ())
-    nl;
-  List.iter
-    (fun (i, v) ->
+(* Ties in descending node order: the order fixes the ids of the new tie
+   cells, and so the digest of the result. *)
+let tie_selected b nl select =
+  for i = Netlist.length nl - 1 downto 0 do
+    match select i with
+    | None -> ()
+    | Some v ->
       if Cell.is_seq (Netlist.kind nl i) then tie_flop b i v
       else if Cell.equal_kind (Netlist.kind nl i) Cell.Input then
         Tie.Batch.input b i v
-      else Tie.Batch.net b i v)
-    !todo;
-  B.freeze_exn b
+      else Tie.Batch.net b i v
+  done
 
-let bit_role_value roles forced =
+let bit_role_value nl i forced ~bit_of =
   List.fold_left
     (fun acc r ->
-      match acc, r with
-      | None, Netlist.Address_reg bit -> forced bit
-      | acc, _ -> acc)
-    None roles
+      match acc with
+      | Some _ -> acc
+      | None -> Option.bind (bit_of r) forced)
+    None (Netlist.roles_of nl i)
 
-let tie_address_registers nl ~forced =
-  tie_selected nl (fun i ->
-      if Cell.is_seq (Netlist.kind nl i) then
-        bit_role_value (Netlist.roles_of nl i) forced
-      else None)
-
-let tie_address_ports nl ~forced =
-  tie_selected nl (fun i ->
-      List.fold_left
-        (fun acc r ->
-          match acc, r with
-          | None, Netlist.Address_port bit -> forced bit
-          | acc, _ -> acc)
-        None (Netlist.roles_of nl i))
+let tie_addresses nl ~forced =
+  Tie.edit nl (fun b ->
+      tie_selected b nl (fun i ->
+          if Cell.is_seq (Netlist.kind nl i) then
+            bit_role_value nl i forced ~bit_of:(function
+              | Netlist.Address_reg bit -> Some bit
+              | _ -> None)
+          else None);
+      tie_selected b nl (fun i ->
+          bit_role_value nl i forced ~bit_of:(function
+            | Netlist.Address_port bit -> Some bit
+            | _ -> None)))

@@ -12,23 +12,22 @@ type op =
 type t = op list
 
 let apply nl ops =
-  let b = B.of_netlist nl in
   let find s = Netlist.find_exn nl s in
-  List.iter
-    (fun op ->
-      match op with
-      | Tie_input (s, v) -> Tie.Batch.input b (find s) v
-      | Tie_net (s, v) -> Tie.Batch.net b (find s) v
-      | Tie_pin { node; pin; value } ->
-        Tie.Batch.pin b ~node:(find node) ~pin value
-      | Tie_flop (s, v) -> Const_regs.tie_flop b (find s) v
-      | Float_output s ->
-        let o = find s in
-        if not (Cell.equal_kind (Netlist.kind nl o) Cell.Output) then
-          invalid_arg (Printf.sprintf "Script: %S is not an output" s);
-        B.remove_node b o)
-    ops;
-  B.freeze_exn b
+  Tie.edit nl (fun b ->
+      List.iter
+        (fun op ->
+          match op with
+          | Tie_input (s, v) -> Tie.Batch.input b (find s) v
+          | Tie_net (s, v) -> Tie.Batch.net b (find s) v
+          | Tie_pin { node; pin; value } ->
+            Tie.Batch.pin b ~node:(find node) ~pin value
+          | Tie_flop (s, v) -> Const_regs.tie_flop b (find s) v
+          | Float_output s ->
+            let o = find s in
+            if not (Cell.equal_kind (Netlist.kind nl o) Cell.Output) then
+              invalid_arg (Printf.sprintf "Script: %S is not an output" s);
+            B.remove_node (Tie.Batch.builder b) o)
+        ops)
 
 let pp_op ppf = function
   | Tie_input (s, v) -> Format.fprintf ppf "tie-input %s = %a" s Logic4.pp v

@@ -6,27 +6,35 @@ open Olfu_netlist
     value"; "input and output of those flip flops showing a constant
     value").
 
-    All functions build a modified copy; the original is untouched.  The
-    manipulated cells stay in the netlist so their faults remain in the
-    universe — the structural engine then classifies them. *)
+    Edits build a modified copy through {!edit}; the original is
+    untouched.  The manipulated cells stay in the netlist so their
+    faults remain in the universe — the structural engine then
+    classifies them. *)
 
-val input : Netlist.t -> int -> Logic4.t -> Netlist.t
-(** Replace a primary input with a tie cell (the port is soldered to a
-    rail).  Raises [Invalid_argument] if the node is not an input. *)
-
-val input_name : Netlist.t -> string -> Logic4.t -> Netlist.t
-
-val net : Netlist.t -> int -> Logic4.t -> Netlist.t
-(** Redirect every fanout branch of the net to a fresh tie cell, keeping
-    the driver in place (its cone becomes unobservable, which is the
-    point). *)
-
-val pin : Netlist.t -> node:int -> pin:int -> Logic4.t -> Netlist.t
-(** Tie a single input pin. *)
-
-(** Batched variants over a builder, for composing many edits cheaply. *)
+(** The edits of one {!edit}. *)
 module Batch : sig
-  val input : Netlist.Builder.t -> int -> Logic4.t -> unit
-  val net : Netlist.Builder.t -> int -> Logic4.t -> unit
-  val pin : Netlist.Builder.t -> node:int -> pin:int -> Logic4.t -> unit
+  type t
+
+  val builder : t -> Netlist.Builder.t
+  (** The editable copy, for edits other than ties. *)
+
+  val input : t -> int -> Logic4.t -> unit
+  (** Replace a primary input with a tie cell (the port is soldered to a
+      rail).  Raises [Invalid_argument] if the node is not an input. *)
+
+  val net : t -> int -> Logic4.t -> unit
+  (** Redirect every fanout branch of the net to a fresh tie cell,
+      keeping the driver in place (its cone becomes unobservable, which
+      is the point).  The tie cell is created now; the fanins are
+      rewritten when {!edit} ends, all nets in one pass, with the result
+      of tying them one at a time.  The net must be a node of the netlist
+      being edited. *)
+
+  val pin : t -> node:int -> pin:int -> Logic4.t -> unit
+  (** Tie a single input pin. *)
 end
+
+val edit : Netlist.t -> (Batch.t -> unit) -> Netlist.t
+(** [edit nl f]: an editable copy of [nl] (node ids, names and roles
+    kept; new tie cells appended in the order [f] creates them), with
+    [f]'s edits applied, frozen. *)

@@ -309,18 +309,44 @@ let cone_cost t =
    one-entry cone/dominator caches of the walkers; drawing the heaviest
    cones first puts them in the pool's large early claims, and the
    shrinking tail claims even out what is left instead of serializing it
-   behind one worker. *)
+   behind one worker.
+
+   The key [cost_cap - cost] lies in [0, 2^20], so a stable two-pass LSD
+   radix sort on it (11-bit digits) yields exactly the permutation of the
+   comparison sort — descending cost, ascending index on ties — in linear
+   time, with one scratch array beside the result. *)
+let radix_bits = 11
+
 let order_by_cost t ~site n =
   let est = cone_cost t in
-  (* materialize the keys first: [site] may fetch a record per call, and
-     the comparator runs n log n times *)
-  let key = Array.init n (fun k -> est.(site k)) in
-  let order = Array.init n (fun k -> k) in
-  Array.sort
-    (fun a b ->
-      let c = Int.compare key.(b) key.(a) in
-      if c <> 0 then c else Int.compare a b)
-    order;
+  let key k = cost_cap - est.(site k) in
+  let digits = 1 lsl radix_bits in
+  let count = Array.make digits 0 in
+  let tmp = Array.make n 0 and order = Array.make n 0 in
+  (* distribute items [item 0 .. item (n-1)] into [dst] by the digit of
+     their key at [shift], keeping item order within a digit *)
+  let pass ~shift ~item dst =
+    let digit k = (key k lsr shift) land (digits - 1) in
+    Array.fill count 0 digits 0;
+    for j = 0 to n - 1 do
+      let d = digit (item j) in
+      count.(d) <- count.(d) + 1
+    done;
+    let acc = ref 0 in
+    for d = 0 to digits - 1 do
+      let c = count.(d) in
+      count.(d) <- !acc;
+      acc := !acc + c
+    done;
+    for j = 0 to n - 1 do
+      let k = item j in
+      let d = digit k in
+      dst.(count.(d)) <- k;
+      count.(d) <- count.(d) + 1
+    done
+  in
+  pass ~shift:0 ~item:Fun.id tmp;
+  pass ~shift:radix_bits ~item:(Array.get tmp) order;
   order
 
 (* Content digest over everything that can change an analysis result:

@@ -107,7 +107,8 @@ val order_by_cost : t -> site:(int -> int) -> int -> int array
     engines' one-entry cone/dominator caches); heavy-first draw puts the
     big cones in the pool's large early claims, so the shrinking tail
     claims balance skewed cone sizes instead of serializing them behind
-    one worker. *)
+    one worker.  Linear in [n]: the saturation bounds the key, so a
+    stable radix sort gives the comparison sort's permutation. *)
 
 val stem_dominators : t -> Scratch.t -> int -> int array
 (** [stem_dominators t scratch d]: the cone nodes every path from stem

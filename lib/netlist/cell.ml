@@ -78,7 +78,11 @@ let input_pin_name k i =
 module Pin = struct
   type t = Out | In of int | Clk
 
-  let equal (a : t) b = a = b
+  let equal a b =
+    match a, b with
+    | Out, Out | Clk, Clk -> true
+    | In i, In j -> Int.equal i j
+    | (Out | Clk | In _), _ -> false
 
   let rank = function Out -> -2 | Clk -> -1 | In i -> i
   let compare a b = Int.compare (rank a) (rank b)

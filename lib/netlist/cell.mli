@@ -50,6 +50,11 @@ module Pin : sig
 
   val equal : t -> t -> bool
   val compare : t -> t -> int
+
+  val rank : t -> int
+  (** The key of {!compare}: [Out] -2, [Clk] -1, [In i] [i] — the order
+      {!pins} lists them in. *)
+
   val pp : Format.formatter -> t -> unit
   val to_string : t -> string
 end

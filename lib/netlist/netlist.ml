@@ -335,6 +335,19 @@ module Builder = struct
     if Cell.arity k = Some 0 then nd.bfanin <- [||]
 
   let set_fanin b i fanin = (Vec.get b.v i).bfanin <- Array.copy fanin
+
+  (* fanin arrays are private to the builder (every one is copied in or
+     freshly made), so they are rewritten in place *)
+  let redirect b target =
+    let n = Array.length target in
+    Vec.iteri
+      (fun _ nd ->
+        let f = nd.bfanin in
+        for p = 0 to Array.length f - 1 do
+          let d = f.(p) in
+          if d >= 0 && d < n && target.(d) >= 0 then f.(p) <- target.(d)
+        done)
+      b.v
   let remove_node b i = (Vec.get b.v i).deleted <- true
 
   let freeze b =

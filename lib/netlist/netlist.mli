@@ -138,6 +138,12 @@ module Builder : sig
       a tie).  The fanin is cleared when the new kind is nullary. *)
 
   val set_fanin : t -> int -> int array -> unit
+
+  val redirect : t -> int array -> unit
+  (** [redirect b target]: every fanin [d] with [target.(d) >= 0] now
+      reads [target.(d)] instead, in one pass over all nodes (deleted
+      ones included); nets past the end of [target] are kept. *)
+
   val remove_node : t -> int -> unit
   (** Marks a node deleted; deleted nodes are dropped (and ids compacted)
       at {!freeze}.  Any surviving reference to it is a freeze error. *)

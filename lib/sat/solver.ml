@@ -133,9 +133,9 @@ let add_clause t ints =
         invalid_arg "Solver.add_clause: literal out of range")
     ints;
   (* dedupe, drop tautologies *)
-  let lits = List.sort_uniq compare (List.map lit_of_int ints) in
+  let lits = List.sort_uniq Int.compare (List.map lit_of_int ints) in
   let tautology =
-    List.exists (fun l -> List.mem (neg l) lits) lits
+    List.exists (fun l -> List.exists (Int.equal (neg l)) lits) lits
   in
   if not tautology then
     match lits with

@@ -314,16 +314,19 @@ let exec_lint _session _sink (_r : Req.run) (l : Session.loaded) ~waivers
       (* the on-line machine: debug controls and the scan interface tied
          to 0, as [Classify.bmc_machine] ties them; ties keep node ids,
          so the facts apply to [nl] *)
-      let b = Netlist.Builder.of_netlist nl in
-      List.concat_map
-        (fun role -> Array.to_list (Netlist.nodes_with_role nl role))
-        [ Netlist.Debug_control; Netlist.Scan_enable; Netlist.Scan_in ]
-      |> List.filter (fun i -> Cell.equal_kind (Netlist.kind nl i) Cell.Input)
-      |> List.sort_uniq Int.compare
-      |> List.iter (fun i ->
-             Olfu_manip.Tie.Batch.input b i Olfu_logic.Logic4.L0);
+      let held =
+        Olfu_manip.Tie.edit nl (fun b ->
+            List.concat_map
+              (fun role -> Array.to_list (Netlist.nodes_with_role nl role))
+              [ Netlist.Debug_control; Netlist.Scan_enable; Netlist.Scan_in ]
+            |> List.filter (fun i ->
+                   Cell.equal_kind (Netlist.kind nl i) Cell.Input)
+            |> List.sort_uniq Int.compare
+            |> List.iter (fun i ->
+                   Olfu_manip.Tie.Batch.input b i Olfu_logic.Logic4.L0))
+      in
       let module Inv = Olfu_invar.Invar in
-      Some (Inv.lint_facts (Inv.run (Netlist.Builder.freeze_exn b)))
+      Some (Inv.lint_facts (Inv.run held))
   in
   let o = L.Lint.run ~config ?software:sw ?invariants:inv nl in
   let fail =

@@ -182,6 +182,134 @@ let prop_universe_even_and_sorted =
       done;
       !ok)
 
+(* a random half of [l], in random order *)
+let random_subset rng l =
+  List.filter (fun _ -> Random.State.bool rng) l
+  |> List.map (fun x -> (Random.State.bits rng, x))
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+  |> List.map snd
+
+(* Sequential cells (clock pins) and tie cells too: the universe is
+   generated in the order of [Fault.compare], never sorted. *)
+let prop_universe_increasing =
+  QCheck2.Test.make ~count:30 ~name:"universe increasing, flops and ties"
+    QCheck2.Gen.(pair (int_bound 1_000_000) bool)
+    (fun (seed, include_ties) ->
+      let rng = Random.State.make [| seed |] in
+      let nl =
+        Test_support.random_seq_netlist ~ties:true ~all_kinds:true rng
+          ~inputs:3 ~gates:16 ~flops:4
+      in
+      let u = Fault.universe ~include_ties nl in
+      let ok = ref true in
+      for i = 1 to Array.length u - 1 do
+        if Fault.compare u.(i - 1) u.(i) >= 0 then ok := false
+      done;
+      !ok)
+
+(* [Flist.find] answers every index, on the full universe and on a
+   shuffled subset, and misses a fault the list does not hold. *)
+let prop_flist_find_roundtrip =
+  QCheck2.Test.make ~count:30 ~name:"flist find round-trips"
+    QCheck2.Gen.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let nl =
+        Test_support.random_seq_netlist ~ties:true ~all_kinds:true rng
+          ~inputs:3 ~gates:16 ~flops:4
+      in
+      let roundtrips fl =
+        let ok = ref true in
+        for i = 0 to Flist.size fl - 1 do
+          if Flist.find fl (Flist.fault fl i) <> Some i then ok := false
+        done;
+        !ok
+      in
+      let u = Array.to_list (Fault.universe nl) in
+      let kept = random_subset rng u in
+      let sub = Flist.create nl (Array.of_list kept) in
+      roundtrips (Flist.full nl)
+      && roundtrips sub
+      && List.for_all
+           (fun f -> Flist.mem sub f = List.exists (Fault.equal f) kept)
+           u)
+
+(* The schedule [Analysis.order_by_cost] must reproduce: the fanout-cone
+   cost estimate (1 + the estimates of the combinational fanout sinks, a
+   sequential sink counting 1, saturated at 2^20), comparison-sorted by
+   descending cost, ascending index on ties. *)
+let reference_order nl ~site n =
+  let cap = 1 lsl 20 in
+  let est = Array.make (Netlist.length nl) 0 in
+  let of_fanouts i =
+    let acc = ref 1 in
+    Array.iter
+      (fun (sink, _pin) ->
+        if !acc < cap then
+          if Cell.is_seq (Netlist.kind nl sink) then incr acc
+          else acc := !acc + est.(sink))
+      (Netlist.fanout nl i);
+    min !acc cap
+  in
+  let topo = Netlist.topo nl in
+  for k = Array.length topo - 1 downto 0 do
+    est.(topo.(k)) <- of_fanouts topo.(k)
+  done;
+  Array.iter
+    (fun i -> if est.(i) = 0 then est.(i) <- of_fanouts i)
+    (Array.append (Netlist.inputs nl) (Netlist.seq_nodes nl));
+  Netlist.iter_nodes
+    (fun i nd ->
+      if Cell.is_tie nd.Netlist.kind && est.(i) = 0 then
+        est.(i) <- of_fanouts i)
+    nl;
+  let key = Array.init n (fun k -> est.(site k)) in
+  let order = Array.init n Fun.id in
+  Array.sort
+    (fun a b ->
+      let c = Int.compare key.(b) key.(a) in
+      if c <> 0 then c else Int.compare a b)
+    order;
+  order
+
+(* A chain of gates each reading its predecessor twice: the estimate
+   doubles per stage, so costs span both radix digits and saturate. *)
+let ladder_netlist rng =
+  let b = B.create () in
+  let nodes = ref [ B.input b "x"; B.input b "y" ] in
+  let prev = ref (List.hd !nodes) in
+  for _ = 1 to Random.State.int rng 26 do
+    let side = List.nth !nodes (Random.State.int rng (List.length !nodes)) in
+    let g =
+      if Random.State.int rng 4 = 0 then B.dff b ~d:!prev
+      else B.gate b Cell.And [ !prev; !prev; side ]
+    in
+    nodes := g :: !nodes;
+    prev := g
+  done;
+  ignore (B.output b "o" !prev : int);
+  B.freeze_exn b
+
+let prop_order_by_cost =
+  QCheck2.Test.make ~count:40 ~name:"order_by_cost = comparison sort"
+    QCheck2.Gen.(pair (int_bound 1_000_000) bool)
+    (fun (seed, ladder) ->
+      let rng = Random.State.make [| seed |] in
+      let nl =
+        if ladder then ladder_netlist rng
+        else
+          Test_support.random_seq_netlist ~ties:true ~all_kinds:true rng
+            ~inputs:3 ~gates:24 ~flops:4
+      in
+      let an = Analysis.get nl in
+      let same fl =
+        let site k = (Flist.fault fl k).Fault.site.Fault.node in
+        let n = Flist.size fl in
+        Analysis.order_by_cost an ~site n = reference_order nl ~site n
+      in
+      let sub = random_subset rng (Array.to_list (Fault.universe nl)) in
+      same (Flist.full nl) && same (Flist.create nl (Array.of_list sub)))
+
 let test_dominance_pairs () =
   let b = B.create () in
   let x = B.input b "x" in
@@ -358,6 +486,7 @@ let () =
           Alcotest.test_case "printing" `Quick test_fault_printing;
           Alcotest.test_case "site net" `Quick test_site_net;
           qt prop_universe_even_and_sorted;
+          qt prop_universe_increasing;
         ] );
       ( "flist",
         [
@@ -365,6 +494,7 @@ let () =
           Alcotest.test_case "classify_if" `Quick test_flist_classify_if;
           Alcotest.test_case "duplicates" `Quick test_flist_duplicate_rejected;
           Alcotest.test_case "status codes" `Quick test_status_codes;
+          qt prop_flist_find_roundtrip;
         ] );
       ( "dominance",
         [
@@ -379,6 +509,7 @@ let () =
           Alcotest.test_case "universe" `Quick test_tdf_universe;
           Alcotest.test_case "printing + pair" `Quick test_tdf_printing_and_pair;
         ] );
+      ("order", [ qt prop_order_by_cost ]);
       ( "collapse",
         [
           Alcotest.test_case "inverter chain" `Quick test_collapse_inverter_chain;

@@ -190,6 +190,71 @@ let prop_conflict_sound =
       end;
       !ok)
 
+(* The prefix lemma behind the output-pin shortcut of the conflict
+   verdict: a literal [Implic.impossible] calls possible closes without
+   contradiction on any smaller budget too.  Without learning, the
+   learned impossible literals do not answer first. *)
+let prop_possible_literal_closes =
+  QCheck2.Test.make ~count:30 ~name:"possible literal => small closure ok"
+    QCheck2.Gen.(pair (int_bound 1_000_000) bool)
+    (fun (seed, learn) ->
+      let rng = Random.State.make [| seed |] in
+      let nl =
+        Test_support.random_seq_netlist ~ties:true ~all_kinds:true rng
+          ~inputs:4 ~gates:40 ~flops:4
+      in
+      let db =
+        Implic.build
+          ~learn_depth:(if learn then 2 else 0)
+          ~consts:(Ternary.run nl).Ternary.values nl
+      in
+      let s = Implic.Scratch.create db and s2 = Implic.Scratch.create db in
+      let ok = ref true in
+      for net = 0 to Netlist.length nl - 1 do
+        List.iter
+          (fun v ->
+            if
+              (not (Implic.impossible db s net v))
+              && not (Implic.assume ~budget:128 db s2 [ Implic.lit net v ])
+            then ok := false)
+          [ false; true ]
+      done;
+      !ok)
+
+(* Why the flow's observation step needs no conflict pass: of the faults
+   an implication-engine classification leaves open with every output
+   observed, unobserving some outputs lets the engine prove exactly what
+   structural verdicts alone prove. *)
+let prop_unobserving_adds_no_conflict =
+  QCheck2.Test.make ~count:40 ~name:"unobserved outputs: no new UC"
+    QCheck2.Gen.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let nl =
+        Test_support.random_seq_netlist ~ties:true ~all_kinds:true rng
+          ~inputs:4 ~gates:30 ~flops:4
+      in
+      let consts = Ternary.run nl in
+      let fl = Flist.full nl in
+      ignore
+        (Untestable.classify ~jobs:1 (Untestable.analyze ~consts nl) fl : int);
+      let hidden =
+        Array.to_list (Netlist.outputs nl)
+        |> List.filter (fun _ -> Random.State.bool rng)
+      in
+      let observable o = not (List.mem o hidden) in
+      let statuses implic =
+        let fl = Flist.copy fl in
+        ignore
+          (Untestable.classify ~jobs:1
+             (Untestable.analyze ~consts ~observable_output:observable ~implic
+                nl)
+             fl
+            : int);
+        List.init (Flist.size fl) (Flist.status fl)
+      in
+      List.equal Status.equal (statuses true) (statuses false))
+
 let qt = QCheck_alcotest.to_alcotest
 
 let () =
@@ -219,4 +284,7 @@ let () =
             test_stem_dominators_fanout_to_ff;
         ] );
       ("soundness", [ qt prop_conflict_sound ]);
+      ( "shortcuts",
+        [ qt prop_possible_literal_closes; qt prop_unobserving_adds_no_conflict ]
+      );
     ]

@@ -7,9 +7,22 @@ module B = Netlist.Builder
 
 let l4 = Alcotest.testable Logic4.pp Logic4.equal
 
+(* single edits, each on its own copy *)
+let tie_input nl i v = Tie.edit nl (fun b -> Tie.Batch.input b i v)
+let tie_net nl i v = Tie.edit nl (fun b -> Tie.Batch.net b i v)
+let tie_pin nl ~node ~pin v = Tie.edit nl (fun b -> Tie.Batch.pin b ~node ~pin v)
+
+(* flip-flops provably constant in mission mode, with their value *)
+let constant_flops nl =
+  let t = Ternary.run ~ff_mode:Ternary.Steady_state nl in
+  Netlist.seq_nodes nl |> Array.to_list
+  |> List.filter_map (fun i ->
+         let v = Ternary.const_of t i in
+         if Logic4.is_binary v then Some (i, v) else None)
+
 let test_tie_input () =
   let nl = Test_support.full_adder () in
-  let nl' = Tie.input_name nl "cin" Logic4.L0 in
+  let nl' = tie_input nl (Netlist.find_exn nl "cin") Logic4.L0 in
   let t = Ternary.run nl' in
   Alcotest.check l4 "cin tied" Logic4.L0
     (Ternary.const_of t (Netlist.find_exn nl' "cin"));
@@ -25,7 +38,7 @@ let test_tie_net_keeps_driver () =
   let _ = B.output b "o" h in
   let nl = B.freeze_exn b in
   let g = Netlist.find_exn nl "g" in
-  let nl' = Tie.net nl g Logic4.L1 in
+  let nl' = tie_net nl g Logic4.L1 in
   let g' = Netlist.find_exn nl' "g" in
   (* driver still present but fanout now reads the tie *)
   Alcotest.(check bool) "driver kept" true
@@ -38,10 +51,84 @@ let test_tie_net_keeps_driver () =
 let test_tie_pin () =
   let nl = Test_support.full_adder () in
   let cout = Netlist.find_exn nl "cout_net" in
-  let nl' = Tie.pin nl ~node:cout ~pin:0 Logic4.L0 in
+  let nl' = tie_pin nl ~node:cout ~pin:0 Logic4.L0 in
   (* cout = 0 | c2 = c2 now *)
   Alcotest.(check bool) "tie inserted" true
     (Cell.is_tie (Netlist.kind nl' (Netlist.fanin nl' cout).(0)))
+
+(* One substitution per net, each scanning every node: how ties were
+   made before [Tie.edit] deferred the nets to one pass.  The reference
+   the one-pass rewrite must match, node id for node id. *)
+type tie_edit =
+  | Net of int * Logic4.t
+  | Pin of int * int * Logic4.t
+  | Input of int * Logic4.t
+
+let tie_each nl edits =
+  let b = B.of_netlist nl in
+  let tie_kind = function
+    | Logic4.L0 -> Cell.Tie0
+    | Logic4.L1 -> Cell.Tie1
+    | Logic4.X | Logic4.Z -> Cell.Tiex
+  in
+  List.iter
+    (function
+      | Input (i, v) -> B.set_kind b i (tie_kind v)
+      | Pin (node, pin, v) ->
+        let t = B.tie b v in
+        let fanin = B.node_fanin b node in
+        fanin.(pin) <- t;
+        B.set_fanin b node fanin
+      | Net (i, v) ->
+        let t = B.tie b v in
+        for node = 0 to B.length b - 1 do
+          let fanin = B.node_fanin b node in
+          if Array.exists (Int.equal i) fanin then
+            B.set_fanin b node
+              (Array.map (fun d -> if d = i then t else d) fanin)
+        done)
+    edits;
+  B.freeze_exn b
+
+(* Random edits over a small pool of nets, so some net is tied twice and
+   some pin reads a tied net, in any order. *)
+let prop_one_pass_ties =
+  QCheck2.Test.make ~count:60 ~name:"one-pass ties = one pass per net"
+    QCheck2.Gen.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let nl =
+        Test_support.random_seq_netlist ~ties:true ~all_kinds:true rng
+          ~inputs:4 ~gates:20 ~flops:4
+      in
+      let n = Netlist.length nl in
+      let value () = [| Logic4.L0; Logic4.L1; Logic4.X |].(Random.State.int rng 3) in
+      let pool = Array.init 4 (fun _ -> Random.State.int rng n) in
+      let inputs = Array.to_list (Netlist.inputs nl) in
+      let edits =
+        List.filter_map
+          (fun i -> if Random.State.bool rng then Some (Input (i, value ())) else None)
+          inputs
+        @ List.init (Random.State.int rng 10) (fun _ ->
+              let node = Random.State.int rng n in
+              let arity = Array.length (Netlist.fanin nl node) in
+              if arity > 0 && Random.State.bool rng then
+                Pin (node, Random.State.int rng arity, value ())
+              else Net (pool.(Random.State.int rng 4), value ()))
+        |> List.map (fun e -> (Random.State.bits rng, e))
+        |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+        |> List.map snd
+      in
+      let batched =
+        Tie.edit nl (fun b ->
+            List.iter
+              (function
+                | Input (i, v) -> Tie.Batch.input b i v
+                | Pin (node, pin, v) -> Tie.Batch.pin b ~node ~pin v
+                | Net (i, v) -> Tie.Batch.net b i v)
+              edits)
+      in
+      Analysis.digest_of batched = Analysis.digest_of (tie_each nl edits))
 
 let test_float_outputs () =
   let b = B.create () in
@@ -200,7 +287,7 @@ let prop_memmap_matches_enumeration =
 
 let test_const_regs () =
   let nl, ff = Test_support.constant_dffr () in
-  match Const_regs.constant_flops nl with
+  match constant_flops nl with
   | [ (i, v) ] ->
     Alcotest.(check int) "the flop" ff i;
     Alcotest.check l4 "constant 0" Logic4.L0 v
@@ -216,7 +303,7 @@ let test_tie_address_registers () =
   let _ = B.output b "o" s in
   let nl = B.freeze_exn b in
   let forced bit = if bit = 1 then Some Logic4.L0 else None in
-  let nl' = Const_regs.tie_address_registers nl ~forced in
+  let nl' = Const_regs.tie_addresses nl ~forced in
   let t = Ternary.run nl' in
   (* addr1 output fanout reads 0; addr0 stays free *)
   Alcotest.check l4 "s follows addr0 when addr1 tied" Logic4.X
@@ -242,7 +329,7 @@ let test_tie_input_not_input () =
   let nl = Test_support.full_adder () in
   let g = Netlist.find_exn nl "sum_net" in
   try
-    ignore (Tie.input nl g Logic4.L0 : Netlist.t);
+    ignore (tie_input nl g Logic4.L0 : Netlist.t);
     Alcotest.fail "expected error"
   with Invalid_argument _ -> ()
 
@@ -404,4 +491,5 @@ let () =
             test_sweep_keeps_everything_when_alive;
         ] );
       ("script", [ Alcotest.test_case "apply + pp" `Quick test_script ]);
+      ("ties", [ qt prop_one_pass_ties ]);
     ]

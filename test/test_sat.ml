@@ -452,6 +452,151 @@ let prop_bmc_tests_confirmed =
         (Fault.universe nl);
       !ok)
 
+(* The hash-consing builder as it was with string keys and polymorphic
+   sorts: the reference [Cnf.Builder] must agree with, literal for
+   literal and variable for variable. *)
+module Ref_builder = struct
+  type t = { s : S.t; vtrue : int; cons : (string, int) Hashtbl.t }
+
+  let create s =
+    let vtrue = S.new_var s in
+    S.add_clause s [ vtrue ];
+    { s; vtrue; cons = Hashtbl.create 9973 }
+
+  let fresh b = S.new_var b.s
+  let is_true b l = l = b.vtrue
+  let is_false b l = l = -b.vtrue
+
+  let hashcons b kind lits build =
+    let k = kind ^ ":" ^ String.concat "," (List.map string_of_int lits) in
+    match Hashtbl.find_opt b.cons k with
+    | Some l -> l
+    | None ->
+      let l = build () in
+      Hashtbl.replace b.cons k l;
+      l
+
+  let gate b kind ins = Cnf.encode_cell b.s (fun () -> fresh b) kind ins
+
+  let rec mk_and b lits =
+    let lits = List.sort_uniq compare lits in
+    if List.exists (is_false b) lits then -b.vtrue
+    else
+      let lits = List.filter (fun l -> not (is_true b l)) lits in
+      if List.exists (fun l -> List.mem (-l) lits) lits then -b.vtrue
+      else
+        match lits with
+        | [] -> b.vtrue
+        | [ l ] -> l
+        | _ ->
+          hashcons b "and" lits (fun () ->
+              let y = fresh b in
+              gate b Cell.And y lits;
+              y)
+
+  and mk_or b lits = -mk_and b (List.map (fun l -> -l) lits)
+
+  let mk_xor2 b x y =
+    if is_false b x then y
+    else if is_false b y then x
+    else if is_true b x then -y
+    else if is_true b y then -x
+    else if x = y then -b.vtrue
+    else if x = -y then b.vtrue
+    else begin
+      let sign = (if x < 0 then 1 else 0) + if y < 0 then 1 else 0 in
+      let x = abs x and y = abs y in
+      let x, y = (min x y, max x y) in
+      let v =
+        hashcons b "xor" [ x; y ] (fun () ->
+            let v = fresh b in
+            Cnf.xor2_gate b.s v x y;
+            v)
+      in
+      if sign land 1 = 1 then -v else v
+    end
+
+  let mk_mux b sel x y =
+    if is_false b sel then x
+    else if is_true b sel then y
+    else if x = y then x
+    else
+      hashcons b "mux" [ sel; x; y ] (fun () ->
+          let v = fresh b in
+          gate b Cell.Mux2 v [ sel; x; y ];
+          v)
+end
+
+type cnf_op =
+  | And of int list
+  | Or of int list
+  | Xor of int * int
+  | Mux of int * int * int
+  | Sdffr of int * int * int * int
+
+(* Random gate sequences over a growing pool of literals (operands are
+   signed pool indices, so both builders read the same operands while
+   they agree); every answer and the next fresh variable must match. *)
+let prop_cnf_builder_matches_reference =
+  QCheck2.Test.make ~count:100 ~name:"cnf builder = string-keyed reference"
+    QCheck2.Gen.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let operand () =
+        let k = Random.State.int rng 1_000_000 in
+        if Random.State.bool rng then k else -k - 1
+      in
+      let ops =
+        List.init 60 (fun _ ->
+            let o = operand in
+            match Random.State.int rng 5 with
+            | 0 -> And (List.init (Random.State.int rng 5) (fun _ -> o ()))
+            | 1 -> Or (List.init (Random.State.int rng 5) (fun _ -> o ()))
+            | 2 -> Xor (o (), o ())
+            | 3 -> Mux (o (), o (), o ())
+            | _ -> Sdffr (o (), o (), o (), o ()))
+      in
+      let run ~fresh ~const ~mk_and ~mk_or ~mk_xor2 ~mk_mux =
+        let pool = ref [| const; -const |] in
+        for _ = 1 to 4 do
+          pool := Array.append !pool [| fresh () |]
+        done;
+        let lit k =
+          let a = !pool in
+          if k >= 0 then a.(k mod Array.length a)
+          else -a.((-k - 1) mod Array.length a)
+        in
+        let answers =
+          List.map
+            (fun op ->
+              let l =
+                match op with
+                | And ks -> mk_and (List.map lit ks)
+                | Or ks -> mk_or (List.map lit ks)
+                | Xor (a, b) -> mk_xor2 (lit a) (lit b)
+                | Mux (s, a, b) -> mk_mux (lit s) (lit a) (lit b)
+                | Sdffr (d, si, se, r) ->
+                  mk_and [ mk_mux (lit se) (lit d) (lit si); lit r ]
+              in
+              pool := Array.append !pool [| l |];
+              l)
+            ops
+        in
+        (answers, fresh ())
+      in
+      let b = Cnf.Builder.create (S.create ()) in
+      let r = Ref_builder.create (S.create ()) in
+      run
+        ~fresh:(fun () -> Cnf.Builder.fresh b)
+        ~const:(Cnf.Builder.vtrue b) ~mk_and:(Cnf.Builder.mk_and b)
+        ~mk_or:(Cnf.Builder.mk_or b) ~mk_xor2:(Cnf.Builder.mk_xor2 b)
+        ~mk_mux:(fun s x y -> Cnf.Builder.cell b Cell.Mux2 [ s; x; y ])
+      = run
+          ~fresh:(fun () -> Ref_builder.fresh r)
+          ~const:r.Ref_builder.vtrue ~mk_and:(Ref_builder.mk_and r)
+          ~mk_or:(Ref_builder.mk_or r) ~mk_xor2:(Ref_builder.mk_xor2 r)
+          ~mk_mux:(Ref_builder.mk_mux r))
+
 let qt = QCheck_alcotest.to_alcotest
 
 let () =
@@ -466,6 +611,7 @@ let () =
           Alcotest.test_case "assumptions" `Quick test_assumptions;
           Alcotest.test_case "xor" `Quick test_xor_instance;
           qt prop_matches_bruteforce;
+          qt prop_cnf_builder_matches_reference;
         ] );
       ( "sat-atpg",
         [
