@@ -71,19 +71,6 @@ let jobs_of = function
   | Some j -> j
   | None -> Olfu_pool.Pool.default_jobs ()
 
-let load_netlist cfg = function
-  | Some path -> (Olfu_verilog.Elaborate.netlist_of_file path, cfg)
-  | None -> (Olfu_soc.Soc.generate cfg, cfg)
-
-let mission_of cfg nl = function
-  | None -> Olfu.Mission.of_soc cfg nl
-  | Some _ ->
-    (* file input: derive the mission from the embedded roles and assume
-       the paper's memory map *)
-    Olfu.Mission.of_roles
-      ~memmap:(Olfu_manip.Memmap.paper_case_study ())
-      ~address_width:32 nl
-
 (* --- generate --- *)
 
 let generate cfg out =
@@ -122,6 +109,16 @@ let target_of cfg file =
   | Some path -> S.Request.File path
   | None -> S.Request.Config cfg.Olfu_soc.Soc.name
 
+(* The netlist and mission of a target for the subcommands that run
+   engines themselves, resolved as the service resolves them; bad input
+   exits 2 with one line, as a service request does. *)
+let resolve cmd target =
+  match S.Service.resolve target with
+  | Ok r -> r
+  | Error m ->
+    Format.eprintf "olfu %s: %s@." cmd m;
+    exit 2
+
 let analyze cfg file ff_mode paper jobs format trace manifest connect =
   C.run_request ~connect ~trace ~manifest
     (S.Request.run
@@ -146,26 +143,26 @@ let analyze_cmd =
 (* --- tdf --- *)
 
 let tdf cfg file ff_mode jobs trace manifest =
-  let nl, cfg = load_netlist cfg file in
-  let mission = mission_of cfg nl file in
+  let target = target_of cfg file in
+  let nl, mission, _ = resolve "tdf" target in
   let sink = C.sink_for ~trace ~manifest in
   let rc =
     { Olfu.Run_config.default with ff_mode; jobs = jobs_of jobs; trace = sink }
   in
   let t0 = Unix.gettimeofday () in
-  let r = Olfu.Tdf_flow.run rc nl mission in
+  let r = Olfu.Tdf_flow.of_flow (Olfu.Flow.run rc nl mission) in
   let wall = Unix.gettimeofday () -. t0 in
   Format.printf "%a@." Olfu.Tdf_flow.pp r;
   C.write_obs ~trace ~manifest
-    ~config:(C.config_fields (target_of cfg file) rc)
+    ~config:(C.config_fields target rc)
     ~wall_seconds:wall sink;
   `Ok ()
 
 let tdf_cmd =
   Cmd.v
-    (Cmd.info "tdf"
+    (Cmd.info "tdf" ~exits:C.std_exits
        ~doc:
-         "Replay the identification flow for transition-delay faults (the \
+         "Project the identification flow onto transition-delay faults (the \
           paper's announced fault-model extension).")
     Term.(
       ret
@@ -175,7 +172,7 @@ let tdf_cmd =
 (* --- trace-scan --- *)
 
 let trace_scan cfg file =
-  let nl, _ = load_netlist cfg file in
+  let nl, _, _ = resolve "trace-scan" (target_of cfg file) in
   let chains = Olfu_manip.Scan_trace.trace nl in
   if chains = [] then Format.printf "no scan chains found@."
   else
@@ -191,7 +188,8 @@ let trace_scan cfg file =
 
 let trace_scan_cmd =
   Cmd.v
-    (Cmd.info "trace-scan" ~doc:"Trace scan chains and apply the scan rule.")
+    (Cmd.info "trace-scan" ~exits:C.std_exits
+       ~doc:"Trace scan chains and apply the scan rule.")
     Term.(ret (const trace_scan $ config_arg $ file_arg))
 
 (* --- memmap --- *)
@@ -242,15 +240,14 @@ let memmap_cmd =
 (* --- categories --- *)
 
 let categories cfg file ff_mode =
-  let nl, cfg = load_netlist cfg file in
-  let mission = mission_of cfg nl file in
+  let nl, mission, _ = resolve "categories" (target_of cfg file) in
   let s = Olfu.Categories.compute ~ff_mode nl mission in
   Format.printf "%a@." Olfu.Categories.pp s;
   `Ok ()
 
 let categories_cmd =
   Cmd.v
-    (Cmd.info "categories"
+    (Cmd.info "categories" ~exits:C.std_exits
        ~doc:"Compute the Fig. 1 fault-category sets and their inclusions.")
     Term.(ret (const categories $ config_arg $ file_arg $ ff_mode_arg))
 
@@ -296,8 +293,8 @@ let report cfg out jobs =
     r.Olfu.Flow.flist;
   let cats = Olfu.Categories.compute nl mission in
   pf "## Fig. 1 categories@.@.```@.%a@.```@.@." Olfu.Categories.pp cats;
-  let tdf = Olfu.Tdf_flow.run rc nl mission in
-  pf "## Transition-delay extension@.@.```@.%a@.```@.@." Olfu.Tdf_flow.pp tdf;
+  pf "## Transition-delay extension@.@.```@.%a@.```@.@." Olfu.Tdf_flow.pp
+    (Olfu.Tdf_flow.of_flow r);
   let lint = Olfu_lint.Lint.run nl in
   pf "## Static analysis@.@.```@.%a@.```@.@." Olfu_lint.Render.summary lint;
   let text = Buffer.contents buf in
@@ -522,8 +519,12 @@ let invar_cmd =
 (* --- equiv --- *)
 
 let equiv file_a file_b assume_zero =
-  let a = Olfu_verilog.Elaborate.netlist_of_file file_a in
-  let b = Olfu_verilog.Elaborate.netlist_of_file file_b in
+  let netlist path =
+    let nl, _, _ = resolve "equiv" (S.Request.File path) in
+    nl
+  in
+  let a = netlist file_a in
+  let b = netlist file_b in
   let assume =
     List.concat_map
       (fun s ->
@@ -555,7 +556,7 @@ let equiv_cmd =
           ~doc:"Comma-separated input names assumed tied to 0.")
   in
   Cmd.v
-    (Cmd.info "equiv"
+    (Cmd.info "equiv" ~exits:C.std_exits
        ~doc:"SAT equivalence check between two Verilog netlists.")
     Term.(
       ret

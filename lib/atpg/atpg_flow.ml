@@ -42,19 +42,12 @@ let run { seed; backtrack_limit; trace } nl fl =
      ff_mode matches the per-frame combinational model the pattern
      engines use; every phase observes every output and every capture,
      which the walker's through-FF credit needs to be sound *)
-  let static_pruned = ref 0 in
-  Trace.span trace ~cat:"step" "static prune" (fun () ->
-      let t = Untestable.analyze ~ff_mode:Ternary.Cut ~trace nl in
-      Trace.span trace ~cat:"engine" "classify" @@ fun () ->
-      Flist.iteri
-        (fun i f st ->
-          if active st then
-            match Untestable.fault_verdict t f with
-            | Some v ->
-              incr static_pruned;
-              Flist.set_status fl i v
-            | None -> ())
-        fl);
+  let static_pruned =
+    Trace.span trace ~cat:"step" "static prune" (fun () ->
+        Untestable.classify ~trace
+          (Untestable.analyze ~ff_mode:Ternary.Cut ~trace nl)
+          fl)
+  in
   (* phase 1: random patterns with fault dropping *)
   Trace.span trace ~cat:"step" "random patterns" (fun () ->
       let exhausted = ref false in
@@ -172,7 +165,7 @@ let run { seed; backtrack_limit; trace } nl fl =
     Trace.add trace "sat.targets" !sat_runs
   end;
   if Trace.enabled trace then begin
-    Trace.add trace "atpg.static_pruned" !static_pruned;
+    Trace.add trace "atpg.static_pruned" static_pruned;
     Trace.add trace "atpg.proved_untestable" !proved;
     Trace.add trace "atpg.sat_settled" !sat_settled;
     Trace.add trace "atpg.patterns" (List.length !patterns)
@@ -180,7 +173,7 @@ let run { seed; backtrack_limit; trace } nl fl =
   {
     patterns = List.rev !patterns;
     detected = Flist.count_status fl Status.Detected;
-    static_pruned = !static_pruned;
+    static_pruned;
     proved_untestable = !proved;
     aborted = !aborted;
     random_patterns = !random_patterns;

@@ -51,7 +51,8 @@ val run : config -> Netlist.t -> Flist.t -> result
     span and engine time is attributed to ["scoap"], ["ternary"] /
     ["observe"] / ["implic"] / ["classify"] (phase 0), ["fsim"],
     ["podem"] and ["sat"] spans (PODEM and SAT per-target times are
-    accumulated into one span each). *)
+    accumulated into one span each); phase 0 also counts
+    {!Untestable.classify}'s ["classify.*"] counters. *)
 
 val pp : Format.formatter -> result -> unit
 

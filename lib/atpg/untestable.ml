@@ -37,7 +37,7 @@ type t = {
   walker : walker;
 }
 
-let make_walker_for ?cache nl implic =
+let make_walker ?cache nl implic =
   let an = Analysis.get nl in
   {
     an;
@@ -84,10 +84,9 @@ let analyze ?ff_mode ?(observable_output = fun _ -> true) ?consts
     observable_output;
     stem_cache;
     implic;
-    walker = make_walker_for ~cache:stem_cache nl implic;
+    walker = make_walker ~cache:stem_cache nl implic;
   }
 
-let make_walker t = make_walker_for t.netlist t.implic
 let implication_db t = t.implic
 
 (* Forward propagation of a hypothetical change on stem [d]: a node is
@@ -429,7 +428,6 @@ let verdict_w t w f =
   | None -> conflict_verdict t w f
 
 let fault_verdict t f = verdict_w t t.walker f
-let verdict_with t w f = verdict_w t w f
 
 let classify ?jobs ?(trace = Trace.null) t fl =
   let jobs = match jobs with Some j -> j | None -> Pool.default_jobs () in
@@ -444,7 +442,8 @@ let classify ?jobs ?(trace = Trace.null) t fl =
              reuses [t]'s walker to keep the sequential path warming
              [t.stem_cache] as before. *)
           let walkers =
-            Array.init nw (fun k -> if k = 0 then t.walker else make_walker t)
+            Array.init nw (fun k ->
+                if k = 0 then t.walker else make_walker t.netlist t.implic)
           in
           (* stride-padded per-worker tallies (no false sharing) *)
           let stride = 8 in
@@ -478,31 +477,3 @@ let classify ?jobs ?(trace = Trace.null) t fl =
   Trace.add trace "classify.faults" nf;
   Trace.add trace "classify.classified" !changed;
   !changed
-
-let untestable_breakdown ?software ?invariant t nl =
-  let tied = ref 0 and blocked = ref 0 and conflict = ref 0 in
-  let sw = ref 0 and inv = ref 0 in
-  Array.iter
-    (fun f ->
-      match fault_verdict t f with
-      | Some (Status.Undetectable Status.Tied) -> incr tied
-      | Some (Status.Undetectable Status.Blocked) -> incr blocked
-      | Some (Status.Undetectable Status.Conflict) -> incr conflict
-      | Some _ | None -> (
-        (* unproved here: software-assumed analysis may still prove it,
-           and that delta is exactly the software-safe class; the
-           invariant-strengthened analysis gets whatever both miss *)
-        match software with
-        | Some tsw when fault_verdict tsw f <> None -> incr sw
-        | _ -> (
-          match invariant with
-          | None -> ()
-          | Some tin -> if fault_verdict tin f <> None then incr inv)))
-    (Fault.universe nl);
-  [
-    (Status.Tied, !tied);
-    (Status.Blocked, !blocked);
-    (Status.Conflict, !conflict);
-    (Status.Software, !sw);
-    (Status.Invariant, !inv);
-  ]

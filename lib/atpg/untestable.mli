@@ -23,7 +23,7 @@ open Olfu_fault
 
 type walker
 (** Per-domain walk state (cone scratch, affected marks, verdict memo).
-    Never share one between domains. *)
+    {!classify} gives each worker its own. *)
 
 type t = {
   netlist : Netlist.t;
@@ -68,14 +68,6 @@ val analyze :
 val fault_verdict : t -> Fault.t -> Status.t option
 (** [Some (Undetectable _)] when provably untestable, [None] otherwise. *)
 
-val make_walker : t -> walker
-(** A fresh walker for an additional domain (the analysis' own walker
-    serves the calling domain). *)
-
-val verdict_with : t -> walker -> Fault.t -> Status.t option
-(** {!fault_verdict} through an explicit walker — the multi-domain entry
-    point ({!Olfu.Tdf_flow} shards fault pairs over a pool). *)
-
 val implication_db : t -> Implic.t option
 (** The database built by {!analyze} (for stats reporting). *)
 
@@ -85,29 +77,13 @@ val classify : ?jobs:int -> ?trace:Olfu_obs.Trace.sink -> t -> Flist.t -> int
     undetectable.  [jobs] (default {!Olfu_pool.Pool.default_jobs}) shards
     the fault list across a domain pool with per-worker walkers; verdicts
     are pure per fault and indices are owned by single workers, so the
-    result is identical for any [jobs].
+    result is identical for any [jobs].  Faults already classified are
+    never asked again, so a second call on the same list with an
+    analysis of the same netlist strengthened by assumed constants or
+    proved invariants counts exactly the faults the first left open and
+    the strengthened one proves — the software-safe or invariant
+    delta.
 
     A recording [trace] gets one ["engine"]-category ["classify"] span
     and the jobs-invariant counters ["classify.faults"],
     ["classify.examined"] and ["classify.classified"]. *)
-
-val untestable_breakdown :
-  ?software:t ->
-  ?invariant:t ->
-  t ->
-  Netlist.t ->
-  (Status.undetectable * int) list
-(** Untestable faults over the full universe of the netlist (faults on
-    tie cells excluded, as in {!Fault.universe}), split by verdict class —
-    [[Tied, n; Blocked, n; Conflict, n; Software, n; Invariant, n]] in
-    that order — so Table-I-style reports can attribute the proofs to
-    the engine that made them.  [software], when given, must be an
-    analysis of the same netlist strengthened with software-proven
-    constants ([Ternary.run ~assume] over {!Olfu_absint} facts): faults
-    the base analysis leaves unproved but the strengthened one
-    classifies are counted under {!Status.Software} (0 without it).
-    [invariant], likewise, is an analysis of the mission-held machine
-    strengthened with proved state invariants ({!Olfu_invar}): faults
-    neither the base nor the software analysis proves but the invariant
-    one does are counted under {!Status.Invariant}.  The
-    structural/conflict rows are identical with or without either. *)

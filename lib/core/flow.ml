@@ -26,34 +26,21 @@ let undet_classes =
     Status.Redundant; Status.Software; Status.Invariant;
   |]
 
-let undet_tally fl =
-  let a = Array.make (Array.length undet_classes) 0 in
-  Flist.iteri
-    (fun _ _ st ->
-      match st with
-      | Status.Undetectable u ->
-        let k =
-          match u with
-          | Status.Unused -> 0
-          | Status.Tied -> 1
-          | Status.Blocked -> 2
-          | Status.Conflict -> 3
-          | Status.Redundant -> 4
-          | Status.Software -> 5
-          | Status.Invariant -> 6
-        in
-        a.(k) <- a.(k) + 1
-      | _ -> ())
-    fl;
-  a
+let class_index = function
+  | Status.Unused -> 0
+  | Status.Tied -> 1
+  | Status.Blocked -> 2
+  | Status.Conflict -> 3
+  | Status.Redundant -> 4
+  | Status.Software -> 5
+  | Status.Invariant -> 6
 
-let diff_tally before after =
-  let acc = ref [] in
-  for k = Array.length undet_classes - 1 downto 0 do
-    let d = after.(k) - before.(k) in
-    if d <> 0 then acc := (undet_classes.(k), d) :: !acc
-  done;
-  !acc
+(* The classes of a per-class tally with a non-zero count, in
+   [undet_classes] order. *)
+let nonzero tally =
+  List.filter_map
+    (fun u -> match tally.(class_index u) with 0 -> None | n -> Some (u, n))
+    (Array.to_list undet_classes)
 
 type report = {
   universe : int;
@@ -64,6 +51,7 @@ type report = {
   total_olfu : int;
   fraction : float;
   flist : Flist.t;
+  closed_by : Bytes.t;
   mission_netlist : Netlist.t;
   seconds : float;
 }
@@ -167,25 +155,51 @@ let stages (cfg : Run_config.t) nl mission =
       ("mission netlist", mission_nl_t);
     ] )
 
+(* [closed_by]'s mark of a fault no step has classified. *)
+let still_open = 255
+
+(* One sweep after step [k]: each fault [closed_by] marks open that is now
+   undetectable gets [k] as its closing step and is counted under its
+   verdict class.  A step only classifies open faults, so the counts are
+   the step's own split. *)
+let close_step closed_by k fl =
+  let tally = Array.make (Array.length undet_classes) 0 in
+  for i = 0 to Flist.size fl - 1 do
+    if Bytes.get_uint8 closed_by i = still_open then
+      match Flist.status fl i with
+      | Status.Undetectable u ->
+        Bytes.set_uint8 closed_by i k;
+        let c = class_index u in
+        tally.(c) <- tally.(c) + 1
+      | _ -> ()
+  done;
+  nonzero tally
+
 (* The step runner: [body] classifies still-open faults of [fl] inside a
-   ["step"] span, and its newly classified faults are attributed to the
-   verdict class (UT/UB/UC/...) that proved them.  The tally sweeps run
-   outside the span, as one ["tally"] engine record; their seconds come
+   ["step"] span, and {!close_step} attributes them.  The sweep runs
+   outside the span, as one ["tally"] engine record; its seconds come
    back separately so the flow can account them as prep. *)
-let stepped trace fl name body =
-  let before, bt = timed (fun () -> undet_tally fl) in
+let stepped trace closed_by k fl name body =
   let n, secs = timed (fun () -> Trace.span trace ~cat:"step" name body) in
-  let v, at = timed (fun () -> diff_tally before (undet_tally fl)) in
-  Trace.record trace ~cat:"engine" ~dur:(bt +. at) "tally";
-  (n, v, secs, bt +. at)
+  let v, tally = timed (fun () -> close_step closed_by k fl) in
+  Trace.record trace ~cat:"engine" ~dur:tally "tally";
+  (n, v, secs, tally)
 
 let classify (cfg : Run_config.t) t fl =
   Untestable.classify ~jobs:cfg.Run_config.jobs ~trace:cfg.Run_config.trace
     t fl
 
 let step (cfg : Run_config.t) name c fl =
+  let trace = cfg.Run_config.trace in
+  let open_marks, marks_s =
+    timed (fun () ->
+        Bytes.init (Flist.size fl) (fun i ->
+            if Status.is_undetectable (Flist.status fl i) then '\000'
+            else Char.chr still_open))
+  in
+  Trace.record trace ~cat:"engine" ~dur:marks_s "tally";
   let n, v, _, _ =
-    stepped cfg.Run_config.trace fl name (fun () ->
+    stepped trace open_marks 0 fl name (fun () ->
         classify cfg (analyze cfg c) fl)
   in
   (n, v)
@@ -208,25 +222,26 @@ let run (cfg : Run_config.t) nl mission =
             let prime = Collapse.num_classes (Collapse.compute fl) in
             (prime, Collapse.dominance_prune (Flist.copy fl))))
   in
+  let closed_by = Bytes.make (Flist.size fl) (Char.chr still_open) in
   let tally_s = ref 0. in
-  let report source body =
+  let report k source body =
     let classified, by_verdict, seconds, tally =
-      stepped trace fl (source_name source) body
+      stepped trace closed_by k fl (source_name source) body
     in
     tally_s := !tally_s +. tally;
     { source; classified; by_verdict; seconds }
   in
   let scan =
-    report Scan (fun () ->
+    report 0 Scan (fun () ->
         Trace.span trace ~cat:"engine" "scan_trace" (fun () ->
             Scan_trace.prune nl fl))
   in
   let circuits, stage_prep = stages cfg nl mission in
   let steps =
     scan
-    :: List.map
-         (fun (source, analysis) ->
-           report source (fun () -> classify cfg (analysis ()) fl))
+    :: List.mapi
+         (fun k (source, analysis) ->
+           report (k + 1) source (fun () -> classify cfg (analysis ()) fl))
          (analyses cfg circuits)
   in
   let total = List.fold_left (fun acc s -> acc + s.classified) 0 steps in
@@ -242,6 +257,7 @@ let run (cfg : Run_config.t) nl mission =
     total_olfu = total;
     fraction = float_of_int total /. float_of_int (max 1 (Flist.size fl));
     flist = fl;
+    closed_by;
     mission_netlist = (List.assoc Memory circuits).netlist;
     seconds = Unix.gettimeofday () -. t0;
   }
@@ -315,13 +331,16 @@ let pp_table1 ?(paper = false) ppf r =
     "  (+ %d reset/steady-state faults outside the paper's accounting;      grand total %d = %.1f%%)"
     (step_count r Baseline) r.total_olfu (100. *. r.fraction);
   Format.pp_print_cut ppf ();
-  let tally = undet_tally r.flist in
+  let tally = Array.make (Array.length undet_classes) 0 in
+  List.iter
+    (fun s ->
+      List.iter
+        (fun (u, n) -> tally.(class_index u) <- tally.(class_index u) + n)
+        s.by_verdict)
+    r.steps;
   Format.fprintf ppf "  by verdict:";
-  Array.iteri
-    (fun k n ->
-      if n > 0 then
-        Format.fprintf ppf " %s=%d"
-          (Status.code (Status.Undetectable undet_classes.(k)))
-          n)
-    tally;
+  List.iter
+    (fun (u, n) ->
+      Format.fprintf ppf " %s=%d" (Status.code (Status.Undetectable u)) n)
+    (nonzero tally);
   Format.fprintf ppf "@,analysis time: %.3f s@]" r.seconds

@@ -58,6 +58,9 @@ type report = {
   total_olfu : int;
   fraction : float;  (** [total_olfu / universe] *)
   flist : Flist.t;  (** final classification over the original universe *)
+  closed_by : Bytes.t;
+      (** one byte per fault of [flist]: the position in [steps] of the
+          step that classified it, or 255 for a fault no step classified *)
   mission_netlist : Netlist.t;
       (** fully manipulated circuit, equal to {!mission_netlist} of the
           flow's inputs *)
@@ -70,8 +73,14 @@ val run : Run_config.t -> Netlist.t -> Mission.t -> report
     classification step over a domain pool (results are identical for
     any value); [cfg.implic] enables the static implication engine's UC
     verdicts inside every classification step (disabling it reproduces
-    the pure UT+UB flow).  The scan step runs first, then each of the
-    {!stages} as a {!step}.
+    the pure UT+UB flow).  The scan step runs first, then the four
+    engine steps: {!Baseline} (the netlist as is), {!Debug_control}
+    (debug controls tied), {!Debug_observe} (the same tied netlist, debug
+    buses and scan-outs unobserved) and {!Memory} (forced address
+    registers and ports tied on top: the circuit of {!mission_netlist}).
+    The two Debug steps share one ternary fixpoint, and {!Debug_observe}
+    asks no conflict question: its implication database would be its
+    predecessor's, which already asked every fault still open.
 
     A recording [cfg.trace] gets one ["step"]-category span per step
     (named by {!source_name}) with the engine attribution
@@ -81,18 +90,17 @@ val run : Run_config.t -> Netlist.t -> Mission.t -> report
 val mission_netlist : Netlist.t -> Mission.t -> Netlist.t
 (** The fully manipulated (on-line mission) circuit alone: the
     mission's tie-controls script, then the address registers and ports
-    its memory map forces.  {!stages} builds its {!Memory} netlist with
-    the same code, so this equals a {!run}'s [mission_netlist], digest
-    for digest, without building a fault universe or classifying a
-    fault. *)
+    its memory map forces.  {!run} builds its {!Memory} netlist with the
+    same code, so this equals a {!run}'s [mission_netlist], digest for
+    digest, without building a fault universe or classifying a fault. *)
 
 val manifest_steps : report -> Olfu_obs.Manifest.step list
 (** The report's steps as manifest entries (name, seconds, classified,
     verdict codes). *)
 
-(** {1 The manipulate–classify–attribute loop}
+(** {1 One classification step}
 
-    Shared by {!run}, {!Tdf_flow.run} and the safe-fault passes of
+    The step runner of {!run}, shared with the safe-fault passes of
     [Olfu_safety.Classify]. *)
 
 type circuit = {
@@ -106,34 +114,6 @@ type circuit = {
 }
 (** What the structural engine reads for one step. *)
 
-val stages :
-  Run_config.t ->
-  Netlist.t ->
-  Mission.t ->
-  (source * circuit) list * (string * float) list
-(** The circuits of the four engine steps, in flow order: {!Baseline}
-    (the netlist as is), {!Debug_control} (debug controls tied),
-    {!Debug_observe} (the same tied netlist, debug buses and scan-outs
-    unobserved) and {!Memory} (forced address registers and ports tied
-    on top: the circuit of {!mission_netlist}, built by the same code
-    under engine spans).  The two Debug steps share one ternary
-    fixpoint, computed here.  The second component times the
-    manipulations: ["tied netlist"], ["shared ternary fixpoint"],
-    ["mission observability"] and ["mission netlist"]. *)
-
-val analyses :
-  Run_config.t ->
-  (source * circuit) list ->
-  (source * (unit -> Olfu_atpg.Untestable.t)) list
-(** The one mapping of [cfg] onto {!Olfu_atpg.Untestable.analyze}, for
-    a sequence of steps each classifying the faults its predecessors
-    left open: every circuit with a thunk that builds its analysis (call
-    it inside the step's span).  A circuit whose netlist, constants and
-    extra edges are its predecessor's builds no implication database
-    and so gives structural verdicts only: the predecessor already asked
-    every fault still open the same conflict question, and got no
-    verdict.  In the paper's {!stages} that is {!Debug_observe}. *)
-
 val step :
   Run_config.t ->
   string ->
@@ -143,8 +123,9 @@ val step :
 (** [step cfg name c fl] classifies the still-open faults of [fl]
     against [c] inside a ["step"] span called [name]: the count of newly
     classified faults and their split by verdict class (non-zero classes
-    only, in {!Olfu_fault.Status.undetectable} order).  The tally sweeps
-    run outside the span, as one ["tally"] engine record. *)
+    only, in {!Olfu_fault.Status.undetectable} order).  The sweeps that
+    mark the open faults and attribute the newly classified ones run
+    outside the span, as ["tally"] engine records. *)
 
 val paper_total : report -> int
 (** Sum over the paper's three sources (scan + debug + memory), excluding

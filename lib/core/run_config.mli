@@ -1,11 +1,12 @@
 (** One record for the knobs every flow shares.
 
-    The three flow entrypoints ({!Flow.run}, {!Tdf_flow.run} and — with
-    its own extended record — {!Olfu_atpg.Atpg_flow.run}) take their
-    common configuration as a value of this type instead of a sprawl of
-    optional arguments, so defaults live in exactly one place and adding
-    a knob does not ripple through every signature.  Build one with
-    record update syntax: [{ Run_config.default with jobs = 4 }]. *)
+    The flow entrypoints ({!Flow.run}, whose report {!Tdf_flow.of_flow}
+    reads, and — with its own extended record —
+    {!Olfu_atpg.Atpg_flow.run}) take their common configuration as a
+    value of this type instead of a sprawl of optional arguments, so
+    defaults live in exactly one place and adding a knob does not ripple
+    through every signature.  Build one with record update syntax:
+    [{ Run_config.default with jobs = 4 }]. *)
 
 type t = {
   ff_mode : Olfu_atpg.Ternary.ff_mode;

@@ -1,7 +1,3 @@
-open Olfu_fault
-open Olfu_atpg
-module Trace = Olfu_obs.Trace
-
 type report = {
   universe : int;
   scan : int;
@@ -14,83 +10,36 @@ type report = {
   seconds : float;
 }
 
-let run (cfg : Run_config.t) nl mission =
-  let { Run_config.jobs; trace; _ } = cfg in
+let of_flow (r : Flow.report) =
   let t0 = Unix.gettimeofday () in
-  let u =
-    Trace.span trace ~cat:"engine" "flist" (fun () -> Tdf.universe nl)
+  let nsteps = List.length r.Flow.steps in
+  let counts = Array.make nsteps 0 in
+  (* sites are the pairs (2j, 2j+1) of the flow's list; a site's step is
+     the earlier of its two closing steps, open (255) when neither *)
+  for j = 0 to (r.Flow.universe / 2) - 1 do
+    let k =
+      min
+        (Bytes.get_uint8 r.Flow.closed_by (2 * j))
+        (Bytes.get_uint8 r.Flow.closed_by ((2 * j) + 1))
+    in
+    if k < nsteps then counts.(k) <- counts.(k) + 2
+  done;
+  let by_source =
+    List.mapi (fun k (s : Flow.step_report) -> (s.Flow.source, counts.(k)))
+      r.Flow.steps
   in
-  let claimed = Array.make (Array.length u) false in
-  let classify_with t =
-    (* each index is read and written by exactly one worker, and verdicts
-       are pure in (t, fault), so the claims are independent of [jobs] *)
-    let n = ref 0 in
-    Trace.span trace ~cat:"engine" "classify" (fun () ->
-        Olfu_pool.Pool.with_pool ~jobs (fun pool ->
-            let nw = Olfu_pool.Pool.jobs pool in
-            let walkers =
-              Array.init nw (fun _ -> Untestable.make_walker t)
-            in
-            let wn = Array.make nw 0 in
-            Olfu_pool.Pool.parallel_chunks pool ~n:(Array.length u)
-              ~chunk:512 ~trace ~label:"tdf_classify"
-              (fun ~worker ~lo ~hi ->
-                let w = walkers.(worker) in
-                for i = lo to hi - 1 do
-                  if
-                    (not claimed.(i))
-                    && Tdf_classify.verdict_with t w u.(i) <> None
-                  then begin
-                    claimed.(i) <- true;
-                    wn.(worker) <- wn.(worker) + 1
-                  end
-                done);
-            Array.iter (fun c -> n := !n + c) wn));
-    !n
-  in
-  let stepped src f = Trace.span trace ~cat:"step" (Flow.source_name src) f in
-  (* 1. scan rule: every transition fault on a scan-rule site is dead —
-     the SE net never toggles in mission mode, so even the pins whose
-     stuck-at-1 is kept cannot launch a transition *)
-  let scan =
-    stepped Flow.Scan (fun () ->
-        let scan_sites =
-          Trace.span trace ~cat:"engine" "scan_trace" (fun () ->
-              Olfu_manip.Scan_trace.untestable_faults nl)
-          |> List.map (fun (f : Fault.t) -> f.Fault.site)
-        in
-        let site_set = Hashtbl.create 999 in
-        List.iter (fun s -> Hashtbl.replace site_set s ()) scan_sites;
-        let scan = ref 0 in
-        Array.iteri
-          (fun i (f : Tdf.t) ->
-            if (not claimed.(i)) && Hashtbl.mem site_set f.Tdf.site then begin
-              claimed.(i) <- true;
-              incr scan
-            end)
-          u;
-        !scan)
-  in
-  (* 2-5. the stuck-at flow's circuits, in its order *)
-  let circuits, _ = Flow.stages cfg nl mission in
-  let counts =
-    List.map
-      (fun (src, analysis) ->
-        (src, stepped src (fun () -> classify_with (analysis ()))))
-      (Flow.analyses cfg circuits)
-  in
-  let count src = List.assoc src counts in
-  let total = List.fold_left (fun acc (_, n) -> acc + n) scan counts in
+  let count src = List.assoc src by_source in
+  let total = Array.fold_left ( + ) 0 counts in
   {
-    universe = Array.length u;
-    scan;
+    universe = r.Flow.universe;
+    scan = count Flow.Scan;
     baseline = count Flow.Baseline;
     debug_control = count Flow.Debug_control;
     debug_observe = count Flow.Debug_observe;
     memory = count Flow.Memory;
     total;
-    fraction = float_of_int total /. float_of_int (max 1 (Array.length u));
-    seconds = Unix.gettimeofday () -. t0;
+    fraction = float_of_int total /. float_of_int (max 1 r.Flow.universe);
+    seconds = r.Flow.seconds +. (Unix.gettimeofday () -. t0);
   }
 
 let pp ppf r =

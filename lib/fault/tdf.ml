@@ -47,6 +47,14 @@ let universe ?include_ties nl =
   Array.sort compare a;
   a
 
+let untestable fl =
+  let dead i = Status.is_undetectable (Flist.status fl i) in
+  let n = ref 0 in
+  for j = 0 to (Flist.size fl / 2) - 1 do
+    if dead (2 * j) || dead ((2 * j) + 1) then n := !n + 2
+  done;
+  !n
+
 let as_stuck_pair f =
   ( { Fault.site = f.site; stuck = false },
     { Fault.site = f.site; stuck = true } )

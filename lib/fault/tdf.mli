@@ -23,6 +23,15 @@ val to_string : Netlist.t -> t -> string
 val universe : ?include_ties:bool -> Netlist.t -> t array
 (** Two transition faults per pin, same pin set as {!Fault.universe}. *)
 
+val untestable : Flist.t -> int
+(** Transition faults a stuck-at classification proves untestable: a
+    pin's two transition faults when either same-site stuck-at fault of
+    the list is [Undetectable] — a tied pin cannot launch, a blocked pin
+    cannot capture.  The list must be {!Flist.full}'s: it follows
+    {!Fault.universe}, which is in {!Fault.compare} order, so indices
+    [2j] and [2j+1] are the stuck-at-0 and stuck-at-1 faults of one
+    site, and {!universe} has [Flist.size fl] transition faults. *)
+
 val as_stuck_pair : t -> Fault.t * Fault.t
 (** The launch/capture reading: a slow-to-rise fault at a pin needs the
     pin controllable to 0 {e and} to 1, and behaves like a transient

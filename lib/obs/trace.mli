@@ -2,10 +2,9 @@
     named counters and gauges, behind a sink that costs one branch when
     disabled.
 
-    A {!sink} is threaded through the flows ({!Olfu.Flow},
-    {!Olfu.Tdf_flow}), the engines ({!Olfu_atpg.Untestable},
-    {!Olfu_atpg.Atpg_flow}, {!Olfu_fsim.Comb_fsim},
-    {!Olfu_fsim.Seq_fsim}) and the domain pool
+    A {!sink} is threaded through the flow ({!Olfu.Flow}), the engines
+    ({!Olfu_atpg.Untestable}, {!Olfu_atpg.Atpg_flow},
+    {!Olfu_fsim.Comb_fsim}, {!Olfu_fsim.Seq_fsim}) and the domain pool
     ({!Olfu_pool.Pool.parallel_chunks}).  The default {!null} sink makes
     every probe a no-op — the instrumented hot paths stay within the
     noise floor of the uninstrumented ones (the [bench -- fsim] gate

@@ -65,40 +65,39 @@ let target_key = function
     | exception Unix.Unix_error (e, _, _) ->
       badf "%s: %s" path (Unix.error_message e))
 
+(* How a target becomes a netlist and a mission: a generated
+   configuration, or an elaborated Verilog file whose roles give the
+   mission under the paper's memory map and 32-bit addresses. *)
+let resolve_exn = function
+  | Req.Config name -> (
+    match soc_of_name name with
+    | None -> badf "unknown config %S (tcore32|tcore32_dft|tcore16)" name
+    | Some cfg ->
+      let nl = Olfu_soc.Soc.generate cfg in
+      (nl, Olfu.Mission.of_soc cfg nl, Some cfg))
+  | Req.File path ->
+    let nl =
+      try Olfu_verilog.Elaborate.netlist_of_file path
+      with e -> badf "%s" (Printexc.to_string e)
+    in
+    ( nl,
+      Olfu.Mission.of_roles
+        ~memmap:(Olfu_manip.Memmap.paper_case_study ())
+        ~address_width:32 nl,
+      None )
+
+let resolve target =
+  match resolve_exn target with
+  | r -> Ok r
+  | exception Bad_request m -> Error m
+
 let load session (r : Req.run) : Session.loaded =
-  let key = target_key r.target in
   let build () =
-    match r.target with
-    | Req.Config name -> (
-      match soc_of_name name with
-      | None ->
-        badf "unknown config %S (tcore32|tcore32_dft|tcore16)" name
-      | Some cfg ->
-        let nl = Olfu_soc.Soc.generate cfg in
-        Session.Loaded
-          {
-            Session.nl;
-            mission = Olfu.Mission.of_soc cfg nl;
-            digest = Olfu_netlist.Analysis.digest_of nl;
-            cfg = Some cfg;
-          })
-    | Req.File path ->
-      let nl =
-        try Olfu_verilog.Elaborate.netlist_of_file path
-        with e -> badf "%s" (Printexc.to_string e)
-      in
-      Session.Loaded
-        {
-          Session.nl;
-          mission =
-            Olfu.Mission.of_roles
-              ~memmap:(Olfu_manip.Memmap.paper_case_study ())
-              ~address_width:32 nl;
-          digest = Olfu_netlist.Analysis.digest_of nl;
-          cfg = None;
-        }
+    let nl, mission, cfg = resolve_exn r.target in
+    Session.Loaded
+      { Session.nl; mission; digest = Olfu_netlist.Analysis.digest_of nl; cfg }
   in
-  match Session.memo session key build with
+  match Session.memo session (target_key r.target) build with
   | Session.Loaded l, _ -> l
   | _ -> assert false
 
@@ -359,21 +358,6 @@ let exec_implic _session sink (r : Req.run) (l : Session.loaded) ~learn_depth
   let jobs = r.jobs in
   ignore sink;
   let t = U.analyze ~ff_mode:r.ff_mode ~learn_depth ~learn_budget nl in
-  let ui =
-    if not invariants then 0
-    else
-      let module Inv = Olfu_invar.Invar in
-      let ir = Inv.run ~jobs nl in
-      let strengthened =
-        U.analyze ~learn_depth ~learn_budget
-          ~consts:
-            (Olfu_atpg.Ternary.run ~ff_mode:r.ff_mode
-               ~assume:(Inv.assume_facts ir) nl)
-          ~extra_edges:(Inv.edges ir) nl
-      in
-      List.assoc Olfu_fault.Status.Invariant
-        (U.untestable_breakdown ~invariant:strengthened t nl)
-  in
   let db =
     match U.implication_db t with
     | Some db -> db
@@ -391,7 +375,26 @@ let exec_implic _session sink (r : Req.run) (l : Session.loaded) ~learn_depth
   and ub = count Olfu_fault.Status.Blocked
   and uc = count Olfu_fault.Status.Conflict
   and us = count Olfu_fault.Status.Software in
-  let tdf_un, tdf_univ = Olfu_atpg.Tdf_classify.count ~jobs t nl in
+  (* read off the base classification, before the invariant pass adds
+     to it *)
+  let tdf_un = Olfu_fault.Tdf.untestable fl in
+  let tdf_univ = Olfu_fault.Flist.size fl in
+  let ui =
+    if not invariants then 0
+    else
+      let module Inv = Olfu_invar.Invar in
+      let ir = Inv.run ~jobs nl in
+      let strengthened =
+        U.analyze ~learn_depth ~learn_budget
+          ~consts:
+            (Olfu_atpg.Ternary.run ~ff_mode:r.ff_mode
+               ~assume:(Inv.assume_facts ir) nl)
+          ~extra_edges:(Inv.edges ir) nl
+      in
+      (* the faults the base analysis left open that only the
+         invariant-assumed one proves *)
+      U.classify ~jobs strengthened fl
+  in
   let net_name n =
     match Netlist.name nl n with
     | Some x -> x
@@ -531,6 +534,14 @@ let exec_absint _session _sink (_r : Req.run) (l : Session.loaded) ~programs
   let never = A.never_written ts cfg.Olfu_soc.Soc.ram in
   let assume = A.netlist_assume ~width ts l.Session.nl in
   let degraded = List.exists (fun t -> A.degraded t <> None) ts in
+  let bits bs =
+    if bs = [] then "none"
+    else
+      String.concat " "
+        (List.map
+           (fun (bit, v) -> Printf.sprintf "%d=%d" bit (Bool.to_int v))
+           bs)
+  in
   let text =
     let b = Buffer.create 512 in
     let pf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
@@ -545,14 +556,6 @@ let exec_absint _session _sink (_r : Req.run) (l : Session.loaded) ~programs
             (List.length (A.dead_pcs t))
             (A.store_sites t) (A.passes t))
       named;
-    let bits bs =
-      if bs = [] then "none"
-      else
-        String.concat " "
-          (List.map
-             (fun (bit, v) -> Printf.sprintf "%d=%d" bit (Bool.to_int v))
-             bs)
-    in
     pf "constant address bits: %s\n" (bits consts);
     pf "constant rdata bits:   %s\n" (bits rdata);
     pf "netlist assumptions:   %d nodes\n" (List.length assume);
@@ -604,14 +607,6 @@ let exec_absint _session _sink (_r : Req.run) (l : Session.loaded) ~programs
       ]
   in
   let summary =
-    let bits bs =
-      if bs = [] then "none"
-      else
-        String.concat " "
-          (List.map
-             (fun (bit, v) -> Printf.sprintf "%d=%d" bit (Bool.to_int v))
-             bs)
-    in
     table
       [
         ("config", cfg.Olfu_soc.Soc.name);
@@ -746,20 +741,8 @@ let exec_safety _session sink (r : Req.run) (l : Session.loaded) ~window
           J.Obj
             (List.map (fun (c, n) -> (T.safe_code c, J.Int n)) res.Sc.counts)
         );
-        ( "software_safe_by",
-          J.Obj
-            (List.map
-               (fun (u, n) ->
-                 ( Olfu_fault.Status.code (Olfu_fault.Status.Undetectable u),
-                   J.Int n ))
-               res.Sc.software_by) );
-        ( "invariant_safe_by",
-          J.Obj
-            (List.map
-               (fun (u, n) ->
-                 ( Olfu_fault.Status.code (Olfu_fault.Status.Undetectable u),
-                   J.Int n ))
-               res.Sc.invariant_by) );
+        ("software_safe_by", J.Obj (verdict_fields res.Sc.software_by));
+        ("invariant_safe_by", J.Obj (verdict_fields res.Sc.invariant_by));
         ( "invariants",
           match res.Sc.invariants with
           | None -> J.Null

@@ -32,6 +32,18 @@ type meta = {
 val soc_of_name : string -> Olfu_soc.Soc.config option
 (** ["tcore32"], ["tcore32_dft"], ["tcore16"]. *)
 
+val resolve :
+  Request.target ->
+  ( Olfu_netlist.Netlist.t * Olfu.Mission.t * Olfu_soc.Soc.config option,
+    string )
+  result
+(** How a target becomes a netlist and its mission, as {!execute} loads
+    it: a generated configuration (returned with it), or an elaborated
+    Verilog file whose [//\@role] annotations give the mission under the
+    paper's memory map and 32-bit addresses.  [Error] carries the
+    one-line message of an unknown configuration or an unreadable or
+    malformed file. *)
+
 val config_fields : Request.run -> (string * Olfu_obs.Json.t) list
 (** Manifest [config] fields describing a run request: the flow knobs,
     the target, the op name and its parameter object. *)

@@ -401,36 +401,56 @@ let test_reconvergent_stem_sound () =
 
 (* --- transition-delay classification --- *)
 
+(* The transition-fault reduction as it stood before the flow read it
+   off a stuck-at classification: ask both same-site stuck-at verdicts
+   of every transition fault.  The reference for [Tdf.untestable]. *)
+let reference_tdf_verdict t (f : Tdf.t) =
+  let sa0, sa1 = Tdf.as_stuck_pair f in
+  match Untestable.fault_verdict t sa0 with
+  | Some v -> Some v
+  | None -> Untestable.fault_verdict t sa1
+
+let reference_tdf_count t nl =
+  Array.fold_left
+    (fun acc f -> if reference_tdf_verdict t f <> None then acc + 1 else acc)
+    0 (Tdf.universe nl)
+
+(* [Flist.full nl] classified by [t], on [jobs] workers *)
+let classified ?(jobs = 1) t nl =
+  let fl = Flist.full nl in
+  ignore (Untestable.classify ~jobs t fl : int);
+  fl
+
+(* The transition faults [Tdf.untestable] counts at one site: the
+   classified list with every other site's faults reopened. *)
+let tdf_at fl site =
+  let only = Flist.copy fl in
+  for i = 0 to Flist.size fl - 1 do
+    if (Flist.fault fl i).Fault.site <> site then
+      Flist.set_status only i Status.Not_analyzed
+  done;
+  Tdf.untestable only
+
 let test_tdf_scan_cell_all_dead () =
   (* for transition faults even SE slow-to-rise is untestable: the tied SE
      net can never toggle *)
   let nl, ff = Test_support.scan_cell_mission () in
-  let t = Untestable.analyze nl in
-  let dead p pol =
-    Tdf_classify.verdict t
-      { Tdf.site = { Fault.node = ff; pin = p }; polarity = pol }
-    <> None
-  in
-  Alcotest.(check bool) "SE STR dead" true (dead (Cell.Pin.In 2) Tdf.Slow_to_rise);
-  Alcotest.(check bool) "SE STF dead" true (dead (Cell.Pin.In 2) Tdf.Slow_to_fall);
-  Alcotest.(check bool) "SI STR dead" true (dead (Cell.Pin.In 1) Tdf.Slow_to_rise);
+  let fl = classified (Untestable.analyze nl) nl in
+  let at p = tdf_at fl { Fault.node = ff; pin = p } in
+  Alcotest.(check int) "SE STR and STF dead" 2 (at (Cell.Pin.In 2));
+  Alcotest.(check int) "SI STR and STF dead" 2 (at (Cell.Pin.In 1));
   (* the functional data path still carries transitions *)
-  Alcotest.(check bool) "D STR alive" false (dead (Cell.Pin.In 0) Tdf.Slow_to_rise);
-  let u, total = Tdf_classify.count t nl in
-  Alcotest.(check bool) "counts sane" true (u > 0 && u < total)
+  Alcotest.(check int) "D alive" 0 (at (Cell.Pin.In 0));
+  let u = Tdf.untestable fl in
+  Alcotest.(check bool) "counts sane" true (u > 0 && u < Flist.size fl)
 
 let test_tdf_superset_of_stuck () =
   (* every pin with an untestable stuck-at has both its transition faults
      untestable, so the TDF fraction dominates *)
   let nl, _ = Test_support.constant_dffr () in
-  let t = Untestable.analyze nl in
-  let sa_untestable =
-    Array.fold_left
-      (fun acc f -> if Untestable.fault_verdict t f <> None then acc + 1 else acc)
-      0 (Fault.universe nl)
-  in
-  let td_untestable, _ = Tdf_classify.count t nl in
-  Alcotest.(check bool) "tdf >= sa" true (td_untestable >= sa_untestable)
+  let fl = classified (Untestable.analyze nl) nl in
+  Alcotest.(check bool) "tdf >= sa" true
+    (Tdf.untestable fl >= Flist.count fl ~f:Status.is_undetectable)
 
 let test_tdf_half_tied_pin () =
   (* a pin tied to 1: its stuck-at-0 stays testable, but no transition
@@ -447,28 +467,40 @@ let test_tdf_half_tied_pin () =
     (Untestable.fault_verdict t (Fault.sa0 gi (Cell.Pin.In 1)) = None);
   Alcotest.(check bool) "sa1 tied" true
     (is_ut (Untestable.fault_verdict t (Fault.sa1 gi (Cell.Pin.In 1))));
-  let dead pol =
-    Tdf_classify.verdict t
-      { Tdf.site = { Fault.node = gi; pin = Cell.Pin.In 1 }; polarity = pol }
-    <> None
-  in
-  Alcotest.(check bool) "STR dead" true (dead Tdf.Slow_to_rise);
-  Alcotest.(check bool) "STF dead" true (dead Tdf.Slow_to_fall);
+  let fl = classified t nl in
+  Alcotest.(check int) "STR and STF dead" 2
+    (tdf_at fl { Fault.node = gi; pin = Cell.Pin.In 1 });
   (* the free pin keeps both transitions *)
-  Alcotest.(check bool) "free pin alive" true
-    (Tdf_classify.verdict t
-       { Tdf.site = { Fault.node = gi; pin = Cell.Pin.In 0 };
-         polarity = Tdf.Slow_to_rise }
-    = None)
+  Alcotest.(check int) "free pin alive" 0
+    (tdf_at fl { Fault.node = gi; pin = Cell.Pin.In 0 })
 
 let test_tdf_count_jobs_invariant () =
   let nl, _ = Test_support.scan_cell_mission () in
   let t = Untestable.analyze nl in
-  let n1, u1 = Tdf_classify.count ~jobs:1 t nl in
-  let n3, u3 = Tdf_classify.count ~jobs:3 t nl in
-  Alcotest.(check int) "universe stable" u1 u3;
+  let n1 = Tdf.untestable (classified ~jobs:1 t nl) in
+  let n3 = Tdf.untestable (classified ~jobs:3 t nl) in
+  Alcotest.(check int) "universe stable" (Array.length (Tdf.universe nl))
+    (Flist.size (Flist.full nl));
   Alcotest.(check int) "count jobs-invariant" n1 n3;
   Alcotest.(check bool) "something classified" true (n1 > 0)
+
+(* The count read off a classified list is the count of asking every
+   transition fault's stuck-at pair, on random sequential netlists with
+   tie cells under each flip-flop reading. *)
+let prop_tdf_projection_is_reference =
+  QCheck2.Test.make ~count:40 ~name:"tdf projection = per-fault pair verdicts"
+    QCheck2.Gen.(pair (int_bound 1_000_000) (int_bound 2))
+    (fun (seed, mode) ->
+      let rng = Random.State.make [| seed |] in
+      let nl =
+        Test_support.random_seq_netlist ~ties:true rng ~inputs:4 ~gates:30
+          ~flops:4
+      in
+      let ff_mode =
+        [| Ternary.Steady_state; Ternary.Reset_join; Ternary.Cut |].(mode)
+      in
+      let t = Untestable.analyze ~ff_mode nl in
+      Tdf.untestable (classified t nl) = reference_tdf_count t nl)
 
 let test_scoap_branch_and_hardest () =
   let nl = Test_support.full_adder () in
@@ -665,6 +697,7 @@ let () =
           Alcotest.test_case "half-tied pin" `Quick test_tdf_half_tied_pin;
           Alcotest.test_case "count jobs invariant" `Quick
             test_tdf_count_jobs_invariant;
+          qt prop_tdf_projection_is_reference;
         ] );
       ( "scoap extras",
         [

@@ -201,10 +201,8 @@ let test_flow_cut_mode_smaller () =
     (cut.Flow.total_olfu <= steady.Flow.total_olfu)
 
 let test_tdf_flow () =
-  let nl = Lazy.force t16 in
-  let mission = Lazy.force mission16 in
-  let r = Olfu.Tdf_flow.run Run_config.default nl mission in
   let sa = Lazy.force report16 in
+  let r = Olfu.Tdf_flow.of_flow sa in
   (* the TDF universe matches the stuck-at universe size (2 per pin) *)
   Alcotest.(check int) "same universe size" sa.Flow.universe r.Tdf_flow.universe;
   (* same ordering: scan > debug > memory; and more transition faults die
@@ -301,14 +299,40 @@ let test_pin_steps_tcore32 () =
     ]
     (List.map (fun (_, _, _, r) -> step_splits r) (Lazy.force large))
 
+let tdf_steps (r : Flow.report) =
+  let t = Tdf_flow.of_flow r in
+  Tdf_flow.[ t.scan; t.baseline; t.debug_control; t.debug_observe; t.memory ]
+
 let test_pin_tdf () =
-  let r =
-    Tdf_flow.run Run_config.default (Lazy.force t16) (Lazy.force mission16)
-  in
   Alcotest.(check (list int))
     "scan, baseline, control, observation, memory"
     [ 3440; 1156; 2466; 384; 1300 ]
-    Tdf_flow.[ r.scan; r.baseline; r.debug_control; r.debug_observe; r.memory ]
+    (tdf_steps (Lazy.force report16))
+
+let test_pin_tdf_tcore32 () =
+  Alcotest.(check (list (list int)))
+    "scan, baseline, control, observation, memory; tcore32 then tcore32_dft"
+    [ [ 9996; 2174; 4552; 768; 2428 ]; [ 11280; 2454; 5266; 774; 2428 ] ]
+    (List.map (fun (_, _, _, r) -> tdf_steps r) (Lazy.force large))
+
+(* What the transition-delay projection reads: the flow's list follows
+   [Fault.universe], so faults 2j and 2j+1 are one site's stuck-at-0 and
+   stuck-at-1, on every core. *)
+let test_site_pairs () =
+  List.iter
+    (fun (name, (r : Flow.report)) ->
+      let fl = r.Flow.flist in
+      let ok = ref (Flist.size fl mod 2 = 0) in
+      for j = 0 to (Flist.size fl / 2) - 1 do
+        let f0 = Flist.fault fl (2 * j) and f1 = Flist.fault fl ((2 * j) + 1) in
+        if f0.Fault.stuck || (not f1.Fault.stuck) || f0.Fault.site <> f1.Fault.site
+        then ok := false
+      done;
+      Alcotest.(check bool) (name ^ ": sa0, sa1 of one site") true !ok)
+    (("tcore16", Lazy.force report16)
+    :: List.map
+         (fun ((cfg : Soc.config), _, _, r) -> (cfg.Soc.name, r))
+         (Lazy.force large))
 
 let test_pin_prep () =
   (* the names benchmark/replay.ml slugs into its core.prep.* layers *)
@@ -382,6 +406,10 @@ let () =
           Alcotest.test_case "stuck-at steps tcore32/dft" `Slow
             test_pin_steps_tcore32;
           Alcotest.test_case "tdf steps" `Quick test_pin_tdf;
+          Alcotest.test_case "tdf steps tcore32/dft" `Slow
+            test_pin_tdf_tcore32;
+          Alcotest.test_case "tdf site pairs, three cores" `Slow
+            test_site_pairs;
           Alcotest.test_case "prep names" `Quick test_pin_prep;
         ] );
       ( "categories",

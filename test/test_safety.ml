@@ -146,6 +146,50 @@ let test_replay_protected_alarms () =
 
 (* --- software-safe mechanism --- *)
 
+(* The per-class split as a serial sweep made it before the rows came
+   from classification passes: every fault of the universe asks the base
+   analysis, then the software-strengthened one, then the
+   invariant-strengthened one.  The reference for [pass_rows]. *)
+let reference_breakdown ?software ?invariant t nl =
+  let tied = ref 0 and blocked = ref 0 and conflict = ref 0 in
+  let sw = ref 0 and inv = ref 0 in
+  Array.iter
+    (fun f ->
+      match U.fault_verdict t f with
+      | Some (Status.Undetectable Status.Tied) -> incr tied
+      | Some (Status.Undetectable Status.Blocked) -> incr blocked
+      | Some (Status.Undetectable Status.Conflict) -> incr conflict
+      | Some _ | None -> (
+        match software with
+        | Some tsw when U.fault_verdict tsw f <> None -> incr sw
+        | _ -> (
+          match invariant with
+          | None -> ()
+          | Some tin -> if U.fault_verdict tin f <> None then incr inv)))
+    (Fault.universe nl);
+  [
+    (Status.Tied, !tied);
+    (Status.Blocked, !blocked);
+    (Status.Conflict, !conflict);
+    (Status.Software, !sw);
+    (Status.Invariant, !inv);
+  ]
+
+(* The rows as the flow's consumers make them: the base analysis
+   classifies the universe, then each strengthened analysis the faults
+   still open. *)
+let pass_rows ?software ?invariant t nl =
+  let fl = Flist.full nl in
+  ignore (U.classify ~jobs:1 t fl : int);
+  let count c = Flist.count_status fl (Status.Undetectable c) in
+  let base =
+    List.map (fun c -> (c, count c)) [ Status.Tied; Status.Blocked; Status.Conflict ]
+  in
+  let pass = function None -> 0 | Some a -> U.classify ~jobs:1 a fl in
+  let sw = pass software in
+  let inv = pass invariant in
+  base @ [ (Status.Software, sw); (Status.Invariant, inv) ]
+
 let test_software_breakdown () =
   let b = B.create () in
   let a = B.input b "a" in
@@ -155,14 +199,14 @@ let test_software_breakdown () =
   let nl = B.freeze_exn b in
   let gid = match Netlist.find nl "g" with Some i -> i | None -> assert false in
   let t = U.analyze nl in
-  let base = U.untestable_breakdown t nl in
+  let base = pass_rows t nl in
   Alcotest.(check int) "no software row without facts" 0
     (List.assoc Status.Software base);
   (* the software proves g is held at 0: x becomes constant and its
      s-a-0 faults turn untestable — attributed to the Software class *)
   let consts = Olfu_atpg.Ternary.run ~assume:[ (gid, Logic4.L0) ] nl in
   let tsw = U.analyze ~consts nl in
-  let bd = U.untestable_breakdown ~software:tsw t nl in
+  let bd = pass_rows ~software:tsw t nl in
   Alcotest.(check bool) "software proofs appear" true
     (List.assoc Status.Software bd > 0);
   List.iter
@@ -171,6 +215,36 @@ let test_software_breakdown () =
         (Status.code (Status.Undetectable c) ^ " row unchanged")
         (List.assoc c base) (List.assoc c bd))
     [ Status.Tied; Status.Blocked; Status.Conflict ]
+
+(* Classification passes make the reference's rows on random sequential
+   netlists with tie cells, under each flip-flop reading, with random
+   constants on inputs and flops standing for the software facts and the
+   proved invariants. *)
+let prop_passes_are_breakdown =
+  QCheck2.Test.make ~count:40 ~name:"strengthened passes = breakdown rows"
+    QCheck2.Gen.(pair (int_bound 1_000_000) (int_bound 2))
+    (fun (seed, mode) ->
+      let rng = Random.State.make [| seed |] in
+      let nl =
+        Test_support.random_seq_netlist ~ties:true rng ~inputs:4 ~gates:30
+          ~flops:4
+      in
+      let ff_mode =
+        Olfu_atpg.Ternary.[| Steady_state; Reset_join; Cut |].(mode)
+      in
+      let strengthened () =
+        let assume =
+          Array.to_list (Array.append (Netlist.inputs nl) (Netlist.seq_nodes nl))
+          |> List.filter (fun _ -> Random.State.int rng 3 = 0)
+          |> List.map (fun i -> (i, Logic4.of_bool (Random.State.bool rng)))
+        in
+        U.analyze ~consts:(Olfu_atpg.Ternary.run ~ff_mode ~assume nl) nl
+      in
+      let t = U.analyze ~ff_mode nl in
+      let software = strengthened () in
+      let invariant = strengthened () in
+      pass_rows ~software ~invariant t nl
+      = reference_breakdown ~software ~invariant t nl)
 
 (* --- the on-line BMC machine --- *)
 
@@ -390,6 +464,7 @@ let () =
       ( "software",
         [
           Alcotest.test_case "breakdown row" `Quick test_software_breakdown;
+          qt prop_passes_are_breakdown;
         ] );
       ( "classify",
         [

@@ -249,6 +249,57 @@ let test_bad_requests_are_responses () =
         (String.starts_with ~prefix:"internal error" (err what)))
     [ ("invar k = 0", "k"); ("invar k = -1", "k"); ("safety window = 0", "window") ]
 
+(* Two flops that load the same input from the same reset are always
+   equal, so [y = q1 & ~q2] is always 0: no structural or conflict
+   verdict sees it, the invariant-assumed database does. *)
+let equal_flops_v =
+  {|module ui (x, rstn, z, o);
+  input x; input rstn; input z; output o;
+  wire q1; wire q2; wire nq2; wire y; wire w;
+  DFFR f1 (.Q(q1), .D(x), .RN(rstn));
+  DFFR f2 (.Q(q2), .D(x), .RN(rstn));
+  NOT u1 (.Y(nq2), .A(q2));
+  AND2 u2 (.Y(y), .A(q1), .B(nq2));
+  OR2 u3 (.Y(w), .A(y), .B(z));
+  BUF u4 (.Y(o), .A(w));
+endmodule
+|}
+
+(* The UI row is a second pass over the faults the base classification
+   left open, and the stuck-at rows and the transition count are read
+   before it. *)
+let test_implic_invariant_row () =
+  with_verilog equal_flops_v @@ fun path ->
+  let resp =
+    exec (S.Session.create ())
+      (run_req ~target:(Req.File path)
+         (Req.Implic { learn_depth = 2; learn_budget = 200_000; invariants = true }))
+  in
+  List.iter
+    (fun field ->
+      Alcotest.(check bool) field true (contains resp.Resp.output field))
+    [
+      {|"untestable": 0,|}; {|"UT": 0,|}; {|"UB": 0,|}; {|"UC": 0,|};
+      {|"UI": 7|}; {|"tdf_universe": 44,|}; {|"tdf_untestable": 0,|};
+    ]
+
+(* The one resolution of a target the CLI's own subcommands share *)
+let test_resolve () =
+  let err target =
+    match S.Service.resolve target with Error m -> m | Ok _ -> ""
+  in
+  with_verilog "module bad (a, o);\n  input a; output o;\n  FOO u1 (.Y(o), .A(a));\nendmodule\n"
+  @@ fun bad ->
+  Alcotest.(check bool) "malformed file" true (contains (err (Req.File bad)) "FOO");
+  Alcotest.(check bool) "unknown config" true
+    (contains (err (Req.Config "nope")) "unknown config");
+  with_verilog equal_flops_v @@ fun good ->
+  match S.Service.resolve (Req.File good) with
+  | Ok (nl, _, cfg) ->
+    Alcotest.(check int) "netlist" 10 (Olfu_netlist.Netlist.length nl);
+    Alcotest.(check bool) "no configuration" true (cfg = None)
+  | Error m -> Alcotest.fail m
+
 (* The INV-* lint path: invariants proved on the machine with the debug
    controls and the scan interface tied to 0. *)
 let test_lint_invariants () =
@@ -518,6 +569,9 @@ let () =
             test_bad_requests_are_responses;
           Alcotest.test_case "lint with invariants" `Quick
             test_lint_invariants;
+          Alcotest.test_case "implic invariant row" `Quick
+            test_implic_invariant_row;
+          Alcotest.test_case "resolve" `Quick test_resolve;
           Alcotest.test_case "cache hit identity" `Quick
             test_cache_hit_identity;
           Alcotest.test_case "stats and ping" `Quick test_stats_and_ping;

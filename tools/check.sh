@@ -70,6 +70,35 @@ for core in tcore32 tcore32_dft tcore16; do
   gate "lint-inv-$core" dune exec bin/olfu_cli.exe -- lint -c "$core" --invariants --fail-on error
 done
 
+OBS_TMP=$(mktemp -d)
+trap 'rm -rf "$OBS_TMP"' EXIT
+
+# Bad-input gate: a malformed netlist (an unknown cell) given to each
+# subcommand that reads a Verilog file must exit 2 with one
+# `olfu <cmd>: <message>` line on stderr, never an uncaught exception.
+# It runs before the slow bench gates so a noisy one cannot hide it.
+bad_input() {
+  printf 'module bad (a, o);\n  input a; output o;\n  FOO u1 (.Y(o), .A(a));\nendmodule\n' \
+    > "$OBS_TMP/bad.v"
+  for _cmd in "analyze -f" "tdf -f" "categories -f" "trace-scan -f" \
+    "equiv $OBS_TMP/bad.v"; do
+    _sub=${_cmd%% *}
+    _rc=0
+    # word splitting of $_cmd is intended: a subcommand and its flag
+    _build/default/bin/olfu_cli.exe $_cmd "$OBS_TMP/bad.v" \
+      > /dev/null 2> "$OBS_TMP/bad.err" || _rc=$?
+    [ "$_rc" -eq 2 ] || {
+      echo "bad-input: $_sub exit $_rc, want 2"; cat "$OBS_TMP/bad.err"; return 1; }
+    if grep -q 'uncaught exception' "$OBS_TMP/bad.err" \
+      || [ "$(wc -l < "$OBS_TMP/bad.err")" -ne 1 ] \
+      || ! grep -q "^olfu $_sub: " "$OBS_TMP/bad.err"; then
+      echo "bad-input: $_sub stderr is not one 'olfu $_sub:' line:"
+      cat "$OBS_TMP/bad.err"; return 1
+    fi
+  done
+}
+gate bad-input bad_input
+
 # Fault-simulation smoke gate: the cone-limited engine at --jobs 2 must
 # reproduce the sequential full-settle statuses exactly on tcore32, and
 # its seconds must not grow across jobs 1 -> 2 -> 4 (tolerance 1.10);
@@ -86,8 +115,6 @@ gate implic dune exec bench/main.exe -- implic
 # manifest and a Chrome-loadable trace, with per-engine and per-step
 # seconds each summing to within 5% of the recorded wall time, and
 # counters identical across --jobs 1/2/4; refreshes BENCH_obs.json.
-OBS_TMP=$(mktemp -d)
-trap 'rm -rf "$OBS_TMP"' EXIT
 gate analyze-obs sh -c "dune exec bin/olfu_cli.exe -- analyze -c tcore32 \
   --trace '$OBS_TMP/trace.json' --manifest '$OBS_TMP/manifest.json' \
   > /dev/null"
