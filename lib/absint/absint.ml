@@ -18,7 +18,6 @@ type access = { a_addr : Aval.t; a_value : Aval.t }
 type t = {
   xlen : int;
   origin : int;
-  entry : int;
   image : int array;
   pre : Aval.t array option array;  (* register state before each word *)
   stores : (int * access) list;  (* by word index of the Sw *)
@@ -37,16 +36,13 @@ let hull_overlap av ~lo ~hi =
   | None -> false
   | Some (l, h) -> l <= hi && h >= lo
 
-let analyze ?(xlen = 16) ?(origin = 0) ?entry image =
+let analyze ?(xlen = 16) ?(origin = 0) image =
   if xlen < 16 then invalid_arg "Absint.analyze: xlen >= 16";
   let m = (1 lsl xlen) - 1 in
   let n = Array.length image in
   if n = 0 then invalid_arg "Absint.analyze: empty image";
   if origin < 0 || origin + n - 1 > m then
     invalid_arg "Absint.analyze: image outside the address space";
-  let entry = Option.value ~default:origin entry in
-  if entry < origin || entry >= origin + n then
-    invalid_arg "Absint.analyze: entry outside the image";
   let instrs = Array.map Isa.decode image in
   let pre : Aval.t array option array = Array.make n None in
   let stores : (int, access) Hashtbl.t = Hashtbl.create 16 in
@@ -231,7 +227,7 @@ let analyze ?(xlen = 16) ?(origin = 0) ?entry image =
         Queue.add (i, Array.copy st) q
       end
     in
-    flow entry (entry_state ());
+    flow origin (entry_state ());
     while not (Queue.is_empty q) do
       let i, st = Queue.pop q in
       decr budget;
@@ -241,8 +237,8 @@ let analyze ?(xlen = 16) ?(origin = 0) ?entry image =
   in
   let join_pass () =
     reset_pass ();
-    pre.(entry - origin) <- Some (entry_state ());
-    Queue.add (entry - origin) wl;
+    pre.(0) <- Some (entry_state ());
+    Queue.add 0 wl;
     while not (Queue.is_empty wl) do
       let i = Queue.pop wl in
       match pre.(i) with None -> () | Some st -> exec ~flow:join_flow i (Array.copy st)
@@ -269,7 +265,6 @@ let analyze ?(xlen = 16) ?(origin = 0) ?entry image =
   {
     xlen;
     origin;
-    entry;
     image;
     pre;
     stores = dump stores;
@@ -278,9 +273,9 @@ let analyze ?(xlen = 16) ?(origin = 0) ?entry image =
     passes = !passes;
   }
 
-let of_items ?entry cfg items =
+let of_items cfg items =
   let origin = cfg.Soc.rom.Memmap.lo in
-  analyze ~xlen:cfg.Soc.xlen ~origin ?entry (Asm.assemble ~origin items)
+  analyze ~xlen:cfg.Soc.xlen ~origin (Asm.assemble ~origin items)
 
 let of_program cfg (p : Programs.t) = of_items cfg p.Programs.items
 let degraded t = t.degraded

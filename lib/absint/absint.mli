@@ -9,7 +9,7 @@ open Olfu_sbst
     which registers and memory stay constant, and which code is dead.
 
     Soundness contract: every concrete {!Isa_sim} execution of the same
-    image from the same entry stays inside the abstraction — each fetched
+    image from its first word stays inside the abstraction — each fetched
     pc satisfies {!pc_reachable}, each register value at a fetch lies in
     {!reg_at}, each store is admitted by {!may_write}/{!store_value}.
     When the abstraction cannot bound a behaviour (a store that may fall
@@ -21,14 +21,13 @@ type access = { a_addr : Aval.t; a_value : Aval.t }
 
 type t
 
-val analyze : ?xlen:int -> ?origin:int -> ?entry:int -> int array -> t
+val analyze : ?xlen:int -> ?origin:int -> int array -> t
 (** [analyze image] runs the fixpoint on encoded instruction words
-    loaded at word address [origin] (default 0), entering at [entry]
-    (default [origin]).  [xlen] defaults to 16.  Raises
-    [Invalid_argument] on an empty image, an image that does not fit the
-    address space, or an entry outside it. *)
+    loaded at word address [origin] (default 0), entering at [origin].
+    [xlen] defaults to 16.  Raises [Invalid_argument] on an empty image
+    or an image that does not fit the address space. *)
 
-val of_items : ?entry:int -> Soc.config -> Asm.item list -> t
+val of_items : Soc.config -> Asm.item list -> t
 (** Assemble at the config's ROM base and analyze at its [xlen]. *)
 
 val of_program : Soc.config -> Programs.t -> t

@@ -15,7 +15,9 @@ let is_endpoint nl sink =
   Cell.equal_kind (Netlist.kind nl sink) Cell.Output
   || Cell.is_seq (Netlist.kind nl sink)
 
-let enumerate ?(max_paths = 10_000) ?(max_len = 256) nl =
+let max_len = 256
+
+let enumerate ?(max_paths = 10_000) nl =
   let paths = ref [] in
   let count = ref 0 in
   let exception Launch_done in
@@ -93,8 +95,8 @@ type census = {
   truncated : bool;
 }
 
-let classify ?(max_paths = 10_000) ?max_len t nl =
-  let paths = enumerate ~max_paths ?max_len nl in
+let classify ?(max_paths = 10_000) t nl =
+  let paths = enumerate ~max_paths nl in
   (* cache the launch cones: paths are grouped by launch point *)
   let cones = Hashtbl.create 97 in
   let cone_of launch =

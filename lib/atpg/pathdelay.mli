@@ -18,9 +18,9 @@ type path = {
 val capture : path -> int
 (** The node whose input ends the path (an output marker or flip-flop). *)
 
-val enumerate : ?max_paths:int -> ?max_len:int -> Netlist.t -> path list
+val enumerate : ?max_paths:int -> Netlist.t -> path list
 (** Depth-first structural path enumeration, bounded by [max_paths]
-    (default 10,000) and [max_len] (default 256 hops).  Deterministic;
+    (default 10,000) and 256 hops per path.  Deterministic;
     with a cap the result is a prefix sample of the full path set. *)
 
 val untestable : Untestable.t -> path -> bool
@@ -32,5 +32,5 @@ type census = {
   truncated : bool;  (** the [max_paths] cap was hit *)
 }
 
-val classify : ?max_paths:int -> ?max_len:int -> Untestable.t -> Netlist.t -> census
+val classify : ?max_paths:int -> Untestable.t -> Netlist.t -> census
 val pp_census : Format.formatter -> census -> unit

@@ -10,7 +10,6 @@ type state = {
   nl : Netlist.t;
   fault : Fault.t;
   obs_out : int -> bool;
-  observe_captures : bool;
   assign : Logic4.t array;  (* pseudo-input decisions; X = unassigned *)
   values : Logic5.t array;
   captures : Logic5.t array;  (* per seq-node order index *)
@@ -25,7 +24,7 @@ let is_assignable nl i =
   | Cell.Input -> true
   | k -> Cell.is_seq k
 
-let make nl fault ~obs_out ~observe_captures =
+let make nl fault ~obs_out =
   let n = Netlist.length nl in
   let seq_index = Array.make n (-1) in
   Array.iteri (fun k i -> seq_index.(i) <- k) (Netlist.seq_nodes nl);
@@ -39,7 +38,6 @@ let make nl fault ~obs_out ~observe_captures =
     nl;
     fault;
     obs_out;
-    observe_captures;
     assign = Array.make n Logic4.X;
     values = Array.make n Logic5.X;
     captures = Array.make (Array.length (Netlist.seq_nodes nl)) Logic5.X;
@@ -110,7 +108,7 @@ let detected st =
   Array.exists
     (fun o -> st.obs_out o && Logic5.is_error (operand st o 0))
     (Netlist.outputs st.nl)
-  || (st.observe_captures && Array.exists Logic5.is_error st.captures)
+  || Array.exists Logic5.is_error st.captures
 
 (* Good value currently on the fault site; the fault is excited when the
    site carries D/D'. *)
@@ -138,10 +136,9 @@ let xpath_exists st =
   Array.iter
     (fun o -> if st.obs_out o then alive.((Netlist.fanin nl o).(0)) <- true)
     (Netlist.outputs nl);
-  if st.observe_captures then
-    Array.iter
-      (fun i -> Array.iter (fun d -> alive.(d) <- true) (Netlist.fanin nl i))
-      (Netlist.seq_nodes nl);
+  Array.iter
+    (fun i -> Array.iter (fun d -> alive.(d) <- true) (Netlist.fanin nl i))
+    (Netlist.seq_nodes nl);
   let order = Netlist.topo nl in
   for k = Array.length order - 1 downto 0 do
     let i = order.(k) in
@@ -169,7 +166,7 @@ let xpath_exists st =
          let sink = st.fault.Fault.site.Fault.node in
          match Netlist.kind nl sink with
          | Cell.Output -> st.obs_out sink
-         | k when Cell.is_seq k -> st.observe_captures
+         | k when Cell.is_seq k -> true
          | _ -> (
            match st.values.(sink) with
            | Logic5.X -> alive.(sink)
@@ -224,7 +221,7 @@ let frontier_objective st guide =
     (Netlist.topo nl);
   (* Flip-flop captures are pseudo-outputs: an error arriving on a flop
      pin with the capture still X is also a propagation frontier. *)
-  if !best = None && st.observe_captures then
+  if !best = None then
     Array.iter
       (fun i ->
         if !best = None
@@ -342,12 +339,12 @@ let rec backtrace st guide net v =
   [@@warning "-4"]
 
 let run ?(backtrack_limit = 10_000) ?(observable_output = fun _ -> true)
-    ?(observe_captures = true) ?guide nl fault =
+    ?guide nl fault =
   (match fault.Fault.site.Fault.pin with
   | Cell.Pin.Clk -> invalid_arg "Podem.run: clock-pin fault"
   | _ -> ());
   let guide = match guide with Some g -> g | None -> Scoap.run nl in
-  let st = make nl fault ~obs_out:observable_output ~observe_captures in
+  let st = make nl fault ~obs_out:observable_output in
   let decisions = ref [] in  (* (pi, value, flipped) *)
   let backtracks = ref 0 in
   let exception Done of result in
@@ -405,9 +402,8 @@ let run ?(backtrack_limit = 10_000) ?(observable_output = fun _ -> true)
      assert false
    with Done r -> r)
 
-let check_test ?(observable_output = fun _ -> true) ?(observe_captures = true)
-    nl fault assignment =
-  let st = make nl fault ~obs_out:observable_output ~observe_captures in
+let check_test ?(observable_output = fun _ -> true) nl fault assignment =
+  let st = make nl fault ~obs_out:observable_output in
   List.iter
     (fun (pi, b) ->
       if not (is_assignable nl pi) then

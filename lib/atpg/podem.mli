@@ -24,20 +24,18 @@ type result =
 val run :
   ?backtrack_limit:int ->
   ?observable_output:(int -> bool) ->
-  ?observe_captures:bool ->
   ?guide:Scoap.t ->
   Netlist.t ->
   Fault.t ->
   result
-(** [backtrack_limit] defaults to 10,000.  [observe_captures] (default
-    [true]) counts flip-flop capture values as observation points.
+(** [backtrack_limit] defaults to 10,000.  Flip-flop capture values
+    count as observation points.
     [guide] supplies SCOAP measures for backtrace ordering (computed on
     the fly when absent — pass it when running many faults on one
     netlist). *)
 
 val check_test :
   ?observable_output:(int -> bool) ->
-  ?observe_captures:bool ->
   Netlist.t ->
   Fault.t ->
   assignment ->

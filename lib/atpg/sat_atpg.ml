@@ -11,8 +11,7 @@ let is_assignable nl i =
   | Cell.Input -> true
   | k -> Cell.is_seq k
 
-let run ?(observable_output = fun _ -> true) ?(observe_captures = true)
-    ?(conflict_limit = 200_000) nl fault =
+let run ?(conflict_limit = 200_000) nl fault =
   (match fault.Fault.site.Fault.pin with
   | Cell.Pin.Clk -> invalid_arg "Sat_atpg.run: clock-pin fault"
   | _ -> ());
@@ -122,42 +121,39 @@ let run ?(observable_output = fun _ -> true) ?(observe_captures = true)
   let diffs = ref [] in
   Array.iter
     (fun o ->
-      if observable_output o then begin
-        let d = (Netlist.fanin nl o).(0) in
-        if Some o = branch_sink then begin
-          (* fault forces the port to the stuck value: a difference needs
-             the good value opposite *)
-          let x = fresh () in
-          equal_gate s x (if fault.Fault.stuck then -good_lit d else good_lit d);
-          diffs := x :: !diffs
-        end
-        else if in_cone.(d) then begin
-          let x = fresh () in
-          xor2_gate s x (good_lit d) faulty.(d);
-          diffs := x :: !diffs
-        end
+      let d = (Netlist.fanin nl o).(0) in
+      if Some o = branch_sink then begin
+        (* fault forces the port to the stuck value: a difference needs
+           the good value opposite *)
+        let x = fresh () in
+        equal_gate s x (if fault.Fault.stuck then -good_lit d else good_lit d);
+        diffs := x :: !diffs
+      end
+      else if in_cone.(d) then begin
+        let x = fresh () in
+        xor2_gate s x (good_lit d) faulty.(d);
+        diffs := x :: !diffs
       end)
     (Netlist.outputs nl);
-  if observe_captures then
-    Array.iter
-      (fun i ->
-        let fanin = Netlist.fanin nl i in
-        let touched =
-          Some i = branch_sink || Array.exists (fun d -> in_cone.(d)) fanin
+  Array.iter
+    (fun i ->
+      let fanin = Netlist.fanin nl i in
+      let touched =
+        Some i = branch_sink || Array.exists (fun d -> in_cone.(d)) fanin
+      in
+      if touched then begin
+        let k = Netlist.kind nl i in
+        let good_ins = Array.to_list (Array.map good_lit fanin) in
+        let faulty_ins =
+          Array.to_list (Array.mapi (fun p d -> faulty_operand i p d) fanin)
         in
-        if touched then begin
-          let k = Netlist.kind nl i in
-          let good_ins = Array.to_list (Array.map good_lit fanin) in
-          let faulty_ins =
-            Array.to_list (Array.mapi (fun p d -> faulty_operand i p d) fanin)
-          in
-          let cg = encode_capture s fresh k good_ins in
-          let cf = encode_capture s fresh k faulty_ins in
-          let x = fresh () in
-          xor2_gate s x cg cf;
-          diffs := x :: !diffs
-        end)
-      (Netlist.seq_nodes nl);
+        let cg = encode_capture s fresh k good_ins in
+        let cf = encode_capture s fresh k faulty_ins in
+        let x = fresh () in
+        xor2_gate s x cg cf;
+        diffs := x :: !diffs
+      end)
+    (Netlist.seq_nodes nl);
   match !diffs with
   | [] -> Untestable
   | ds -> (

@@ -17,8 +17,6 @@ type result =
   | Unknown  (** conflict budget exhausted *)
 
 val run :
-  ?observable_output:(int -> bool) ->
-  ?observe_captures:bool ->
   ?conflict_limit:int ->
   Netlist.t ->
   Fault.t ->

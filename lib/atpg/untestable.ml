@@ -472,7 +472,7 @@ let classify ?jobs ?(trace = Trace.null) t fl =
                 | _ -> ()
               done;
               if Trace.enabled trace then
-                Trace.add trace ~worker "classify.examined" !nexam);
+                Trace.add trace "classify.examined" !nexam);
           changed := Array.fold_left ( + ) 0 wchanged));
   Trace.add trace "classify.faults" nf;
   Trace.add trace "classify.classified" !changed;

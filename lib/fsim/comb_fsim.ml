@@ -237,7 +237,7 @@ let run ?(observe_captures = true) ?(observable_output = fun _ -> true)
             (* fault dropping is batch-synchronous and index-sharded, so
                the active count is jobs-invariant *)
             if Trace.enabled trace then
-              Trace.add trace ~worker "fsim.fault_evals" !nact)
+              Trace.add trace "fsim.fault_evals" !nact)
       done;
       detected := Array.fold_left ( + ) 0 wdet;
       possibly := Array.fold_left ( + ) 0 wposs);
@@ -249,11 +249,8 @@ let run ?(observe_captures = true) ?(observable_output = fun _ -> true)
   end;
   { patterns = Array.length patterns; detected = !detected; possibly = !possibly }
 
-let detects ?(observe_captures = true) ?observable_output nl f pattern =
+let detects nl f pattern =
   let fl = Flist.create nl [| f |] in
-  let r =
-    run ~engine:Full_settle ~jobs:1 ~observe_captures ?observable_output nl
-      fl [| pattern |]
-  in
+  let r = run ~engine:Full_settle ~jobs:1 nl fl [| pattern |] in
   ignore (r : report);
   Status.equal (Flist.status fl 0) Status.Detected

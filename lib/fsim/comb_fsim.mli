@@ -60,11 +60,6 @@ val run :
     ["fsim.possibly"] (fault dropping is batch-synchronous, so the
     evaluation count does not depend on scheduling). *)
 
-val detects :
-  ?observe_captures:bool ->
-  ?observable_output:(int -> bool) ->
-  Netlist.t ->
-  Fault.t ->
-  pattern ->
-  bool
-(** Single-pattern single-fault oracle (slow; used by tests). *)
+val detects : Netlist.t -> Fault.t -> pattern -> bool
+(** Single-pattern single-fault oracle, observing every output and
+    flip-flop capture (slow; used by tests). *)

@@ -8,14 +8,13 @@ type span = {
   dur : float;
 }
 
-let max_workers = 64
-
 type recorder = {
   origin : float;
   m : Mutex.t;
-  mutable spans : span list;  (* reverse completion order *)
+  mutable spans : span list;  (* reverse completion order, m-protected *)
+  mutable events : int;  (* m-protected *)
   next_id : int Atomic.t;
-  counters : (string, int Atomic.t array) Hashtbl.t;  (* m-protected lookup *)
+  counters : (string, int ref) Hashtbl.t;  (* m-protected *)
   gauges : (string, float) Hashtbl.t;  (* m-protected *)
   stack : int list ref Domain.DLS.key;  (* open-span ids, per domain *)
 }
@@ -45,6 +44,7 @@ let create () =
       origin = mono_now ();
       m = Mutex.create ();
       spans = [];
+      events = 0;
       next_id = Atomic.make 0;
       counters = Hashtbl.create 31;
       gauges = Hashtbl.create 7;
@@ -57,9 +57,10 @@ let now = function Noop -> 0. | Rec r -> mono_now () -. r.origin
 let push_span r s =
   Mutex.lock r.m;
   r.spans <- s :: r.spans;
+  r.events <- r.events + 1;
   Mutex.unlock r.m
 
-let span sink ?(cat = "span") ?(tid = 0) name f =
+let span sink ?(cat = "span") name f =
   match sink with
   | Noop -> f ()
   | Rec r ->
@@ -74,7 +75,7 @@ let span sink ?(cat = "span") ?(tid = 0) name f =
         (match !stack with
         | top :: rest when top = id -> stack := rest
         | _ -> () (* unbalanced pop: keep recording, drop the repair *));
-        push_span r { id; parent; name; cat; tid; t0; dur })
+        push_span r { id; parent; name; cat; tid = 0; t0; dur })
       f
 
 let record sink ?(cat = "span") ?(tid = 0) ?t0 ~dur name =
@@ -87,25 +88,16 @@ let record sink ?(cat = "span") ?(tid = 0) ?t0 ~dur name =
     let id = Atomic.fetch_and_add r.next_id 1 in
     push_span r { id; parent = -1; name; cat; tid; t0 = Float.max 0. t0; dur }
 
-let shards r name =
-  Mutex.lock r.m;
-  let s =
-    match Hashtbl.find_opt r.counters name with
-    | Some s -> s
-    | None ->
-      let s = Array.init max_workers (fun _ -> Atomic.make 0) in
-      Hashtbl.add r.counters name s;
-      s
-  in
-  Mutex.unlock r.m;
-  s
-
-let add sink ?(worker = 0) name n =
+let add sink name n =
   match sink with
   | Noop -> ()
   | Rec r ->
-    let s = shards r name in
-    ignore (Atomic.fetch_and_add s.(worker land (max_workers - 1)) n)
+    Mutex.lock r.m;
+    (match Hashtbl.find_opt r.counters name with
+    | Some c -> c := !c + n
+    | None -> Hashtbl.add r.counters name (ref n));
+    r.events <- r.events + 1;
+    Mutex.unlock r.m
 
 let gauge sink name v =
   match sink with
@@ -113,7 +105,16 @@ let gauge sink name v =
   | Rec r ->
     Mutex.lock r.m;
     Hashtbl.replace r.gauges name v;
+    r.events <- r.events + 1;
     Mutex.unlock r.m
+
+let events = function
+  | Noop -> 0
+  | Rec r ->
+    Mutex.lock r.m;
+    let n = r.events in
+    Mutex.unlock r.m;
+    n
 
 let spans = function
   | Noop -> []
@@ -127,12 +128,7 @@ let counters = function
   | Noop -> []
   | Rec r ->
     Mutex.lock r.m;
-    let l =
-      Hashtbl.fold
-        (fun name s acc ->
-          (name, Array.fold_left (fun t c -> t + Atomic.get c) 0 s) :: acc)
-        r.counters []
-    in
+    let l = Hashtbl.fold (fun name c acc -> (name, !c) :: acc) r.counters [] in
     Mutex.unlock r.m;
     List.sort compare l
 

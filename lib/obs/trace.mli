@@ -6,9 +6,11 @@
     ({!Olfu_atpg.Untestable}, {!Olfu_atpg.Atpg_flow},
     {!Olfu_fsim.Comb_fsim}, {!Olfu_fsim.Seq_fsim}) and the domain pool
     ({!Olfu_pool.Pool.parallel_chunks}).  The default {!null} sink makes
-    every probe a no-op — the instrumented hot paths stay within the
-    noise floor of the uninstrumented ones (the [bench -- fsim] gate
-    asserts < 2%).
+    every probe a no-op.  A recording sink counts every event it takes
+    ({!events}), so what recording costs a run is that count times the
+    cost of one event: the [bench -- fsim] and [bench -- obs] gates
+    bound it below 2% of the run, charging every event at the dearest
+    kind's measured cost.
 
     {b Spans} measure wall time on a monotonic clock (never runs
     backwards even if the system clock steps) and nest: each domain keeps
@@ -19,10 +21,10 @@
     ["step"]/["flow"] spans group them, ["pool"]/["worker"] spans expose
     the scheduler.
 
-    {b Counters} are per-worker sharded (one atomic cell per worker id,
-    merged at read time) so parallel increments never contend or lose
-    updates, and — by the pool's exactly-once chunk discipline — their
-    totals are identical for any [jobs] value.  Only deterministic
+    {b Counters} hold one cell per name, updated under the sink's mutex
+    (the lock its name lookup takes anyway), so parallel increments never
+    lose updates and — by the pool's exactly-once chunk discipline —
+    their totals are identical for any [jobs] value.  Only deterministic
     quantities may be counters; scheduling-dependent measurements (idle
     time, per-worker busy time) are recorded as spans or gauges. *)
 
@@ -47,11 +49,11 @@ val create : unit -> sink
 
 val enabled : sink -> bool
 
-val span : sink -> ?cat:string -> ?tid:int -> string -> (unit -> 'a) -> 'a
-(** [span sink ~cat name f] times [f ()] and records a completed span,
-    parented under the innermost open span of the calling domain.  The
-    span is recorded (and the nesting stack unwound) even when [f]
-    raises.  Default [cat] is ["span"], default [tid] is [0]. *)
+val span : sink -> ?cat:string -> string -> (unit -> 'a) -> 'a
+(** [span sink ~cat name f] times [f ()] and records a completed span on
+    lane [tid = 0], parented under the innermost open span of the
+    calling domain.  The span is recorded (and the nesting stack
+    unwound) even when [f] raises.  Default [cat] is ["span"]. *)
 
 val record :
   sink -> ?cat:string -> ?tid:int -> ?t0:float -> dur:float -> string -> unit
@@ -59,12 +61,16 @@ val record :
     accumulated attributions, e.g. the summed PODEM time of a search
     phase.  [t0] defaults to the current monotonic offset minus [dur]. *)
 
-val add : sink -> ?worker:int -> string -> int -> unit
-(** [add sink ~worker name n] increments counter [name] by [n] on the
-    worker's shard.  Counters are created on first use. *)
+val add : sink -> string -> int -> unit
+(** [add sink name n] increments counter [name] by [n], under the sink's
+    mutex, so any domain may add.  Counters are created on first use. *)
 
 val gauge : sink -> string -> float -> unit
 (** Set gauge [name] (last write wins). *)
+
+val events : sink -> int
+(** Events taken so far: one per completed {!span}, {!record}, {!add}
+    and {!gauge} call ([0] on {!null}). *)
 
 val now : sink -> float
 (** Monotonic seconds since the sink was created ([0.] on {!null}). *)
@@ -75,7 +81,7 @@ val spans : sink -> span list
 (** All completed spans, ordered by start time. *)
 
 val counters : sink -> (string * int) list
-(** Merged shard totals, sorted by name. *)
+(** Counter totals, sorted by name. *)
 
 val gauges : sink -> (string * float) list
 

@@ -128,12 +128,12 @@ let check_window fn window =
   if window < 1 then
     invalid_arg (Printf.sprintf "Seu.%s: window %d < 1" fn window)
 
-let classify_ff ?(window = 4) ?(observable_output = fun _ -> true) ?alarm
+let classify_ff ?(window = 4) ?(observable_output = fun _ -> true)
     ?(invariants = []) nl ff =
   check_window "classify_ff" window;
   if not (Cell.is_seq (Netlist.kind nl ff)) then
     invalid_arg "Seu.classify_ff: not a sequential node";
-  let alarm = match alarm with Some f -> f | None -> default_alarm nl in
+  let alarm = default_alarm nl in
   let func_outs =
     Array.to_list (Netlist.outputs nl)
     |> List.filter (fun o -> observable_output o && not (alarm o))
@@ -154,7 +154,7 @@ let sample_ffs ~limit seqs =
   else Array.init limit (fun k -> seqs.(k * total / limit))
 
 let run ?(window = 4) ?(limit = 0) ?jobs ?(trace = Trace.null)
-    ?(observable_output = fun _ -> true) ?alarm ?(invariants = []) nl =
+    ?(observable_output = fun _ -> true) ?(invariants = []) nl =
   check_window "run" window;
   let jobs = match jobs with Some j -> j | None -> Pool.default_jobs () in
   let seqs = Netlist.seq_nodes nl in
@@ -175,7 +175,7 @@ let run ?(window = 4) ?(limit = 0) ?jobs ?(trace = Trace.null)
             (fun ~worker:_ ~lo ~hi ->
               for k = lo to hi - 1 do
                 results.(k) <-
-                  classify_ff ~window ~observable_output ?alarm ~invariants
+                  classify_ff ~window ~observable_output ~invariants
                     nl sample.(k)
               done)));
   let count c =

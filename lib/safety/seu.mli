@@ -49,7 +49,6 @@ val default_alarm : Netlist.t -> int -> bool
 val classify_ff :
   ?window:int ->
   ?observable_output:(int -> bool) ->
-  ?alarm:(int -> bool) ->
   ?invariants:Olfu_invar.Invar.invariant list ->
   Netlist.t ->
   int ->
@@ -58,13 +57,12 @@ val classify_ff :
     cycles; each SAT query stops after 50,000 conflicts (an
     {!Taxonomy.Seu_unknown} verdict).
     [observable_output] selects the outputs the field can check;
-    [alarm] (default {!default_alarm}) splits them into functional and
-    alarm outputs.  [invariants] (proved on this machine — see
-    {!Olfu_invar}) constrain the pre-upset cycle-0 state to the proved
-    reachable over-approximation: a sound strengthening that prunes
-    upset states no mission run can reach and typically speeds the
-    queries up.  Raises [Invalid_argument] on a non-sequential node or a
-    [window] below 1. *)
+    {!default_alarm} splits them into functional and alarm outputs.
+    [invariants] (proved on this machine — see {!Olfu_invar}) constrain
+    the pre-upset cycle-0 state to the proved reachable
+    over-approximation: a sound strengthening that prunes upset states no
+    mission run can reach and typically speeds the queries up.  Raises
+    [Invalid_argument] on a non-sequential node or a [window] below 1. *)
 
 val run :
   ?window:int ->
@@ -72,7 +70,6 @@ val run :
   ?jobs:int ->
   ?trace:Olfu_obs.Trace.sink ->
   ?observable_output:(int -> bool) ->
-  ?alarm:(int -> bool) ->
   ?invariants:Olfu_invar.Invar.invariant list ->
   Netlist.t ->
   report

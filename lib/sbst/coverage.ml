@@ -16,7 +16,7 @@ type summary = {
   undetectable : int;
 }
 
-let grade ?max_cycles ?jobs ?(trace = Olfu_obs.Trace.null) cfg nl fl progs =
+let grade ?jobs ?(trace = Olfu_obs.Trace.null) cfg nl fl progs =
   let observe = Testbench.observed_outputs nl in
   let results =
     List.map
@@ -24,7 +24,7 @@ let grade ?max_cycles ?jobs ?(trace = Olfu_obs.Trace.null) cfg nl fl progs =
         let program = Programs.assemble p in
         let run =
           Olfu_obs.Trace.span trace ~cat:"engine" "testbench" (fun () ->
-              Testbench.record ?max_cycles cfg nl ~program)
+              Testbench.record cfg nl ~program)
         in
         let r =
           Seq_fsim.run ~init:Olfu_logic.Logic4.X ~observe ?jobs ~trace nl fl

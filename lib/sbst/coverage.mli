@@ -22,7 +22,6 @@ type summary = {
 }
 
 val grade :
-  ?max_cycles:int ->
   ?jobs:int ->
   ?trace:Olfu_obs.Trace.sink ->
   Soc.config ->

@@ -39,7 +39,9 @@ let read_bus value nets =
     nets;
   if !ok then Some !acc else None
 
-let record ?(max_cycles = 20_000) ?(data = []) cfg nl ~program =
+let max_cycles = 20_000
+
+let record ?(data = []) cfg nl ~program =
   let xlen = cfg.Soc.xlen in
   let rstn = Netlist.find_exn nl "rstn" in
   let rdata = bus_nets nl "bus_rdata" xlen in

@@ -24,18 +24,17 @@ val observed_outputs : Netlist.t -> int -> bool
     tick) — not the scan or debug outputs. *)
 
 val record :
-  ?max_cycles:int ->
   ?data:(int * int) list ->
   Soc.config ->
   Netlist.t ->
   program:int array ->
   run
 (** Loads [program] at the ROM base and [data] words into memory, applies
-    one reset cycle, then runs until HALT or [max_cycles] (default
-    20,000).  The good machine runs on the word-level core
-    {!Olfu_sim.Lanes} with every lane equal and lane 0 read; each cycle
-    settles once to see the bus request and, when the response changes
-    the driven inputs, once more before the clock edge. *)
+    one reset cycle, then runs until HALT or 20,000 cycles.  The good
+    machine runs on the word-level core {!Olfu_sim.Lanes} with every lane
+    equal and lane 0 read; each cycle settles once to see the bus request
+    and, when the response changes the driven inputs, once more before
+    the clock edge. *)
 
 val replay_matches : Soc.config -> Netlist.t -> run -> bool
 (** Sanity check: replaying the stimulus on the scalar {!Olfu_sim.Seq_sim}

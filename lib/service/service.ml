@@ -77,8 +77,11 @@ let resolve_exn = function
       (nl, Olfu.Mission.of_soc cfg nl, Some cfg))
   | Req.File path ->
     let nl =
-      try Olfu_verilog.Elaborate.netlist_of_file path
-      with e -> badf "%s" (Printexc.to_string e)
+      try Olfu_verilog.Elaborate.netlist_of_file path with
+      | Olfu_verilog.Parser.Error { line; message } ->
+        badf "%s:%d: %s" path line message
+      | Olfu_verilog.Elaborate.Error m -> badf "%s: %s" path m
+      | e -> badf "%s: %s" path (Printexc.to_string e)
     in
     ( nl,
       Olfu.Mission.of_roles
@@ -356,8 +359,9 @@ let exec_implic _session sink (r : Req.run) (l : Session.loaded) ~learn_depth
   let module I = Olfu_atpg.Implic in
   let nl = l.Session.nl in
   let jobs = r.jobs in
-  ignore sink;
-  let t = U.analyze ~ff_mode:r.ff_mode ~learn_depth ~learn_budget nl in
+  let t =
+    U.analyze ~ff_mode:r.ff_mode ~learn_depth ~learn_budget ~trace:sink nl
+  in
   let db =
     match U.implication_db t with
     | Some db -> db
@@ -367,7 +371,7 @@ let exec_implic _session sink (r : Req.run) (l : Session.loaded) ~learn_depth
   let scr = I.Scratch.create db in
   let conflicts = I.conflict_nets ~limit:10 db scr in
   let fl = Olfu_fault.Flist.full nl in
-  let classified = U.classify ~jobs t fl in
+  let classified = U.classify ~jobs ~trace:sink t fl in
   let count c =
     Olfu_fault.Flist.count_status fl (Olfu_fault.Status.Undetectable c)
   in
@@ -383,17 +387,17 @@ let exec_implic _session sink (r : Req.run) (l : Session.loaded) ~learn_depth
     if not invariants then 0
     else
       let module Inv = Olfu_invar.Invar in
-      let ir = Inv.run ~jobs nl in
+      let ir = Inv.run ~jobs ~trace:sink nl in
       let strengthened =
         U.analyze ~learn_depth ~learn_budget
           ~consts:
             (Olfu_atpg.Ternary.run ~ff_mode:r.ff_mode
                ~assume:(Inv.assume_facts ir) nl)
-          ~extra_edges:(Inv.edges ir) nl
+          ~extra_edges:(Inv.edges ir) ~trace:sink nl
       in
       (* the faults the base analysis left open that only the
          invariant-assumed one proves *)
-      U.classify ~jobs strengthened fl
+      U.classify ~jobs ~trace:sink strengthened fl
   in
   let net_name n =
     match Netlist.name nl n with

@@ -7,7 +7,7 @@ type t = {
   samples : Logic4.t array list ref;  (* newest first *)
 }
 
-let default_nets nl =
+let create nl =
   let acc = ref [] in
   Netlist.iter_nodes
     (fun i nd ->
@@ -18,13 +18,7 @@ let default_nets nl =
       in
       if is_port || nd.Netlist.name <> None then acc := i :: !acc)
     nl;
-  List.rev !acc
-
-let create ?nets nl =
-  let nets =
-    match nets with Some l -> l | None -> default_nets nl
-  in
-  { nl; nets = Array.of_list nets; samples = ref [] }
+  { nl; nets = Array.of_list (List.rev !acc); samples = ref [] }
 
 let sample t sim =
   t.samples :=
@@ -55,11 +49,11 @@ let sanitize s =
       else '_')
     s
 
-let to_string ?(timescale = "1 ns") ?(modname = "top") t =
+let to_string ?(modname = "top") t =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "$date olfu $end\n";
   Buffer.add_string buf "$version olfu vcd writer $end\n";
-  Buffer.add_string buf (Printf.sprintf "$timescale %s $end\n" timescale);
+  Buffer.add_string buf "$timescale 1 ns $end\n";
   Buffer.add_string buf (Printf.sprintf "$scope module %s $end\n" modname);
   Array.iteri
     (fun k i ->
@@ -92,7 +86,7 @@ let to_string ?(timescale = "1 ns") ?(modname = "top") t =
   Buffer.add_string buf (Printf.sprintf "#%d\n" (List.length samples));
   Buffer.contents buf
 
-let to_file ?timescale ?modname t path =
+let to_file ?modname t path =
   let oc = open_out path in
-  output_string oc (to_string ?timescale ?modname t);
+  output_string oc (to_string ?modname t);
   close_out oc

@@ -9,11 +9,13 @@ open Olfu_netlist
 
 type t
 
-val create : ?nets:int list -> Netlist.t -> t
-(** [nets] defaults to every named net plus all ports. *)
+val create : Netlist.t -> t
+(** A recorder over every named net plus all ports. *)
 
 val sample : t -> Seq_sim.t -> unit
 (** Record the current settled values as the next timestep. *)
 
-val to_string : ?timescale:string -> ?modname:string -> t -> string
-val to_file : ?timescale:string -> ?modname:string -> t -> string -> unit
+val to_string : ?modname:string -> t -> string
+(** The dump, on a [1 ns] timescale, one timestep per sample. *)
+
+val to_file : ?modname:string -> t -> string -> unit

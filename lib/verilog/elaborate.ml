@@ -291,19 +291,11 @@ and elaborate_primitive ctx env ~kind ~master ~iname conns =
   | None -> err "%s: output pin not connected" what
   | Some s -> set_driver ~what s (Dnode idx)
 
-let to_netlist ?top ?(roles = []) (design : Ast.design) =
+let to_netlist ?(roles = []) (design : Ast.design) =
   let mods = Hashtbl.create 17 in
   List.iter (fun m -> Hashtbl.replace mods m.Ast.mname m) design;
   let top_mod =
-    match top with
-    | Some name -> (
-      match Hashtbl.find_opt mods name with
-      | Some m -> m
-      | None -> err "no module named %s" name)
-    | None -> (
-      match List.rev design with
-      | m :: _ -> m
-      | [] -> err "empty design")
+    match List.rev design with m :: _ -> m | [] -> err "empty design"
   in
   let ctx = { mods; nodes = Vec.create (); named_bits = Vec.create () } in
   (* direction of top-level ports *)
@@ -485,13 +477,13 @@ let roles_of_source src =
              Option.map (fun r -> (name, r)) (role_of_tag tag)
          else None)
 
-let netlist_of_string ?top src =
+let netlist_of_string src =
   let design = Parser.design_of_string src in
-  to_netlist ?top ~roles:(roles_of_source src) design
+  to_netlist ~roles:(roles_of_source src) design
 
-let netlist_of_file ?top path =
+let netlist_of_file path =
   let ic = open_in_bin path in
   let len = in_channel_length ic in
   let src = really_input_string ic len in
   close_in ic;
-  netlist_of_string ?top src
+  netlist_of_string src

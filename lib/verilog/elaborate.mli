@@ -8,16 +8,16 @@ open Olfu_netlist
 
 exception Error of string
 
-val to_netlist : ?top:string -> ?roles:(string * Netlist.role) list -> Ast.design -> Netlist.t
-(** [top] defaults to the last module of the design.  [roles] attaches
-    roles by flat net name after elaboration; unknown names are an
-    error. *)
+val to_netlist : ?roles:(string * Netlist.role) list -> Ast.design -> Netlist.t
+(** Elaborates the last module of the design as the top.  [roles]
+    attaches roles by flat net name after elaboration; unknown names are
+    an error. *)
 
 val roles_of_source : string -> (string * Netlist.role) list
 (** Extracts role annotations from ["//@role <net> <tag>"] comment lines
     (the sidecar format {!Emit} writes). *)
 
-val netlist_of_string : ?top:string -> string -> Netlist.t
+val netlist_of_string : string -> Netlist.t
 (** Parse, elaborate and apply embedded role annotations. *)
 
-val netlist_of_file : ?top:string -> string -> Netlist.t
+val netlist_of_file : string -> Netlist.t

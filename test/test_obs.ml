@@ -314,24 +314,54 @@ let test_span_nesting () =
     (find "inner_b").Trace.id
     (find "leaf").Trace.parent
 
-(* --- counters: shards merge, and totals are jobs-invariant --- *)
+(* --- counters: one cell per name, exact under concurrent adds, and
+   totals are jobs-invariant --- *)
 
-let test_counter_shards () =
+(* Every pool worker adds to the same two names, one add per index: the
+   totals must be exact whatever the interleaving. *)
+let concurrent_counters jobs =
   let sink = Trace.create () in
-  for w = 0 to 7 do
-    Trace.add sink ~worker:w "c" (w + 1)
-  done;
-  Trace.add sink "c" 100;
-  Alcotest.(check (list (pair string int)))
-    "merged total"
-    [ ("c", 136) ]
-    (Trace.counters sink)
+  Pool.with_pool ~oversubscribe:true ~jobs (fun p ->
+      Pool.parallel_chunks p ~n:20_000 ~chunk:1 (fun ~worker:_ ~lo ~hi ->
+          for k = lo to hi - 1 do
+            Trace.add sink "c" (k + 1);
+            Trace.add sink "n" 1
+          done));
+  Trace.counters sink
+
+let test_counter_concurrent_adds () =
+  let expect = [ ("c", 20_000 * 20_001 / 2); ("n", 20_000) ] in
+  List.iter
+    (fun jobs ->
+      Alcotest.(check (list (pair string int)))
+        (Printf.sprintf "exact totals at jobs %d" jobs)
+        expect (concurrent_counters jobs))
+    [ 1; 2; 4 ]
+
+let test_events_counted () =
+  Trace.span Trace.null "s" ignore;
+  Trace.record Trace.null ~dur:0.001 "r";
+  Trace.add Trace.null "c" 1;
+  Trace.gauge Trace.null "g" 1.;
+  Alcotest.(check int) "null sink" 0 (Trace.events Trace.null);
+  let sink = Trace.create () in
+  Alcotest.(check int) "fresh sink" 0 (Trace.events sink);
+  Trace.span sink "outer" (fun () -> Trace.span sink "inner" ignore);
+  (try Trace.span sink "raising" (fun () -> raise Probe) with Probe -> ());
+  Trace.record sink ~dur:0.001 "recorded";
+  Trace.add sink "c" 1;
+  Trace.add sink "c" 2;
+  Trace.add sink "d" 0;
+  Trace.gauge sink "g" 1.;
+  Trace.gauge sink "g" 2.;
+  Alcotest.(check int) "3 spans, 1 record, 3 adds, 2 gauges" 9
+    (Trace.events sink)
 
 let pool_counters ~jobs ~n ~chunk =
   let sink = Trace.create () in
   Pool.with_pool ~jobs (fun p ->
       Pool.parallel_chunks p ~n ~chunk ~trace:sink ~label:"t"
-        (fun ~worker ~lo ~hi -> Trace.add sink ~worker "work.items" (hi - lo)));
+        (fun ~worker:_ ~lo ~hi -> Trace.add sink "work.items" (hi - lo)));
   Trace.counters sink
 
 let prop_pool_counters_invariant =
@@ -492,7 +522,9 @@ let () =
       ( "trace",
         [
           Alcotest.test_case "span nesting" `Quick test_span_nesting;
-          Alcotest.test_case "counter shards" `Quick test_counter_shards;
+          Alcotest.test_case "concurrent counter adds" `Quick
+            test_counter_concurrent_adds;
+          Alcotest.test_case "events counted" `Quick test_events_counted;
           QCheck_alcotest.to_alcotest prop_pool_counters_invariant;
           Alcotest.test_case "fsim counters jobs-invariant" `Quick
             test_fsim_counters_invariant;

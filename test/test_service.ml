@@ -283,14 +283,49 @@ let test_implic_invariant_row () =
       {|"UI": 7|}; {|"tdf_universe": 44,|}; {|"tdf_untestable": 0,|};
     ]
 
+(* implic hands its sink to every engine it runs, and recording leaves
+   the answer unchanged *)
+let test_implic_engines () =
+  with_verilog equal_flops_v @@ fun path ->
+  let req =
+    run_req ~target:(Req.File path)
+      (Req.Implic { learn_depth = 2; learn_budget = 200_000; invariants = true })
+  in
+  let sink = Olfu_obs.Trace.create () in
+  let recorded, _ = S.Service.execute (S.Session.create ()) ~sink req in
+  Alcotest.(check (list string))
+    "engines"
+    [ "classify"; "graph"; "implic"; "invar"; "observe"; "ternary" ]
+    (List.map fst (Olfu_obs.Trace.engine_seconds sink));
+  let counters = Olfu_obs.Trace.counters sink in
+  List.iter
+    (fun c -> Alcotest.(check bool) c true (List.mem_assoc c counters))
+    [ "classify.faults"; "classify.classified"; "invar.proved" ];
+  Alcotest.(check string)
+    "same answer as unrecorded"
+    (exec (S.Session.create ()) req).Resp.output recorded.Resp.output
+
 (* The one resolution of a target the CLI's own subcommands share *)
 let test_resolve () =
   let err target =
     match S.Service.resolve target with Error m -> m | Ok _ -> ""
   in
+  let names_file name path m =
+    Alcotest.(check bool) (name ^ " names the file") true (contains m path);
+    Alcotest.(check bool) (name ^ " hides the exception") false
+      (contains m "Olfu_verilog.")
+  in
   with_verilog "module bad (a, o);\n  input a; output o;\n  FOO u1 (.Y(o), .A(a));\nendmodule\n"
   @@ fun bad ->
-  Alcotest.(check bool) "malformed file" true (contains (err (Req.File bad)) "FOO");
+  let m = err (Req.File bad) in
+  Alcotest.(check bool) "unknown cell" true (contains m "FOO");
+  names_file "unknown cell" bad m;
+  with_verilog "module bad (a, o)\n  input a; output o;\nendmodule\n"
+  @@ fun unparsable ->
+  let m = err (Req.File unparsable) in
+  Alcotest.(check bool) "parse error line" true
+    (contains m (unparsable ^ ":2: "));
+  names_file "parse error" unparsable m;
   Alcotest.(check bool) "unknown config" true
     (contains (err (Req.Config "nope")) "unknown config");
   with_verilog equal_flops_v @@ fun good ->
@@ -571,6 +606,8 @@ let () =
             test_lint_invariants;
           Alcotest.test_case "implic invariant row" `Quick
             test_implic_invariant_row;
+          Alcotest.test_case "implic engines recorded" `Quick
+            test_implic_engines;
           Alcotest.test_case "resolve" `Quick test_resolve;
           Alcotest.test_case "cache hit identity" `Quick
             test_cache_hit_identity;

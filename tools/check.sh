@@ -75,7 +75,8 @@ trap 'rm -rf "$OBS_TMP"' EXIT
 
 # Bad-input gate: a malformed netlist (an unknown cell) given to each
 # subcommand that reads a Verilog file must exit 2 with one
-# `olfu <cmd>: <message>` line on stderr, never an uncaught exception.
+# `olfu <cmd>: <message>` line on stderr that names the file, never an
+# uncaught exception.
 # It runs before the slow bench gates so a noisy one cannot hide it.
 bad_input() {
   printf 'module bad (a, o);\n  input a; output o;\n  FOO u1 (.Y(o), .A(a));\nendmodule\n' \
@@ -91,8 +92,9 @@ bad_input() {
       echo "bad-input: $_sub exit $_rc, want 2"; cat "$OBS_TMP/bad.err"; return 1; }
     if grep -q 'uncaught exception' "$OBS_TMP/bad.err" \
       || [ "$(wc -l < "$OBS_TMP/bad.err")" -ne 1 ] \
-      || ! grep -q "^olfu $_sub: " "$OBS_TMP/bad.err"; then
-      echo "bad-input: $_sub stderr is not one 'olfu $_sub:' line:"
+      || ! grep -q "^olfu $_sub: " "$OBS_TMP/bad.err" \
+      || ! grep -qF "$OBS_TMP/bad.v" "$OBS_TMP/bad.err"; then
+      echo "bad-input: $_sub stderr is not one 'olfu $_sub:' line naming the file:"
       cat "$OBS_TMP/bad.err"; return 1
     fi
   done
@@ -100,9 +102,11 @@ bad_input() {
 gate bad-input bad_input
 
 # Fault-simulation smoke gate: the cone-limited engine at --jobs 2 must
-# reproduce the sequential full-settle statuses exactly on tcore32, and
-# its seconds must not grow across jobs 1 -> 2 -> 4 (tolerance 1.10);
-# the bench exits non-zero on either and refreshes BENCH_fsim.json.
+# reproduce the sequential full-settle statuses exactly on tcore32, its
+# seconds must not grow across jobs 1 -> 2 -> 4 (tolerance 1.10), and a
+# recording sink's cost, bounded by the jobs-1 run's counted trace events
+# times the dearest event kind's measured cost, must stay under 2% of
+# that run; the bench exits non-zero on any and refreshes BENCH_fsim.json.
 gate fsim dune exec bench/main.exe -- fsim
 
 # Implication-engine gate: the flow with the conflict engine must classify
@@ -113,8 +117,9 @@ gate implic dune exec bench/main.exe -- implic
 
 # Observability gate: the analyze flow must emit a schema-valid run
 # manifest and a Chrome-loadable trace, with per-engine and per-step
-# seconds each summing to within 5% of the recorded wall time, and
-# counters identical across --jobs 1/2/4; refreshes BENCH_obs.json.
+# seconds each summing to within 5% of the recorded wall time, counters
+# identical across --jobs 1/2/4, and the same counted sink bound as the
+# fsim gate on the jobs-1 flow; refreshes BENCH_obs.json.
 gate analyze-obs sh -c "dune exec bin/olfu_cli.exe -- analyze -c tcore32 \
   --trace '$OBS_TMP/trace.json' --manifest '$OBS_TMP/manifest.json' \
   > /dev/null"
