@@ -3,7 +3,7 @@
    With no argument this prints every table and figure of the paper next
    to the paper's numbers, then the extensions and the ablations from
    DESIGN.md.  With a mode argument (fsim, implic, obs, safety, invar,
-   slice) it runs that mode's gates instead: it prints its rows, writes
+   slice, lint) it runs that mode's gates instead: it prints its rows, writes
    BENCH_<mode>.json and exits 1 when a gate fails.  Wall-clock figures
    for the user-facing paths come from benchmark/, not from here.
 
@@ -1481,6 +1481,61 @@ let slice_bench () =
      ]
     @ full16 @ full32)
 
+(* ---------------------------------------------------------------- *)
+(* lint mode: what the lint registry costs (BENCH_lint.json)         *)
+(* ---------------------------------------------------------------- *)
+
+(* Per core: the best of five [Lint.run] and [Scoap.run] seconds and the
+   MB one run allocates, on a netlist generated beforehand.  The finding
+   codes (registry order, one per finding) are pinned, so an analysis
+   drift that adds or drops a finding fails the run.
+   Run with: dune exec bench/main.exe -- lint *)
+let lint_bench () =
+  section "lint — the rule registry's cost per core";
+  let scan = "SCAN-006 SCAN-006 SCAN-006 SCAN-006 " in
+  let rest = "RST-006 NET-002 CONST-001 TEST-001 SEU-001" in
+  let cores =
+    List.map
+      (fun (name, nl, codes) -> (name, Lazy.force nl, codes))
+      [
+        ("tcore16", t16, "SCAN-006 " ^ rest);
+        ("tcore32", t32, scan ^ rest ^ " SLICE-001");
+        ("tcore32_dft", tdft, scan ^ rest ^ " SLICE-001 SLICE-002");
+      ]
+  in
+  let best f =
+    min_of_n ~rounds:5 cores (fun (_, nl, _) ->
+        let a0 = Gc.allocated_bytes () in
+        let r = f nl in
+        (r, (Gc.allocated_bytes () -. a0) /. 1e6))
+  in
+  let lint =
+    best (fun nl ->
+        List.map
+          (fun (f : Olfu_lint.Rule.finding) -> f.Olfu_lint.Rule.code)
+          (Olfu_lint.Lint.run nl).Olfu_lint.Lint.findings)
+  in
+  let scoap = best (fun nl -> ignore (Scoap.run nl)) in
+  let rows =
+    List.map2
+      (fun ((name, _, pinned), ((codes, mb), s)) (((), smb), ss) ->
+        Format.printf
+          "  %-12s lint %.3f s %6.1f MB  scoap %.3f s %6.1f MB  %d findings@."
+          name s mb ss smb (List.length codes);
+        ( String.concat " " codes = pinned,
+          J.Obj
+            [
+              ("config", J.Str name); ("lint_seconds", J.Float s);
+              ("lint_alloc_mb", J.Float mb); ("scoap_seconds", J.Float ss);
+              ("scoap_alloc_mb", J.Float smb);
+              ("findings", J.Int (List.length codes));
+            ] ))
+      (List.combine cores lint) scoap
+  in
+  emit "lint"
+    ~gates:[ ("findings_pinned", List.for_all fst rows) ]
+    [ ("cores", J.List (List.map snd rows)) ]
+
 let () =
   match List.tl (Array.to_list Sys.argv) with
   | [] -> main ()
@@ -1490,11 +1545,12 @@ let () =
   | "safety" :: _ -> safety_bench ()
   | "invar" :: _ -> invar_bench ()
   | "slice" :: _ -> slice_bench ()
+  | "lint" :: _ -> lint_bench ()
   | mode :: _ ->
     prerr_endline
       (Printf.sprintf
          "bench: unknown mode %S; modes: fsim, implic, obs [MANIFEST \
-          [TRACE]], safety, invar, slice (no argument prints the paper's \
-          tables)"
+          [TRACE]], safety, invar, slice, lint (no argument prints the \
+          paper's tables)"
          mode);
     exit 2

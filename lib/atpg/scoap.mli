@@ -12,8 +12,17 @@ type t
 val infinity : int
 
 val run : Netlist.t -> t
-(** Iterates to a fixed point (sequential loops make the measures
-    recursive). *)
+(** The exact greatest fixpoint of the SCOAP equations (sequential loops
+    make the measures recursive), with no round cap.  Two FIFO worklists
+    reach it: controllability starts from the sources, then
+    {!Netlist.topo}, then the flops, and re-queues a node's fanout sinks
+    only when its [cc0] or [cc1] drops; observability starts from the
+    output markers at 0, walks the reverse topological order, and
+    re-queues a driver only when its [co] drops.  Every update lowers a
+    non-negative int and an optimal derivation never repeats a node, so
+    at most [n] passes over the queue are needed; on the generated cores
+    a node is evaluated ~6 times for controllability and ~2 for
+    observability, O(fanin) each (a few ms on tcore16). *)
 
 val cc0 : t -> int -> int
 val cc1 : t -> int -> int

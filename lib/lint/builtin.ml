@@ -1145,20 +1145,21 @@ let slice_001 =
     (fun ctx ->
       let nl = Ctx.nl ctx in
       let module Sl = Olfu_slice.Slice in
-      let g = Ctx.slice ctx in
-      let e = g.Sl.mission_edges in
+      let e = Ctx.slice ctx in
+      let flops = Netlist.seq_nodes nl in
+      let mission = (Ctx.mission_ternary ctx).Olfu_atpg.Ternary.values in
       (* a flop's backward cone holds a functional input exactly when the
          flop is forward-reachable from a flop that reads one *)
       let driven =
         Sl.forward_flops e
           (List.filter
              (fun o -> Array.exists (functional_input nl) e.Sl.in_deps.(o))
-             (List.init (Array.length g.Sl.flops) Fun.id))
+             (List.init (Array.length flops) Fun.id))
       in
       let unreachable =
-        Array.to_list g.Sl.flops
+        Array.to_list flops
         |> List.filteri (fun o f ->
-               (not (Logic4.is_binary g.Sl.mission.(f))) && not driven.(o))
+               (not (Logic4.is_binary mission.(f))) && not driven.(o))
       in
       match unreachable with
       | [] -> []
@@ -1183,8 +1184,8 @@ let slice_002 =
     (fun ctx ->
       let nl = Ctx.nl ctx in
       let module Sl = Olfu_slice.Slice in
-      let g = Ctx.slice ctx in
-      let e = g.Sl.mission_edges in
+      let e = Ctx.slice ctx in
+      let mission = (Ctx.mission_ternary ctx).Olfu_atpg.Ternary.values in
       (* a flop's forward cone meets a functional output's support exactly
          when the flop is in that support's backward closure *)
       let observed =
@@ -1194,9 +1195,9 @@ let slice_002 =
                  if functional_output nl m then Array.to_list ffs else []))
       in
       let unobserved =
-        Array.to_list g.Sl.flops
+        Array.to_list (Netlist.seq_nodes nl)
         |> List.filteri (fun o f ->
-               (not (Logic4.is_binary g.Sl.mission.(f))) && not observed.(o))
+               (not (Logic4.is_binary mission.(f))) && not observed.(o))
       in
       match unobserved with
       | [] -> []

@@ -44,7 +44,7 @@ type t = {
   chains : Olfu_manip.Scan_trace.chain list Lazy.t;
   chain_cells : (int, unit) Hashtbl.t Lazy.t;
   si_cycles : int list list Lazy.t;
-  slice : Olfu_slice.Slice.t Lazy.t;
+  slice : Olfu_slice.Slice.edges Lazy.t;
 }
 
 let node_label nl i =
@@ -174,14 +174,16 @@ let combined_assume nl software =
 let create ?(thresholds = default_thresholds) ?software ?invariants nl =
   let chains = lazy (Olfu_manip.Scan_trace.trace nl) in
   let ternary = lazy (Olfu_atpg.Ternary.run nl) in
+  let mission_ternary =
+    lazy (Olfu_atpg.Ternary.run ~assume:(combined_assume nl software) nl)
+  in
   {
     nl;
     limits = thresholds;
     software;
     invariants;
     ternary;
-    mission_ternary =
-      lazy (Olfu_atpg.Ternary.run ~assume:(combined_assume nl software) nl);
+    mission_ternary;
     scoap = lazy (Olfu_atpg.Scoap.run nl);
     observe =
       lazy
@@ -201,7 +203,9 @@ let create ?(thresholds = default_thresholds) ?software ?invariants nl =
          h);
     si_cycles = lazy (compute_si_cycles nl);
     slice =
-      lazy (Olfu_slice.Slice.build ~assume:(combined_assume nl software) nl);
+      lazy
+        (Olfu_slice.Slice.edges nl
+           (Lazy.force mission_ternary).Olfu_atpg.Ternary.values);
   }
 
 let nl t = t.nl

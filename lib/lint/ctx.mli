@@ -122,10 +122,12 @@ val chains : t -> Olfu_manip.Scan_trace.chain list
 val chain_cells : t -> (int, unit) Hashtbl.t
 (** The set of mux-scan cells reached by some chain. *)
 
-val slice : t -> Olfu_slice.Slice.t
-(** Constant-severed flop dependency graph, with the mission edges
-    strengthened by {!assumptions} (so software-held constants sever
-    too).  Feeds the SLICE-* rules. *)
+val slice : t -> Olfu_slice.Slice.edges
+(** Flop dependency edges severed by {!mission_ternary}'s constants (so
+    software-held constants sever too): the mission edges of
+    [Slice.build ~assume:(assumptions t)], without its structural and
+    hard regimes.  Flop ordinals index {!Netlist.seq_nodes}.  Feeds the
+    SLICE-* rules. *)
 
 val si_cycles : t -> int list list
 (** Shift-path cycles: each is the full cycle path in shift order (scan

@@ -173,6 +173,11 @@ let reach_of cond supports =
 (* Flop-level dependency edges under a constant valuation              *)
 (* ------------------------------------------------------------------ *)
 
+let flop_ordinals nl flops =
+  let ford = Array.make (Netlist.length nl) (-1) in
+  Array.iteri (fun k f -> ford.(f) <- k) flops;
+  ford
+
 (* One pass over the combinational nodes in topological order gives
    each non-constant node the bitset of the sources its live cone still
    reads: flop ordinals first, then primary inputs in id order.  A
@@ -181,8 +186,10 @@ let reach_of cond supports =
    is already final because [Netlist.create] rejects combinational
    loops.  A flop's or output's edges are the union over its live
    fanins, with no constant check on the seed itself. *)
-let build_edges nl flops ford consts =
+let edges nl consts =
   let n = Netlist.length nl in
+  let flops = Netlist.seq_nodes nl in
+  let ford = flop_ordinals nl flops in
   let nf = Array.length flops in
   let ins = Netlist.inputs nl in
   let iord = Array.make n (-1) in
@@ -257,20 +264,16 @@ let build ?assume nl =
   let mission =
     (Ternary.run ~ff_mode:Ternary.Steady_state ~assume nl).Ternary.values
   in
-  let n = Netlist.length nl in
   let flops = Netlist.seq_nodes nl in
-  let ford = Array.make n (-1) in
-  Array.iteri (fun k f -> ford.(f) <- k) flops;
-  let xs = Array.make n Logic4.X in
   {
     nl;
     hard;
     mission;
     flops;
-    ford;
-    structural = build_edges nl flops ford xs;
-    hard_edges = build_edges nl flops ford hard;
-    mission_edges = build_edges nl flops ford mission;
+    ford = flop_ordinals nl flops;
+    structural = edges nl (Array.make (Netlist.length nl) Logic4.X);
+    hard_edges = edges nl hard;
+    mission_edges = edges nl mission;
   }
 
 type Analysis.cache += Slice_graph of t

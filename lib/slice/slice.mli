@@ -81,6 +81,13 @@ type t = {
   mission_edges : edges;
 }
 
+val edges : Netlist.t -> Logic4.t array -> edges
+(** The flop-level edges severed by one per-net constant vector (all [X]
+    gives the structural cone).  {!build} calls it once per regime; a
+    caller that needs one regime and already holds its constants (the
+    SLICE lint rules, on the mission fixpoint) calls it alone.  Flop
+    ordinals index {!Netlist.seq_nodes}. *)
+
 val build : ?assume:(int * Logic4.t) list -> Netlist.t -> t
 (** [assume] strengthens the {e mission} fixpoint only (default: every
     [Debug_control] input at 0 — the mission hold).  Hard constants

@@ -263,6 +263,160 @@ let test_scoap_tie () =
   Alcotest.(check int) "tie0 cc1 infinite" Scoap.infinity (Scoap.cc1 s t0);
   Alcotest.(check int) "and cc1 infinite" Scoap.infinity (Scoap.cc1 s g)
 
+(* The round-robin SCOAP sweep [Scoap.run] replaced, kept as the
+   reference: every node re-evaluated in index order, over fanin lists,
+   until a sweep changes nothing (no round cap).  Returns cc0, cc1, co and
+   co_branch. *)
+let reference_scoap nl =
+  let inf = Scoap.infinity in
+  let sat_add a b = if a >= inf || b >= inf then inf else a + b in
+  let sum = List.fold_left sat_add 0 and min_list = List.fold_left min inf in
+  let xor_cc =
+    List.fold_left
+      (fun (e, o) (c0, c1) ->
+        (min (sat_add e c0) (sat_add o c1), min (sat_add e c1) (sat_add o c0)))
+      (0, inf)
+  in
+  let n = Netlist.length nl in
+  let cc0 = Array.make n inf and cc1 = Array.make n inf in
+  let eval i =
+    let ins =
+      Array.to_list (Netlist.fanin nl i)
+      |> List.map (fun d -> (cc0.(d), cc1.(d)))
+    in
+    let c0 = List.map fst ins and c1 = List.map snd ins in
+    let inc (a, b) = (sat_add a 1, sat_add b 1) in
+    match (Netlist.kind nl i, ins) with
+    | Cell.Input, _ -> (1, 1)
+    | Cell.Tie0, _ -> (0, inf)
+    | Cell.Tie1, _ -> (inf, 0)
+    | Cell.Tiex, _ -> (inf, inf)
+    | (Cell.Output | Cell.Buf | Cell.Dff), [ p ] -> inc p
+    | Cell.Not, [ (a0, a1) ] -> inc (a1, a0)
+    | Cell.And, _ -> inc (min_list c0, sum c1)
+    | Cell.Nand, _ -> inc (sum c1, min_list c0)
+    | Cell.Or, _ -> inc (sum c0, min_list c1)
+    | Cell.Nor, _ -> inc (min_list c1, sum c0)
+    | Cell.Xor, _ -> inc (xor_cc ins)
+    | Cell.Xnor, _ ->
+      let e, o = xor_cc ins in
+      inc (o, e)
+    | Cell.Mux2, [ (s0, s1); (a0, a1); (b0, b1) ]
+    | Cell.Sdff, [ (a0, a1); (b0, b1); (s0, s1) ] ->
+      inc
+        ( min (sat_add s0 a0) (sat_add s1 b0),
+          min (sat_add s0 a1) (sat_add s1 b1) )
+    | Cell.Dffr, [ (d0, d1); (r0, _) ] -> inc (min d0 r0, d1)
+    | Cell.Sdffr, [ (d0, d1); (s0, s1); (e0, e1); (r0, _) ] ->
+      inc
+        ( min r0 (min (sat_add e0 d0) (sat_add e1 s0)),
+          min (sat_add e0 d1) (sat_add e1 s1) )
+    | _ -> assert false
+  in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    for i = 0 to n - 1 do
+      let v0, v1 = eval i in
+      if v0 < cc0.(i) then begin cc0.(i) <- v0; changed := true end;
+      if v1 < cc1.(i) then begin cc1.(i) <- v1; changed := true end
+    done
+  done;
+  let co = Array.make n inf in
+  let co_branch =
+    Array.init n (fun i -> Array.make (Array.length (Netlist.fanin nl i)) inf)
+  in
+  let branch_cost i pin =
+    let f = Netlist.fanin nl i and out = co.(i) in
+    let side cc =
+      let t = ref 0 in
+      Array.iteri (fun p d -> if p <> pin then t := sat_add !t (cc d)) f;
+      sat_add out (sat_add !t 1)
+    in
+    let through c = sat_add out (sat_add c 1) in
+    match (Netlist.kind nl i, pin) with
+    | Cell.Output, _ -> 0
+    | (Cell.Buf | Cell.Not | Cell.Dff), _ -> sat_add out 1
+    | (Cell.And | Cell.Nand), _ -> side (fun d -> cc1.(d))
+    | (Cell.Or | Cell.Nor), _ -> side (fun d -> cc0.(d))
+    | (Cell.Xor | Cell.Xnor), _ -> side (fun d -> min cc0.(d) cc1.(d))
+    | Cell.Mux2, 0 ->
+      let a = f.(1) and b = f.(2) in
+      through (min (sat_add cc0.(a) cc1.(b)) (sat_add cc1.(a) cc0.(b)))
+    | Cell.Mux2, 1 -> through cc0.(f.(0))
+    | Cell.Mux2, _ -> through cc1.(f.(0))
+    | Cell.Dffr, 0 -> through cc1.(f.(1))
+    | (Cell.Sdff | Cell.Sdffr), 0 -> through cc0.(f.(2))
+    | (Cell.Sdff | Cell.Sdffr), 1 -> through cc1.(f.(2))
+    | (Cell.Sdff | Cell.Sdffr), 2 ->
+      let d = f.(0) and s = f.(1) in
+      through (min (sat_add cc0.(d) cc1.(s)) (sat_add cc1.(d) cc0.(s)))
+    | (Cell.Dffr | Cell.Sdffr), _ -> through cc1.(f.(0))
+    | _ -> assert false
+  in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    Array.iter
+      (fun o -> if co.(o) > 0 then begin co.(o) <- 0; changed := true end)
+      (Netlist.outputs nl);
+    for i = 0 to n - 1 do
+      Array.iteri
+        (fun pin drv ->
+          let c = branch_cost i pin in
+          if c < co_branch.(i).(pin) then begin
+            co_branch.(i).(pin) <- c;
+            changed := true
+          end;
+          if c < co.(drv) then begin co.(drv) <- c; changed := true end)
+        (Netlist.fanin nl i)
+    done
+  done;
+  (cc0, cc1, co, co_branch)
+
+let prop_scoap_is_reference =
+  QCheck2.Test.make ~count:1000 ~name:"worklist SCOAP = round-robin sweep"
+    QCheck2.Gen.(triple (int_bound 1_000_000) bool bool)
+    (fun (seed, ties, all_kinds) ->
+      let rng = Random.State.make [| seed |] in
+      let nl =
+        Test_support.random_seq_netlist ~ties ~all_kinds rng ~inputs:4
+          ~gates:40 ~flops:6
+      in
+      let s = Scoap.run nl in
+      let cc0, cc1, co, co_branch = reference_scoap nl in
+      List.for_all
+        (fun i ->
+          Scoap.cc0 s i = cc0.(i)
+          && Scoap.cc1 s i = cc1.(i)
+          && Scoap.co s i = co.(i)
+          && Array.for_all2 ( = )
+               (Array.mapi (fun p _ -> Scoap.co_branch s i p) co_branch.(i))
+               co_branch.(i))
+        (List.init (Netlist.length nl) Fun.id))
+
+(* A shift register whose node ids run against the data flow: a sweep in
+   index order advances the input's cost by one flop per round, so a
+   256-round cap left the far end at [infinity].  The fixpoint is
+   exact: the k-th flop from the input has cc0 = k + 1. *)
+let test_scoap_reverse_shift_register () =
+  let b = B.create () in
+  let x = B.input b "x" in
+  let ffs =
+    Array.init 300 (fun k -> B.dff b ~name:(Printf.sprintf "f%d" k) ~d:x)
+  in
+  for k = 0 to 298 do
+    B.set_fanin b ffs.(k) [| ffs.(k + 1) |]
+  done;
+  let _ = B.output b "o" ffs.(0) in
+  let nl = B.freeze_exn b in
+  let s = Scoap.run nl in
+  Array.iter
+    (fun f ->
+      Alcotest.(check bool) "finite cc0" true (Scoap.cc0 s f < Scoap.infinity))
+    ffs;
+  Alcotest.(check int) "far end cc0" 301 (Scoap.cc0 s ffs.(0))
+
 (* Reset_join constants are sound: no post-reset simulation with random
    inputs ever contradicts a claimed constant. *)
 let prop_reset_join_sound =
@@ -687,6 +841,9 @@ let () =
         [
           Alcotest.test_case "adder" `Quick test_scoap_adder;
           Alcotest.test_case "tie" `Quick test_scoap_tie;
+          Alcotest.test_case "reverse shift register" `Quick
+            test_scoap_reverse_shift_register;
+          qt prop_scoap_is_reference;
         ] );
       ( "tdf",
         [

@@ -884,7 +884,10 @@ let prop_obs_agrees_with_observe =
 (* Generated cores are lint-clean                                   *)
 (* ---------------------------------------------------------------- *)
 
-let check_core_clean soc =
+(* Besides cleanliness, TEST-001's message pins the SCOAP measures of
+   the three hardest nets, and the SLICE-001/002 flop counts (0 when the
+   rule is silent) pin the mission-severed edges. *)
+let check_core_clean ~test_001 ~slice soc =
   let nl = Olfu_soc.Soc.generate soc in
   let o = Lint.run nl in
   List.iter
@@ -893,11 +896,57 @@ let check_core_clean soc =
         Alcotest.failf "%s: %s" f.Rule.code f.Rule.message)
     o.Lint.findings;
   Alcotest.(check bool) "passes --fail-on warning" false
-    (Lint.fails ~fail_on:Rule.Warning o)
+    (Lint.fails ~fail_on:Rule.Warning o);
+  let find code =
+    List.find_opt (fun (f : Rule.finding) -> f.Rule.code = code) o.Lint.findings
+  in
+  Alcotest.(check (option string)) "TEST-001" (Some test_001)
+    (Option.map (fun (f : Rule.finding) -> f.Rule.message) (find "TEST-001"));
+  let flops code =
+    match find code with Some f -> List.length f.Rule.path | None -> 0
+  in
+  Alcotest.(check (pair int int)) "SLICE-001/002 flops" slice
+    (flops "SLICE-001", flops "SLICE-002")
 
-let test_tcore16_clean () = check_core_clean Olfu_soc.Soc.tcore16
-let test_tcore32_clean () = check_core_clean Olfu_soc.Soc.tcore32
-let test_tcore32_dft_clean () = check_core_clean Olfu_soc.Soc.tcore32_dft
+let test_tcore16_clean () =
+  check_core_clean Olfu_soc.Soc.tcore16 ~slice:(0, 0)
+    ~test_001:"hardest nets by SCOAP: n2639 (7157), n2634 (7101), n2644 (7073)"
+
+let test_tcore32_clean () =
+  check_core_clean Olfu_soc.Soc.tcore32 ~slice:(16, 0)
+    ~test_001:
+      "hardest nets by SCOAP: n8201 (27657), n8196 (27613), n8206 (27516)"
+
+let test_tcore32_dft_clean () =
+  check_core_clean Olfu_soc.Soc.tcore32_dft ~slice:(40, 75)
+    ~test_001:
+      "hardest nets by SCOAP: n8366 (27679), n8361 (27631), n8371 (27534)"
+
+(* The SLICE rules' edges are [Slice.build]'s mission edges under the
+   same assumptions, with and without software facts. *)
+let test_tcore16_slice_edges () =
+  let cfg = Olfu_soc.Soc.tcore16 in
+  let nl = Olfu_soc.Soc.generate cfg in
+  let sw =
+    Olfu_absint.Absint.software_facts ~label:"suite" cfg nl
+      (List.map
+         (fun p ->
+           (p.Olfu_sbst.Programs.pname, Olfu_absint.Absint.of_program cfg p))
+         (Olfu_sbst.Programs.suite cfg))
+  in
+  Alcotest.(check bool) "software facts assume" true (sw.Ctx.sw_assume <> []);
+  List.iter
+    (fun software ->
+      let module Sl = Olfu_slice.Slice in
+      let ctx = Ctx.create ?software nl in
+      let e = Ctx.slice ctx in
+      let m = (Sl.build ~assume:(Ctx.assumptions ctx) nl).Sl.mission_edges in
+      let ints = Alcotest.(array (array int)) in
+      Alcotest.check ints "supports" m.Sl.supports e.Sl.supports;
+      Alcotest.check ints "in_deps" m.Sl.in_deps e.Sl.in_deps;
+      Alcotest.(check (array (pair int (array int))))
+        "out_deps" m.Sl.out_deps e.Sl.out_deps)
+    [ None; Some sw ]
 
 let () =
   let qt = QCheck_alcotest.to_alcotest in
@@ -976,6 +1025,8 @@ let () =
       ( "cores",
         [
           Alcotest.test_case "tcore16" `Quick test_tcore16_clean;
+          Alcotest.test_case "tcore16 slice edges" `Quick
+            test_tcore16_slice_edges;
           Alcotest.test_case "tcore32" `Slow test_tcore32_clean;
           Alcotest.test_case "tcore32_dft" `Slow test_tcore32_dft_clean;
         ] );

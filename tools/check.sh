@@ -70,6 +70,11 @@ for core in tcore32 tcore32_dft tcore16; do
   gate "lint-inv-$core" dune exec bin/olfu_cli.exe -- lint -c "$core" --invariants --fail-on error
 done
 
+# Lint-cost gate: the registry's finding codes on every core must match
+# their pins; records the best-of-five Lint.run and Scoap.run seconds and
+# allocated MB per core; refreshes BENCH_lint.json.
+gate lint-bench dune exec bench/main.exe -- lint
+
 OBS_TMP=$(mktemp -d)
 trap 'rm -rf "$OBS_TMP"' EXIT
 
